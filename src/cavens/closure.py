@@ -11,11 +11,19 @@ reduces to the exact Gaussian (Isserlis) pair expansion.  The sixth-order
 number correlator <AdA BdB CdC> is built by applying the three-factor rule
 to the composite number factors, with each composite pair expanded by the
 four-factor rule.
+
+The rules read a ``MomentState`` or a ``(..., 27)`` array of states, so one
+call decouples a whole trajectory.  Complex products go through ``cprod``
+(and ``cquot``, ``csquare``), which round exactly as Python's ``complex``
+does; numpy's complex multiply may use FMA.  A stack of states thus gives
+the same bits as its states taken one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import Moment, MomentState
 
@@ -23,6 +31,9 @@ __all__ = [
     "OperatorFactor",
     "annihilator",
     "creator",
+    "cprod",
+    "cquot",
+    "csquare",
     "single_moment",
     "pair_moment",
     "decouple3",
@@ -55,97 +66,108 @@ def creator(mode: str) -> OperatorFactor:
     return OperatorFactor(mode, True)
 
 
-_SINGLE = {
-    ("A", False): Moment.A, ("B", False): Moment.B, ("C", False): Moment.C,
-    ("A", True): Moment.Ad, ("B", True): Moment.Bd, ("C", True): Moment.Cd,
-}
-
-_SAME = {
-    ("A", False, False): Moment.AA, ("A", True, True): Moment.AdAd,
-    ("A", True, False): Moment.AdA,
-    ("B", False, False): Moment.BB, ("B", True, True): Moment.BdBd,
-    ("B", True, False): Moment.BdB,
-    ("C", False, False): Moment.CC, ("C", True, True): Moment.CdCd,
-    ("C", True, False): Moment.CdC,
-}
-
-# Cross-mode slots keyed by (first mode, first dagger, second dagger) with the
-# modes in canonical A < B < C order; cross-mode factors commute freely.
-_CROSS = {
-    ("A", "B", False, False): Moment.AB, ("A", "B", False, True): Moment.ABd,
-    ("A", "B", True, False): Moment.AdB, ("A", "B", True, True): Moment.AdBd,
-    ("B", "C", False, False): Moment.BC, ("B", "C", False, True): Moment.BCd,
-    ("B", "C", True, False): Moment.BdC, ("B", "C", True, True): Moment.BdCd,
-    ("A", "C", False, False): Moment.AC, ("A", "C", False, True): Moment.ACd,
-    ("A", "C", True, False): Moment.AdC, ("A", "C", True, True): Moment.AdCd,
-}
+def _complex(re, im):
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out[()]
 
 
-def single_moment(state: MomentState, x: OperatorFactor) -> complex:
-    return state[_SINGLE[(x.mode, x.daggered)]]
+def cprod(*factors):
+    """Left-to-right product of complex arrays or scalars, rounded like ``complex``.
+
+    Each step forms (ar*br - ai*bi) + i(ar*bi + ai*br) from the parts, as
+    CPython does; a real factor counts as ``complex(x, 0.0)``.
+    """
+    re, im = factors[0].real, factors[0].imag
+    for f in factors[1:]:
+        re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    return _complex(re, im)
 
 
-def pair_moment(state: MomentState, x: OperatorFactor, y: OperatorFactor) -> complex:
+def cquot(a, b: complex):
+    """``a / b`` for a scalar divisor, by CPython's complex division rule."""
+    br, bi = float(b.real), float(b.imag)
+    if abs(br) >= abs(bi):
+        ratio = bi / br
+        denom = br + bi * ratio
+        return _complex((a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom)
+    ratio = br / bi
+    denom = br * ratio + bi
+    return _complex((a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom)
+
+
+def csquare(a):
+    """``a ** 2`` as CPython computes it: (1 + 0j) * (a * a)."""
+    return cprod(1.0, cprod(a, a))
+
+
+def _slot(states: MomentState | np.ndarray, *factors: OperatorFactor):
+    """The stored moment of a word of one or two factors given in slot order."""
+    values = states.values if isinstance(states, MomentState) else states
+    return values[..., Moment["".join(f.mode + "d" * f.daggered for f in factors)]][()]
+
+
+def single_moment(states: MomentState | np.ndarray, x: OperatorFactor):
+    return _slot(states, x)
+
+
+def pair_moment(states: MomentState | np.ndarray, x: OperatorFactor, y: OperatorFactor):
     """Expectation of the ordered product xy, resolved to stored slots.
 
     Same-mode anti-normal pairs pick up the commutator: <a ad> = <ad a> + 1.
+    Cross-mode factors commute and are stored in A < B < C order.
     """
-    if x.mode == y.mode:
-        if not x.daggered and y.daggered:
-            return state[_SAME[(x.mode, True, False)]] + 1.0
-        return state[_SAME[(x.mode, x.daggered, y.daggered)]]
+    if x.mode == y.mode and not x.daggered and y.daggered:
+        return _slot(states, y, x) + 1.0
     if x.mode > y.mode:
         x, y = y, x
-    return state[_CROSS[(x.mode, y.mode, x.daggered, y.daggered)]]
+    return _slot(states, x, y)
 
 
 def decouple3(
-    state: MomentState,
+    states: MomentState | np.ndarray,
     x: OperatorFactor,
     y: OperatorFactor,
     z: OperatorFactor,
-) -> complex:
+):
     """Three-factor decoupling <xyz> ~ <xy><z> + <x><yz> + <xz><y> - 2<x><y><z>."""
-    sx, sy, sz = (single_moment(state, f) for f in (x, y, z))
+    sx, sy, sz = (single_moment(states, f) for f in (x, y, z))
     return (
-        pair_moment(state, x, y) * sz
-        + sx * pair_moment(state, y, z)
-        + pair_moment(state, x, z) * sy
-        - 2.0 * sx * sy * sz
+        cprod(pair_moment(states, x, y), sz)
+        + cprod(sx, pair_moment(states, y, z))
+        + cprod(pair_moment(states, x, z), sy)
+        - cprod(2.0, sx, sy, sz)
     )
 
 
 def decouple4(
-    state: MomentState,
+    states: MomentState | np.ndarray,
     w: OperatorFactor,
     x: OperatorFactor,
     y: OperatorFactor,
     z: OperatorFactor,
-) -> complex:
+):
     """Four-factor decoupling: all three pair pairings minus twice the mean product."""
     return (
-        pair_moment(state, w, x) * pair_moment(state, y, z)
-        + pair_moment(state, w, y) * pair_moment(state, x, z)
-        + pair_moment(state, w, z) * pair_moment(state, x, y)
-        - 2.0
-        * single_moment(state, w)
-        * single_moment(state, x)
-        * single_moment(state, y)
-        * single_moment(state, z)
+        cprod(pair_moment(states, w, x), pair_moment(states, y, z))
+        + cprod(pair_moment(states, w, y), pair_moment(states, x, z))
+        + cprod(pair_moment(states, w, z), pair_moment(states, x, y))
+        - cprod(2.0, *(single_moment(states, f) for f in (w, x, y, z)))
     )
 
 
-def number_triple_product(state: MomentState) -> complex:
+def number_triple_product(states: MomentState | np.ndarray):
     """Closed form for the sixth-order correlator <AdA BdB CdC>.
 
     Treats the three number operators as composite factors in the
     three-factor rule; each composite pair <XY> is a four-factor decoupling
     and each composite single <X> is a stored occupation.
     """
-    na = state[Moment.AdA]
-    nb = state[Moment.BdB]
-    nc = state[Moment.CdC]
-    nab = decouple4(state, creator("A"), annihilator("A"), creator("B"), annihilator("B"))
-    nbc = decouple4(state, creator("B"), annihilator("B"), creator("C"), annihilator("C"))
-    nac = decouple4(state, creator("A"), annihilator("A"), creator("C"), annihilator("C"))
-    return nab * nc + na * nbc + nac * nb - 2.0 * na * nb * nc
+    na, nb, nc = (pair_moment(states, creator(m), annihilator(m)) for m in "ABC")
+    nab = decouple4(states, creator("A"), annihilator("A"), creator("B"), annihilator("B"))
+    nbc = decouple4(states, creator("B"), annihilator("B"), creator("C"), annihilator("C"))
+    nac = decouple4(states, creator("A"), annihilator("A"), creator("C"), annihilator("C"))
+    return (
+        cprod(nab, nc) + cprod(na, nbc) + cprod(nac, nb) - cprod(2.0, na, nb, nc)
+    )

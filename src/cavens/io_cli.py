@@ -25,6 +25,7 @@ import numpy as np
 from .dynamics import IntegrationError, NoSteadyStateError, Trajectory
 from .model import (
     MOMENT_NAMES,
+    OCCUPATIONS,
     Moment,
     Scenario,
     SystemParams,
@@ -34,7 +35,7 @@ from .model import (
 )
 from .oracle import ClosureReport, FockBasisSpec, PositivityError, closure_report
 from .runner import SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
-from .witnesses import InternalConsistencyError, WitnessRecord
+from .witnesses import WITNESS_NAMES, InternalConsistencyError
 
 __all__ = ["ConfigError", "parse_config", "format_config", "emit_csv", "main"]
 
@@ -212,12 +213,11 @@ def write_trajectory(traj: Trajectory, dest) -> None:
 
 
 def write_witness_series(series: WitnessSeries, dest, columns: list[str] | None = None) -> None:
-    names = series.column_names()
     if columns is not None:
-        unknown = sorted(set(columns) - set(names))
+        unknown = sorted(set(columns) - set(WITNESS_NAMES))
         if unknown:
             raise KeyError(f"unknown witness column(s): {', '.join(unknown)}")
-        names = [n for n in series.column_names() if n in set(columns)]
+    names = [n for n in WITNESS_NAMES if columns is None or n in columns]
     picked = [series.column(n) for n in names]
     rows = (
         [_fmt(tau)] + [_fmt(col[i]) for col in picked]
@@ -259,8 +259,7 @@ def write_closure_report(report: ClosureReport, dest) -> None:
             f"re_{name}_exact", f"im_{name}_exact",
             f"re_{name}_closed", f"im_{name}_closed",
         ]
-    wnames = WitnessRecord.column_names()
-    for name in wnames:
+    for name in WITNESS_NAMES:
         header += [f"{name}_exact", f"{name}_closed"]
 
     def rows():
@@ -269,10 +268,8 @@ def write_closure_report(report: ClosureReport, dest) -> None:
             for name in report.correlator_names:
                 e, c = report.exact[name][i], report.closed[name][i]
                 row += [_fmt(e.real), _fmt(e.imag), _fmt(c.real), _fmt(c.imag)]
-            ve = report.witness_exact[i].column_values()
-            vc = report.witness_closed[i].column_values()
-            for j in range(len(wnames)):
-                row += [_fmt(ve[j]), _fmt(vc[j])]
+            for e, c in zip(report.witness_exact[i], report.witness_closed[i]):
+                row += [_fmt(e), _fmt(c)]
             yield row
 
     _write_rows(dest, header, rows())
@@ -405,6 +402,7 @@ def main(argv=None) -> int:
                 abs_tol=defaults.abs_tol,
                 rel_tol=defaults.rel_tol,
                 chis=tuple(_parse_grid(args.chi_grid)),
+                init_occupations=tuple(defaults.initial[s].real for s in OCCUPATIONS),
             )
             _emit(matrix, args.out)
         elif args.command == "sweep":

@@ -29,24 +29,10 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .closure import (
-    OperatorFactor,
-    annihilator,
-    creator,
-    decouple3,
-    decouple4,
-    number_triple_product,
-)
+from .closure import OperatorFactor
 from .dynamics import IntegrationError, integrate
 from .model import MOMENT_NAMES, Moment, MomentState, Scenario, SystemParams
-from .witnesses import (
-    MODE_KEYS,
-    PAIR_KEYS,
-    PARTITION_KEYS,
-    WitnessRecord,
-    evaluate,
-)
-from . import witnesses as _wit
+from .witnesses import WITNESS_NAMES, Correlators, WitnessRecord, decoupled, witness_table
 
 __all__ = [
     "FockBasisSpec",
@@ -58,6 +44,7 @@ __all__ = [
     "evolve_path",
     "expectation",
     "moments_from_density",
+    "exact_correlators",
     "exact_witnesses",
     "thermal_state",
     "fock_state",
@@ -280,7 +267,8 @@ def _integrate_rho(
     if not sol.success:
         last = float(sol.t[-1]) if sol.t.size else 0.0
         raise IntegrationError(f"density-matrix integration failed: {sol.message}", last)
-    return sol.y.T.reshape(len(t_eval), d, d)
+    # a view of the solver's (d*d, n) output, not a copy
+    return np.moveaxis(sol.y.reshape(d, d, len(t_eval)), -1, 0)
 
 
 def evolve(
@@ -368,14 +356,24 @@ def moments_from_density(
     rho: "DensityMatrix | np.ndarray", spec: FockBasisSpec | None = None
 ) -> MomentState:
     """All 27 stored moments of a density matrix, for oracle cross-checks."""
-    values = np.empty(27, dtype=complex)
-    for slot, word in _SLOT_WORDS.items():
-        values[slot] = expectation(rho, word, spec)
-    return MomentState(values)
+    return MomentState([expectation(rho, word, spec) for word in _SLOT_WORDS.values()])
 
 
-def _w(text: str) -> tuple[OperatorFactor, ...]:
-    return _word_for_name(text)
+def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:
+    """Exact expectations of operator words for a ``(..., d, d)`` density stack.
+
+    Values are taken on the Hermitian part (rho + rho^dagger)/2, which drops
+    the integrator's antisymmetric noise, so the moments are
+    conjugate-consistent at machine precision.
+    """
+    rhos = np.asarray(rhos)
+
+    def correlate(word):
+        rows, cols, data = _word_op_entries(spec, tuple(word))
+        entries = (rhos[..., cols, rows] + rhos[..., rows, cols].conj()) / 2.0
+        return entries @ data
+
+    return Correlators(correlate)
 
 
 def exact_witnesses(
@@ -383,69 +381,14 @@ def exact_witnesses(
 ) -> WitnessRecord:
     """The witness catalog computed from exact truncated-basis correlators.
 
-    Second-moment-only witnesses (quadratures, the product inseparability
-    witness, their combinations) are evaluated on the exact moments; the
-    fourth- and sixth-order correlators are taken directly from rho instead
-    of being decoupled.
+    The same witness formulas as the moment pipeline, fed with exact moments
+    and exact fourth- and sixth-order correlators from rho instead of
+    decoupled ones.
     """
     if isinstance(rho, DensityMatrix):
         spec = rho.spec
         rho = rho.matrix
-    # discard the integrator's antisymmetric noise so the moments are
-    # conjugate-consistent at machine precision
-    rho = (rho + rho.conj().T) / 2.0
-    state = moments_from_density(rho, spec)
-    base = evaluate(state)
-
-    occ = {m: state[s].real for m, s in zip(MODE_KEYS, (Moment.AdA, Moment.BdB, Moment.CdC))}
-    antibunch, mandel = {}, {}
-    for m in MODE_KEYS:
-        fourth = expectation(rho, _w(f"{m}d{m}d{m}{m}"), spec).real
-        antibunch[m] = fourth - occ[m] ** 2
-        mandel[m] = antibunch[m] / occ[m] if occ[m] >= _wit.OCCUPATION_FLOOR else float("nan")
-
-    antibunch_pair, hz_e, hz_etilde, steering = {}, {}, {}, {}
-    nn_exact = {}
-    for key in PAIR_KEYS:
-        a, b = key[0], key[1]
-        nn = expectation(rho, _w(f"{a}d{a}{b}d{b}"), spec).real
-        nn_exact[key] = nn
-        antibunch_pair[key] = nn - occ[a] * occ[b]
-        abd = expectation(rho, _w(f"{a}{b}d"), spec)
-        ab = expectation(rho, _w(f"{a}{b}"), spec)
-        hz_e[key] = nn - abs(abd) ** 2
-        hz_etilde[key] = occ[a] * occ[b] - abs(ab) ** 2
-    for key in _wit.ORDERED_PAIR_KEYS:
-        x, y = key[0], key[1]
-        pair = key if key in PAIR_KEYS else key[::-1]
-        steering[key] = hz_e[pair] + occ[x] / 2.0
-
-    nnn = expectation(rho, _w("AdABdBCdC"), spec).real
-    bisep_e, bisep_eprime = {}, {}
-    for part in PARTITION_KEYS:
-        a, b = part[0], part[1]
-        c = part[-1]
-        pair = a + b if a + b in PAIR_KEYS else b + a
-        abc_dag = expectation(rho, _w(f"{a}{b}{c}d"), spec)
-        abc = expectation(rho, _w(f"{a}{b}{c}"), spec)
-        bisep_e[part] = nnn - abs(abc_dag) ** 2
-        bisep_eprime[part] = nn_exact[pair] * occ[c] - abs(abc) ** 2
-
-    return WitnessRecord(
-        mandel=mandel,
-        antibunch=antibunch,
-        antibunch_pair=antibunch_pair,
-        var_x=base.var_x,
-        var_y=base.var_y,
-        var_x_pair=base.var_x_pair,
-        var_y_pair=base.var_y_pair,
-        duan=base.duan,
-        hz_e=hz_e,
-        hz_etilde=hz_etilde,
-        steering=steering,
-        bisep_e=bisep_e,
-        bisep_eprime=bisep_eprime,
-    )
+    return WitnessRecord.from_row(witness_table(exact_correlators(rho, spec)))
 
 
 @dataclass(frozen=True)
@@ -453,31 +396,31 @@ class ClosureReport:
     """Exact versus decoupled correlators along one scenario.
 
     ``exact`` holds oracle correlators, ``closed`` the same quantities from
-    the moment pipeline with decoupling; witness records are carried both
-    ways.  ``max_abs_error`` summarizes the largest discrepancy per
-    quantity over the whole grid.
+    the moment pipeline with decoupling; witness tables (columns
+    ``WITNESS_NAMES``) are carried both ways.  ``max_abs_error`` summarizes
+    the largest discrepancy per quantity over the whole grid.
     """
 
     taus: np.ndarray
     correlator_names: tuple
     exact: dict
     closed: dict
-    witness_exact: list
-    witness_closed: list
+    witness_exact: np.ndarray
+    witness_closed: np.ndarray
     max_abs_error: dict
 
     def witness_error(self, column: str) -> float:
-        names = WitnessRecord.column_names()
-        i = names.index(column)
-        diffs = [
-            abs(we.column_values()[i] - wc.column_values()[i])
-            for we, wc in zip(self.witness_exact, self.witness_closed)
-        ]
-        diffs = [d for d in diffs if np.isfinite(d)]
-        return max(diffs) if diffs else float("nan")
+        i = WITNESS_NAMES.index(column)
+        diffs = np.abs(self.witness_exact[:, i] - self.witness_closed[:, i])
+        diffs = diffs[np.isfinite(diffs)]
+        return float(diffs.max()) if diffs.size else float("nan")
 
 
-_REPORT_CORRELATORS = ("nn_AB", "nn_BC", "nn_AC", "ABCd", "nnn")
+_REPORT_WORDS = {
+    name: _word_for_name(text)
+    for name, text in (("nn_AB", "AdABdB"), ("nn_BC", "BdBCdC"), ("nn_AC", "AdACdC"),
+                       ("ABCd", "ABCd"), ("nnn", "AdABdBCdC"))
+}
 
 
 def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
@@ -504,37 +447,23 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
     L = build_generator(scenario.params, basis)
     rhos = evolve_path(rho0, L, traj.taus, abs_tol=1e-12, rel_tol=max(scenario.rel_tol, 1e-9))
 
-    exact = {name: np.empty(len(traj), dtype=complex) for name in _REPORT_CORRELATORS}
-    closed = {name: np.empty(len(traj), dtype=complex) for name in _REPORT_CORRELATORS}
-    wit_exact, wit_closed = [], []
-    for i in range(len(traj)):
-        state = traj.state_at(i)
-        rho = rhos[i]
-        for key in PAIR_KEYS:
-            a, b = key[0], key[1]
-            closed[f"nn_{key}"][i] = decouple4(
-                state, creator(a), annihilator(a), creator(b), annihilator(b)
-            )
-            exact[f"nn_{key}"][i] = expectation(rho, _w(f"{a}d{a}{b}d{b}"), basis)
-        closed["ABCd"][i] = decouple3(
-            state, annihilator("A"), annihilator("B"), creator("C")
-        )
-        exact["ABCd"][i] = expectation(rho, _w("ABCd"), basis)
-        closed["nnn"][i] = number_triple_product(state)
-        exact["nnn"][i] = expectation(rho, _w("AdABdBCdC"), basis)
-        wit_closed.append(evaluate(state))
-        wit_exact.append(exact_witnesses(rho, basis))
+    closed_source = decoupled(traj.states)
+    closed = {name: closed_source.word(*word) for name, word in _REPORT_WORDS.items()}
+    exact = {
+        name: np.array([expectation(rho, word, basis) for rho in rhos])
+        for name, word in _REPORT_WORDS.items()
+    }
 
     max_err = {
         name: float(np.abs(exact[name] - closed[name]).max())
-        for name in _REPORT_CORRELATORS
+        for name in _REPORT_WORDS
     }
     return ClosureReport(
         taus=traj.taus,
-        correlator_names=_REPORT_CORRELATORS,
+        correlator_names=tuple(_REPORT_WORDS),
         exact=exact,
         closed=closed,
-        witness_exact=wit_exact,
-        witness_closed=wit_closed,
+        witness_exact=witness_table(exact_correlators(rhos, basis)),
+        witness_closed=witness_table(closed_source),
         max_abs_error=max_err,
     )

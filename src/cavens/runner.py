@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, integrate
+from .dynamics import IntegrationError, Trajectory, integrate
 from .model import Configuration, Scenario, initial_state, preset_params
 from .witnesses import (
     MODE_KEYS,
     ORDERED_PAIR_KEYS,
     PAIR_KEYS,
     PARTITION_KEYS,
-    WitnessRecord,
-    evaluate,
+    WITNESS_NAMES,
+    InternalConsistencyError,
+    witness_table,
 )
 
 __all__ = [
@@ -39,52 +40,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WitnessSeries:
-    """Witness records aligned with a trajectory's time grid."""
+    """Every witness on a time grid: ``table[i, j]`` is ``WITNESS_NAMES[j]`` at ``taus[i]``."""
 
     taus: np.ndarray
-    records: list
+    table: np.ndarray
 
     def __post_init__(self):
-        if len(self.records) != len(self.taus):
-            raise ValueError("records and time grid differ in length")
+        if self.table.shape != (len(self.taus), len(WITNESS_NAMES)):
+            raise ValueError("witness table does not match the time grid")
+        self.table.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @staticmethod
-    def column_names() -> list[str]:
-        return WitnessRecord.column_names()
+        return len(self.taus)
 
     def column(self, name: str) -> np.ndarray:
-        names = self.column_names()
         try:
-            i = names.index(name)
+            return self.table[:, WITNESS_NAMES.index(name)]
         except ValueError:
             raise KeyError(f"unknown witness column {name!r}") from None
-        return np.array([r.column_values()[i] for r in self.records])
 
 
 def run_scenario(scenario: Scenario) -> tuple[Trajectory, WitnessSeries]:
     """Integrate the moment system and evaluate every witness at every sample."""
     traj = integrate(scenario)
-    records = [evaluate(traj.state_at(i)) for i in range(len(traj))]
-    return traj, WitnessSeries(traj.taus, records)
+    return traj, WitnessSeries(traj.taus, witness_table(traj.states))
 
 
-# (row name, cell keys, classical boundary, extractor(record, key))
+# (row name, cell keys, classical boundary, witness columns scored per key);
+# where two columns are named, the smaller of the two is scored
 SIGN_ROWS = (
-    ("mandel", MODE_KEYS, 0.0, lambda r, k: r.mandel[k]),
-    ("squeeze", MODE_KEYS, 0.25, lambda r, k: min(r.var_x[k], r.var_y[k])),
-    ("squeeze_pair", PAIR_KEYS, 0.25, lambda r, k: min(r.var_x_pair[k], r.var_y_pair[k])),
-    ("hz_e", PAIR_KEYS, 0.0, lambda r, k: r.hz_e[k]),
-    ("hz_etilde", PAIR_KEYS, 0.0, lambda r, k: r.hz_etilde[k]),
-    ("duan", PAIR_KEYS, 0.0, lambda r, k: r.duan[k]),
-    ("bisep_e", PARTITION_KEYS, 0.0, lambda r, k: r.bisep_e[k]),
-    ("bisep_eprime", PARTITION_KEYS, 0.0, lambda r, k: r.bisep_eprime[k]),
-    ("antibunch", MODE_KEYS, 0.0, lambda r, k: r.antibunch[k]),
-    ("antibunch_pair", PAIR_KEYS, 0.0, lambda r, k: r.antibunch_pair[k]),
-    ("steering", ORDERED_PAIR_KEYS, 0.0, lambda r, k: r.steering[k]),
+    ("mandel", MODE_KEYS, 0.0, ("mandel",)),
+    ("squeeze", MODE_KEYS, 0.25, ("var_x", "var_y")),
+    ("squeeze_pair", PAIR_KEYS, 0.25, ("var_x", "var_y")),
+    ("hz_e", PAIR_KEYS, 0.0, ("hz_e",)),
+    ("hz_etilde", PAIR_KEYS, 0.0, ("hz_etilde",)),
+    ("duan", PAIR_KEYS, 0.0, ("duan",)),
+    ("bisep_e", PARTITION_KEYS, 0.0, ("bisep_e",)),
+    ("bisep_eprime", PARTITION_KEYS, 0.0, ("bisep_eprime",)),
+    ("antibunch", MODE_KEYS, 0.0, ("antibunch",)),
+    ("antibunch_pair", PAIR_KEYS, 0.0, ("antibunch",)),
+    ("steering", ORDERED_PAIR_KEYS, 0.0, ("steering",)),
 )
+
+_CELLS = tuple((row, key) for row, keys, _, _ in SIGN_ROWS for key in keys)
+_BOUNDARIES = np.array([b for _, keys, b, _ in SIGN_ROWS for _ in keys])
+# table columns of each cell's first and last scored witness
+_FIRST, _LAST = np.array([
+    [WITNESS_NAMES.index(f"{col}_{key.replace('|', '_')}") for col in (cols[0], cols[-1])]
+    for _, keys, _, cols in SIGN_ROWS for key in keys
+]).T
 
 
 @dataclass(frozen=True)
@@ -123,16 +127,20 @@ class SignMatrix:
         return self.cell(config, chi, row, cell).tick
 
 
-def _score_series(taus, values, boundary, threshold):
-    """Minimum over tau > 0 and the tick decision; NaN samples are skipped."""
-    vals = np.asarray(values, dtype=float)[1:]
-    ts = taus[1:]
-    mask = np.isfinite(vals)
-    if not mask.any():
-        return False, math.nan, math.nan
-    i = int(np.nanargmin(np.where(mask, vals, np.inf)))
-    vmin = float(vals[i])
-    return vmin < boundary - threshold, vmin, float(ts[i])
+def _score(taus, table, threshold):
+    """Minimum over tau > 0 of every sign cell, where it occurs, and the ticks.
+
+    NaN samples are skipped and ties go to the earliest tau; a cell without
+    a finite sample never ticks and reports NaN evidence.
+    """
+    first, last = table[1:, _FIRST], table[1:, _LAST]
+    vals = np.where(last < first, last, first)
+    finite = np.isfinite(vals)
+    i = np.argmin(np.where(finite, vals, np.inf), axis=0)
+    scored = finite.any(axis=0)
+    vmin = np.where(scored, vals[i, np.arange(vals.shape[1])], np.nan)
+    argmin = np.where(scored, taus[1:][i], np.nan)
+    return vmin < _BOUNDARIES - threshold, vmin, argmin
 
 
 def table_matrix(
@@ -160,15 +168,11 @@ def table_matrix(
                 threshold=threshold,
             )
             _, series = run_scenario(scenario)
-            for row, keys, boundary, get in SIGN_ROWS:
-                for key in keys:
-                    values = [get(r, key) for r in series.records]
-                    tick, vmin, argmin = _score_series(
-                        series.taus, values, boundary, threshold
-                    )
-                    cells.append(
-                        SignCell(config.name, chi, row, key, tick, vmin, argmin)
-                    )
+            ticks, vmins, argmins = _score(series.taus, series.table, threshold)
+            cells += [
+                SignCell(config.name, chi, row, key, bool(t), float(v), float(a))
+                for (row, key), t, v, a in zip(_CELLS, ticks, vmins, argmins)
+            ]
     return SignMatrix(threshold=threshold, t_max=t_max, cells=tuple(cells))
 
 
@@ -203,7 +207,7 @@ def chi_sweep(
     chis = np.asarray(list(chis), dtype=float)
     if chis.size == 0:
         raise ValueError("chi grid must be non-empty")
-    if witness not in WitnessRecord.column_names():
+    if witness not in WITNESS_NAMES:
         raise KeyError(f"unknown witness column {witness!r}")
     taus = np.linspace(0.0, t_max, sample_count)
     values = np.full((chis.size, taus.size), np.nan)
@@ -221,7 +225,8 @@ def chi_sweep(
             _, series = run_scenario(scenario)
             values[i] = series.column(witness)
             status.append("ok")
-        except Exception as exc:  # keep the sweep going; row stays NaN
+        except (IntegrationError, InternalConsistencyError, np.linalg.LinAlgError) as exc:
+            # numeric failure: keep the sweep going, the row stays NaN
             status.append(f"error: {exc}")
     return SweepSurface(
         config=config.name,

@@ -1,25 +1,41 @@
-"""Nonclassicality witnesses evaluated on a single moment state.
+"""Nonclassicality witnesses evaluated on moment states.
 
 Sign conventions: a witness fires (detects a nonclassical feature) when its
 value drops below zero, except the quadrature variances, whose classical
-boundary is the coherent-state value 1/4.  Fourth- and sixth-order
-correlators are reduced to stored moments with the decoupling rules of
-``closure``; quadrature variances need second moments only.
+boundary is the coherent-state value 1/4.  Each formula is written once, on
+the operator words of a ``Correlators`` source: stored moments, plus higher
+correlators decoupled by the rules of ``closure`` or supplied exactly by the
+oracle.  Every helper takes a ``MomentState``, a ``(..., 27)`` stack of
+states or a ``Correlators`` source, so ``witness_table`` evaluates a whole
+trajectory at once into a table with columns ``WITNESS_NAMES``.
 
 Every witness is a real quantity on a conjugate-consistent state.  Values
 are computed in complex arithmetic and the real part is returned only after
-checking that the imaginary residue is below ``IMAG_TOL``; a larger residue
-signals an inconsistent state (or a transcription bug) and raises
-``InternalConsistencyError`` instead of being silently discarded.
+checking that the imaginary residue is below ``IMAG_TOL`` at every sample;
+a larger residue signals an inconsistent state (or a transcription bug) and
+raises ``InternalConsistencyError`` instead of being silently discarded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .closure import annihilator, creator, decouple3, decouple4, number_triple_product
-from .model import Moment, MomentState
+import numpy as np
+
+from .closure import (
+    annihilator,
+    cprod,
+    cquot,
+    creator,
+    csquare,
+    decouple3,
+    decouple4,
+    number_triple_product,
+    pair_moment,
+    single_moment,
+)
+from .model import MomentState
 
 __all__ = [
     "IMAG_TOL",
@@ -28,7 +44,10 @@ __all__ = [
     "PAIR_KEYS",
     "ORDERED_PAIR_KEYS",
     "PARTITION_KEYS",
+    "WITNESS_NAMES",
     "InternalConsistencyError",
+    "Correlators",
+    "decoupled",
     "WitnessRecord",
     "mandel_q",
     "antibunch_single",
@@ -39,6 +58,7 @@ __all__ = [
     "hz_pair",
     "steering",
     "bisep",
+    "witness_table",
     "evaluate",
 ]
 
@@ -52,126 +72,156 @@ ORDERED_PAIR_KEYS = ("AB", "BA", "BC", "CB", "AC", "CA")
 # partition key "AB|C" means the compound mode AB against the single mode C
 PARTITION_KEYS = ("AB|C", "BC|A", "AC|B")
 
-_OCC = {"A": Moment.AdA, "B": Moment.BdB, "C": Moment.CdC}
-_SQ = {"A": (Moment.AA, Moment.AdAd), "B": (Moment.BB, Moment.BdBd),
-       "C": (Moment.CC, Moment.CdCd)}
-_MEAN = {"A": (Moment.A, Moment.Ad), "B": (Moment.B, Moment.Bd),
-         "C": (Moment.C, Moment.Cd)}
-_CROSS = {
-    ("A", "B"): (Moment.AB, Moment.ABd, Moment.AdB, Moment.AdBd),
-    ("B", "C"): (Moment.BC, Moment.BCd, Moment.BdC, Moment.BdCd),
-    ("A", "C"): (Moment.AC, Moment.ACd, Moment.AdC, Moment.AdCd),
-}
+_NUMBER_TRIPLE = (creator("A"), annihilator("A"), creator("B"), annihilator("B"),
+                  creator("C"), annihilator("C"))
 
 
 class InternalConsistencyError(RuntimeError):
     """A nominally real witness value carried a large imaginary residue."""
 
 
-def _real(value: complex, what: str) -> float:
-    value = complex(value)
-    if abs(value.imag) >= IMAG_TOL:
+class Correlators:
+    """Expectations of operator words for one state or a stack of states.
+
+    ``correlate(word)`` returns the expectation of a word (a tuple of
+    ``OperatorFactor``) with the states' leading shape: ``decoupled`` reads
+    stored moments and decouples longer words, the oracle's
+    ``exact_correlators`` takes them from density matrices.  Each word is
+    computed once, since several witnesses share it.
+    """
+
+    def __init__(self, correlate):
+        self._correlate = correlate
+        self._words = {}
+
+    def word(self, *factors):
+        if factors not in self._words:
+            self._words[factors] = self._correlate(factors)
+        return self._words[factors]
+
+
+def decoupled(states: MomentState | np.ndarray) -> Correlators:
+    """Stored moments and decoupled correlators of a state or a ``(..., 27)`` stack."""
+    rules = {1: single_moment, 2: pair_moment, 3: decouple3, 4: decouple4}
+
+    def correlate(word):
+        if word == _NUMBER_TRIPLE:
+            return number_triple_product(states)
+        if len(word) not in rules:
+            raise ValueError(f"no decoupling rule for the word {word}")
+        return rules[len(word)](states, *word)
+
+    return Correlators(correlate)
+
+
+def _source(state) -> Correlators:
+    return state if isinstance(state, Correlators) else decoupled(state)
+
+
+def _real(value, what: str):
+    bad = np.flatnonzero(np.abs(np.imag(value)) >= IMAG_TOL)
+    if bad.size:
         raise InternalConsistencyError(
-            f"{what} has imaginary residue {value.imag:.3e} (state inconsistent)"
+            f"{what} has imaginary residue {np.ravel(np.imag(value))[bad[0]]:.3e} "
+            f"at sample {bad[0]} (state inconsistent)"
         )
-    return value.real
+    return np.real(value)
 
 
-def _cross(state: MomentState, a: str, b: str):
-    """(<ab>, <ab+>, <a+b>, <a+b+>) for an unordered mode pair."""
-    if (a, b) in _CROSS:
-        ab, abd, adb, adbd = (state[s] for s in _CROSS[(a, b)])
-        return ab, abd, adb, adbd
-    ab, abd, adb, adbd = (state[s] for s in _CROSS[(b, a)])
-    # swap: <ba+> read as <a+b> and vice versa (cross-mode operators commute)
-    return ab, adb, abd, adbd
+def _ops(mode: str):
+    return annihilator(mode), creator(mode)
 
 
-def mandel_q(state: MomentState, mode: str) -> float:
+def mandel_q(state, mode: str):
     """Normalized occupation-variance parameter; negative means sub-Poissonian.
 
     Closed form after decoupling the fourth moment:
     (<ad2><a2> + <ada>^2 - 2<ad>^2<a>^2) / <ada>, undefined (NaN) at
     negligible occupation where the normalization is singular.
     """
-    occ = _real(state[_OCC[mode]], f"<n_{mode}>")
-    if occ < OCCUPATION_FLOOR:
-        return math.nan
-    return antibunch_single(state, mode) / occ
+    src = _source(state)
+    a, ad = _ops(mode)
+    occ = _real(src.word(ad, a), f"<n_{mode}>")
+    antibunch = antibunch_single(src, mode)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(occ < OCCUPATION_FLOOR, math.nan, antibunch / occ)[()]
 
 
-def antibunch_single(state: MomentState, mode: str) -> float:
+def antibunch_single(state, mode: str):
     """Single-mode antibunching witness <ad ad a a> - <ad a>^2 (decoupled)."""
-    a = annihilator(mode)
-    ad = creator(mode)
-    fourth = decouple4(state, ad, ad, a, a)
-    occ = state[_OCC[mode]]
-    return _real(fourth - occ * occ, f"antibunch_{mode}")
+    src = _source(state)
+    a, ad = _ops(mode)
+    occ = src.word(ad, a)
+    return _real(src.word(ad, ad, a, a) - cprod(occ, occ), f"antibunch_{mode}")
 
 
-def antibunch_inter(state: MomentState, pair: tuple[str, str]) -> float:
+def antibunch_inter(state, pair: tuple[str, str]):
     """Intermodal antibunching witness <ad bd b a> - <ad a><bd b> (decoupled)."""
-    a, b = pair
-    fourth = decouple4(state, creator(a), creator(b), annihilator(b), annihilator(a))
-    return _real(fourth - state[_OCC[a]] * state[_OCC[b]], f"antibunch_{a}{b}")
+    src = _source(state)
+    (a, ad), (b, bd) = _ops(pair[0]), _ops(pair[1])
+    value = src.word(ad, bd, b, a) - cprod(src.word(ad, a), src.word(bd, b))
+    return _real(value, f"antibunch_{pair[0]}{pair[1]}")
 
 
-def quadrature_variances(state: MomentState, mode: str) -> tuple[float, float]:
+def quadrature_variances(state, mode: str):
     """Variances of X = (a + ad)/2 and Y = (a - ad)/2i; squeezed below 1/4."""
-    sq, sqd = (state[s] for s in _SQ[mode])
-    m, md = (state[s] for s in _MEAN[mode])
-    occ = state[_OCC[mode]]
-    vx = (sq + sqd + 2.0 * occ + 1.0) / 4.0 - ((m + md) / 2.0) ** 2
-    vy = (-sq - sqd + 2.0 * occ + 1.0) / 4.0 - ((m - md) / 2j) ** 2
+    src = _source(state)
+    a, ad = _ops(mode)
+    sq, sqd, occ = src.word(a, a), src.word(ad, ad), src.word(ad, a)
+    m, md = src.word(a), src.word(ad)
+    vx = cquot(sq + sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m + md, 2.0))
+    vy = cquot(-sq - sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m - md, 2j))
     return _real(vx, f"var_x_{mode}"), _real(vy, f"var_y_{mode}")
 
 
-def intermodal_quadrature_variances(
-    state: MomentState, pair: tuple[str, str]
-) -> tuple[float, float]:
+def intermodal_quadrature_variances(state, pair: tuple[str, str]):
     """Variances of X_ab = (a+ad+b+bd)/2sqrt2 and the matching Y quadrature."""
-    a, b = pair
-    sqa, sqad = (state[s] for s in _SQ[a])
-    sqb, sqbd = (state[s] for s in _SQ[b])
-    na, nb = state[_OCC[a]], state[_OCC[b]]
-    ma, mad = (state[s] for s in _MEAN[a])
-    mb, mbd = (state[s] for s in _MEAN[b])
-    ab, abd, adb, adbd = _cross(state, a, b)
+    src = _source(state)
+    (a, ad), (b, bd) = _ops(pair[0]), _ops(pair[1])
+    sqa, sqad, na = src.word(a, a), src.word(ad, ad), src.word(ad, a)
+    sqb, sqbd, nb = src.word(b, b), src.word(bd, bd), src.word(bd, b)
+    ma, mad, mb, mbd = src.word(a), src.word(ad), src.word(b), src.word(bd)
+    ab, abd, adb, adbd = src.word(a, b), src.word(a, bd), src.word(ad, b), src.word(ad, bd)
 
-    vx = (
-        sqa + sqad + 2.0 * na + 1.0
-        + sqb + sqbd + 2.0 * nb + 1.0
-        + 2.0 * (ab + abd + adb + adbd)
-    ) / 8.0 - ((ma + mad + mb + mbd) / (2.0 * math.sqrt(2.0))) ** 2
-    vy = (
-        -sqa - sqad + 2.0 * na + 1.0
-        - sqb - sqbd + 2.0 * nb + 1.0
-        - 2.0 * (ab - abd - adb + adbd)
-    ) / 8.0 - ((ma - mad + mb - mbd) / (2j * math.sqrt(2.0))) ** 2
-    return _real(vx, f"var_x_{a}{b}"), _real(vy, f"var_y_{a}{b}")
+    vx = cquot(
+        sqa + sqad + cprod(2.0, na) + 1.0
+        + sqb + sqbd + cprod(2.0, nb) + 1.0
+        + cprod(2.0, ab + abd + adb + adbd),
+        8.0,
+    ) - csquare(cquot(ma + mad + mb + mbd, 2.0 * math.sqrt(2.0)))
+    vy = cquot(
+        -sqa - sqad + cprod(2.0, na) + 1.0
+        - sqb - sqbd + cprod(2.0, nb) + 1.0
+        - cprod(2.0, ab - abd - adb + adbd),
+        8.0,
+    ) - csquare(cquot(ma - mad + mb - mbd, 2j * math.sqrt(2.0)))
+    return _real(vx, f"var_x_{pair[0]}{pair[1]}"), _real(vy, f"var_y_{pair[0]}{pair[1]}")
 
 
-def duan(state: MomentState, pair: tuple[str, str]) -> float:
+def duan(state, pair: tuple[str, str]):
     """Inseparability witness 4(dX_ab)^2 + 4(dY_ab)^2 - 2; entangled if < 0."""
     vx, vy = intermodal_quadrature_variances(state, pair)
     return 4.0 * vx + 4.0 * vy - 2.0
 
 
-def hz_pair(state: MomentState, pair: tuple[str, str]) -> tuple[float, float]:
+def hz_pair(state, pair: tuple[str, str]):
     """The two moment inseparability witnesses for a mode pair.
 
     E  = <ad a bd b> - |<a bd>|^2   (fourth moment decoupled)
     E~ = <ad a><bd b> - |<a b>|^2
     """
-    a, b = pair
-    fourth = decouple4(state, creator(a), annihilator(a), creator(b), annihilator(b))
-    ab, abd, adb, adbd = _cross(state, a, b)
-    e = _real(fourth - abd * adb, f"hz_e_{a}{b}")
-    etilde = _real(state[_OCC[a]] * state[_OCC[b]] - ab * adbd, f"hz_etilde_{a}{b}")
+    src = _source(state)
+    (a, ad), (b, bd) = _ops(pair[0]), _ops(pair[1])
+    key = f"{pair[0]}{pair[1]}"
+    e = _real(src.word(ad, a, bd, b) - cprod(src.word(a, bd), src.word(ad, b)), f"hz_e_{key}")
+    etilde = _real(
+        cprod(src.word(ad, a), src.word(bd, b)) - cprod(src.word(a, b), src.word(ad, bd)),
+        f"hz_etilde_{key}",
+    )
     return e, etilde
 
 
-def steering(state: MomentState, ordered_pair: tuple[str, str]) -> float:
+def steering(state, ordered_pair: tuple[str, str]):
     """Steering witness for the ordered pair (x, y): E_xy + <xd x>/2 < 0.
 
     The occupation offset comes from the first (steered-by) mode, so the
@@ -179,30 +229,82 @@ def steering(state: MomentState, ordered_pair: tuple[str, str]) -> float:
     of a two-sided condition; the lower branch is never the binding one for
     detection and plays no role in tick/cross scoring.
     """
-    x, y = ordered_pair
-    e, _ = hz_pair(state, (x, y))
-    return e + _real(state[_OCC[x]], f"<n_{x}>") / 2.0
+    src = _source(state)
+    x, xd = _ops(ordered_pair[0])
+    e, _ = hz_pair(src, ordered_pair)
+    return e + _real(src.word(xd, x), f"<n_{ordered_pair[0]}>") / 2.0
 
 
-def bisep(state: MomentState, partition: tuple[str, str, str]) -> tuple[float, float]:
+def bisep(state, partition: tuple[str, str, str]):
     """Biseparability witnesses for the partition ab|c.
 
     E  = <ad a bd b cd c> - |<a b cd>|^2   (sixth moment via the recursive
          number-product closure, third moment via the three-factor rule)
     E' = <ad a bd b><cd c> - |<a b c>|^2
     """
-    a, b, c = partition
-    sixth = number_triple_product(state) if set(partition) == {"A", "B", "C"} else None
-    if sixth is None:
+    if set(partition) != {"A", "B", "C"}:
         raise ValueError(f"partition must cover all three modes, got {partition}")
-    abc_dag = decouple3(state, annihilator(a), annihilator(b), creator(c))
-    abc = decouple3(state, annihilator(a), annihilator(b), annihilator(c))
-    fourth = decouple4(state, creator(a), annihilator(a), creator(b), annihilator(b))
-    e = _real(sixth - abc_dag * abc_dag.conjugate(), f"bisep_e_{a}{b}|{c}")
+    src = _source(state)
+    (a, ad), (b, bd), (c, cd) = (_ops(m) for m in partition)
+    key = f"{partition[0]}{partition[1]}|{partition[2]}"
+    abc_dag, abc = src.word(a, b, cd), src.word(a, b, c)
+    e = _real(src.word(*_NUMBER_TRIPLE) - cprod(abc_dag, np.conj(abc_dag)), f"bisep_e_{key}")
     eprime = _real(
-        fourth * state[_OCC[c]] - abc * abc.conjugate(), f"bisep_eprime_{a}{b}|{c}"
+        cprod(src.word(ad, a, bd, b), src.word(cd, c)) - cprod(abc, np.conj(abc)),
+        f"bisep_eprime_{key}",
     )
     return e, eprime
+
+
+# (record field, key) of every table column, in column order
+_COLUMNS = (
+    tuple(("mandel", m) for m in MODE_KEYS)
+    + tuple(("antibunch", m) for m in MODE_KEYS)
+    + tuple(("antibunch_pair", p) for p in PAIR_KEYS)
+    + tuple((f, m) for m in MODE_KEYS for f in ("var_x", "var_y"))
+    + tuple((f, p) for p in PAIR_KEYS for f in ("var_x_pair", "var_y_pair"))
+    + tuple((f, p) for f in ("duan", "hz_e", "hz_etilde") for p in PAIR_KEYS)
+    + tuple(("steering", k) for k in ORDERED_PAIR_KEYS)
+    + tuple((f, k) for f in ("bisep_e", "bisep_eprime") for k in PARTITION_KEYS)
+)
+WITNESS_NAMES = tuple(
+    f"{field.removesuffix('_pair')}_{key.replace('|', '_')}" for field, key in _COLUMNS
+)
+_MAY_BE_NAN = np.array([field == "mandel" for field, _ in _COLUMNS])
+
+
+def witness_table(state) -> np.ndarray:
+    """Every witness at every state, shape ``(..., 42)``, columns ``WITNESS_NAMES``.
+
+    ``state`` is a ``MomentState``, a ``(..., 27)`` moment array (correlators
+    ``decoupled``) or a ``Correlators`` source.  Every sample is checked: an
+    imaginary residue, or a non-finite value outside the Mandel columns,
+    raises ``InternalConsistencyError``.
+    """
+    src = _source(state)
+    v = {}
+    for m in MODE_KEYS:
+        v["mandel", m] = mandel_q(src, m)
+        v["antibunch", m] = antibunch_single(src, m)
+        v["var_x", m], v["var_y", m] = quadrature_variances(src, m)
+    for key in PAIR_KEYS:
+        pair = tuple(key)
+        v["antibunch_pair", key] = antibunch_inter(src, pair)
+        v["var_x_pair", key], v["var_y_pair", key] = intermodal_quadrature_variances(src, pair)
+        v["duan", key] = duan(src, pair)
+        v["hz_e", key], v["hz_etilde", key] = hz_pair(src, pair)
+    for key in ORDERED_PAIR_KEYS:
+        v["steering", key] = steering(src, tuple(key))
+    for key in PARTITION_KEYS:
+        v["bisep_e", key], v["bisep_eprime", key] = bisep(src, tuple(key.replace("|", "")))
+    table = np.stack([v[column] for column in _COLUMNS], axis=-1)
+    bad = ~(np.isfinite(table) | _MAY_BE_NAN)
+    if bad.any():
+        where = tuple(np.argwhere(bad)[0])
+        raise InternalConsistencyError(
+            f"non-finite witness value {WITNESS_NAMES[where[-1]]}={table[where]}"
+        )
+    return table
 
 
 @dataclass(frozen=True)
@@ -223,76 +325,15 @@ class WitnessRecord:
     bisep_e: dict
     bisep_eprime: dict
 
-    @staticmethod
-    def column_names() -> list[str]:
-        names = []
-        names += [f"mandel_{m}" for m in MODE_KEYS]
-        names += [f"antibunch_{m}" for m in MODE_KEYS]
-        names += [f"antibunch_{p}" for p in PAIR_KEYS]
-        for m in MODE_KEYS:
-            names += [f"var_x_{m}", f"var_y_{m}"]
-        for p in PAIR_KEYS:
-            names += [f"var_x_{p}", f"var_y_{p}"]
-        names += [f"duan_{p}" for p in PAIR_KEYS]
-        names += [f"hz_e_{p}" for p in PAIR_KEYS]
-        names += [f"hz_etilde_{p}" for p in PAIR_KEYS]
-        names += [f"steering_{p}" for p in ORDERED_PAIR_KEYS]
-        names += [f"bisep_e_{k.replace('|', '_')}" for k in PARTITION_KEYS]
-        names += [f"bisep_eprime_{k.replace('|', '_')}" for k in PARTITION_KEYS]
-        return names
-
-    def column_values(self) -> list[float]:
-        vals = []
-        vals += [self.mandel[m] for m in MODE_KEYS]
-        vals += [self.antibunch[m] for m in MODE_KEYS]
-        vals += [self.antibunch_pair[p] for p in PAIR_KEYS]
-        for m in MODE_KEYS:
-            vals += [self.var_x[m], self.var_y[m]]
-        for p in PAIR_KEYS:
-            vals += [self.var_x_pair[p], self.var_y_pair[p]]
-        vals += [self.duan[p] for p in PAIR_KEYS]
-        vals += [self.hz_e[p] for p in PAIR_KEYS]
-        vals += [self.hz_etilde[p] for p in PAIR_KEYS]
-        vals += [self.steering[p] for p in ORDERED_PAIR_KEYS]
-        vals += [self.bisep_e[k] for k in PARTITION_KEYS]
-        vals += [self.bisep_eprime[k] for k in PARTITION_KEYS]
-        return vals
-
-
-_PAIRS = {"AB": ("A", "B"), "BC": ("B", "C"), "AC": ("A", "C")}
-_ORDERED = {k: (k[0], k[1]) for k in ORDERED_PAIR_KEYS}
-_PARTITIONS = {"AB|C": ("A", "B", "C"), "BC|A": ("B", "C", "A"), "AC|B": ("A", "C", "B")}
+    @classmethod
+    def from_row(cls, row) -> "WitnessRecord":
+        """The record of one ``witness_table`` row."""
+        values = {f.name: {} for f in fields(cls)}
+        for (field, key), value in zip(_COLUMNS, row):
+            values[field][key] = float(value)
+        return cls(**values)
 
 
 def evaluate(state: MomentState) -> WitnessRecord:
     """Evaluate the full witness catalog at one state."""
-    var_x, var_y = {}, {}
-    for m in MODE_KEYS:
-        var_x[m], var_y[m] = quadrature_variances(state, m)
-    var_x_pair, var_y_pair = {}, {}
-    hz_e, hz_etilde = {}, {}
-    for key, pair in _PAIRS.items():
-        var_x_pair[key], var_y_pair[key] = intermodal_quadrature_variances(state, pair)
-        hz_e[key], hz_etilde[key] = hz_pair(state, pair)
-    bisep_e, bisep_eprime = {}, {}
-    for key, part in _PARTITIONS.items():
-        bisep_e[key], bisep_eprime[key] = bisep(state, part)
-    record = WitnessRecord(
-        mandel={m: mandel_q(state, m) for m in MODE_KEYS},
-        antibunch={m: antibunch_single(state, m) for m in MODE_KEYS},
-        antibunch_pair={k: antibunch_inter(state, p) for k, p in _PAIRS.items()},
-        var_x=var_x,
-        var_y=var_y,
-        var_x_pair=var_x_pair,
-        var_y_pair=var_y_pair,
-        duan={k: duan(state, p) for k, p in _PAIRS.items()},
-        hz_e=hz_e,
-        hz_etilde=hz_etilde,
-        steering={k: steering(state, p) for k, p in _ORDERED.items()},
-        bisep_e=bisep_e,
-        bisep_eprime=bisep_eprime,
-    )
-    for name, value in zip(record.column_names(), record.column_values()):
-        if not (math.isfinite(value) or name.startswith("mandel_")):
-            raise InternalConsistencyError(f"non-finite witness value {name}={value}")
-    return record
+    return WitnessRecord.from_row(witness_table(state))

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavens.closure import (
     OperatorFactor,
     annihilator,
+    cprod,
+    cquot,
     creator,
+    csquare,
     decouple3,
     decouple4,
     number_triple_product,
@@ -122,3 +127,35 @@ def test_single_moment_reads_slots(rng):
     s = make_random_state(rng)
     assert single_moment(s, annihilator("B")) == s[Moment.B]
     assert single_moment(s, creator("C")) == s[Moment.Cd]
+
+
+_parts = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0, -2.5]))
+_complexes = st.lists(st.builds(complex, _parts, _parts), min_size=1, max_size=8)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_complexes, b=_complexes)
+def test_array_arithmetic_rounds_like_python_complex(a, b):
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    xa, xb = np.array(a), np.array(b)
+    assert np.array_equal(_bits(cprod(xa, xb)), _bits([x * y for x, y in zip(a, b)]))
+    assert np.array_equal(_bits(cprod(2.0, xa, xb)), _bits([2.0 * x * y for x, y in zip(a, b)]))
+    assert np.array_equal(_bits(csquare(xa)), _bits([x ** 2 for x in a]))
+    for d in (2.0, 4.0, 2j, 2.0 * np.sqrt(2.0), 2j * np.sqrt(2.0)):
+        assert np.array_equal(_bits(cquot(xa, d)), _bits([x / d for x in a]))
+
+
+def test_decoupling_a_stack_matches_each_state(rng):
+    states = [make_random_state(rng) for _ in range(5)]
+    stack = np.stack([s.values for s in states])
+    word = (creator("A"), annihilator("B"), creator("B"), annihilator("C"))
+    got = decouple4(stack, *word)
+    assert got.shape == (5,)
+    assert np.array_equal(_bits(got), _bits([decouple4(s, *word) for s in states]))
+    got = number_triple_product(stack)
+    assert np.array_equal(_bits(got), _bits([number_triple_product(s) for s in states]))

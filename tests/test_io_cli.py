@@ -212,6 +212,19 @@ def test_cli_table_and_sweep(tmp_path):
     assert len(out2.read_text(encoding="utf-8").splitlines()) == 11
 
 
+def test_cli_table_honours_config_occupations(tmp_path):
+    cfg = tmp_path / "occ.cfg"
+    cfg.write_text("init_na = 0.1\ninit_nb = 0.1\ninit_nc = 0.1\nt_max = 2\nsamples = 21\n",
+                   encoding="utf-8")
+    out, plain = tmp_path / "occ.csv", tmp_path / "plain.csv"
+    assert main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["table", "--tmax", "2", "--samples", "21", "--out", str(plain)]) == 0
+    expected = io.StringIO()
+    emit_csv(table_matrix(t_max=2.0, sample_count=21, init_occupations=(0.1,) * 3), expected)
+    assert out.read_text(encoding="utf-8") == expected.getvalue()
+    assert out.read_bytes() != plain.read_bytes()
+
+
 def test_cli_oracle_check(tmp_path, capsys):
     cfg = tmp_path / "o.cfg"
     cfg.write_text("preset = AN\ninit_na = 0.1\ninit_nb = 0.1\ninit_nc = 0.1\n"

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import cavens.runner as runner_mod
+from cavens.dynamics import IntegrationError, Trajectory
 from cavens.model import Moment, Scenario, SystemParams, preset_params
 from cavens.runner import SIGN_ROWS, chi_sweep, run_scenario, table_matrix
+from cavens.witnesses import WITNESS_NAMES
 
 
 def test_zero_parameter_scenario_constant_witnesses():
     sc = Scenario(params=SystemParams(), sample_count=41, t_max=5.0)
     _, series = run_scenario(sc)
-    for name in series.column_names():
+    for name in WITNESS_NAMES:
         col = series.column(name)
         np.testing.assert_allclose(col, col[0], rtol=0, atol=1e-12)
 
@@ -112,7 +114,7 @@ def test_sweep_keeps_partial_results(monkeypatch):
 
     def flaky(scenario):
         if scenario.params.chi == 0.1:
-            raise RuntimeError("synthetic failure")
+            raise IntegrationError("synthetic failure", 0.5)
         return real(scenario)
 
     monkeypatch.setattr(runner_mod, "run_scenario", flaky)
@@ -121,3 +123,36 @@ def test_sweep_keeps_partial_results(monkeypatch):
     assert surface.status[1].startswith("error:")
     assert np.all(np.isfinite(surface.values[0]))
     assert np.all(np.isnan(surface.values[1]))
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    real = runner_mod.run_scenario
+
+    def buggy(scenario):
+        if scenario.params.chi == 0.1:
+            raise TypeError("synthetic bug")
+        return real(scenario)
+
+    monkeypatch.setattr(runner_mod, "run_scenario", buggy)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        chi_sweep("AN", [0.0, 0.1], "var_x_A", t_max=1.0, sample_count=11)
+
+
+def test_sweep_row_with_inconsistent_sample_fails_alone(monkeypatch):
+    real = runner_mod.integrate
+
+    def drifting(scenario):
+        traj = real(scenario)
+        if scenario.params.chi != 0.1:
+            return traj
+        states = traj.states.copy()
+        states[7, Moment.AA] += 1e-6j  # <AA> no longer conj(<AdAd>) at sample 7
+        return Trajectory(traj.taus, states)
+
+    monkeypatch.setattr(runner_mod, "integrate", drifting)
+    surface = chi_sweep("AN", [0.0, 0.1, 0.2], "hz_e_AB", t_max=1.0, sample_count=11)
+    assert surface.status[0] == surface.status[2] == "ok"
+    assert surface.status[1].startswith("error:")
+    assert "imaginary residue" in surface.status[1]
+    assert np.all(np.isnan(surface.values[1]))
+    assert np.all(np.isfinite(surface.values[[0, 2]]))

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavens.model import Moment, MomentState, Scenario, initial_state, preset_params
 from cavens.runner import run_scenario
 from cavens.witnesses import (
+    WITNESS_NAMES,
     InternalConsistencyError,
     antibunch_inter,
     antibunch_single,
@@ -17,6 +21,7 @@ from cavens.witnesses import (
     mandel_q,
     quadrature_variances,
     steering,
+    witness_table,
 )
 from conftest import make_coherent_state, make_random_state, rotate_mode_a
 
@@ -167,6 +172,38 @@ def test_intermodal_antibunch_ac_no_dip_in_na_without_drive():
 
 def test_evaluate_record_is_finite_except_mandel():
     rec = evaluate(initial_state(0.3, 0.0, 1.2))
-    for name, value in zip(rec.column_names(), rec.column_values()):
-        if not name.startswith("mandel_"):
-            assert math.isfinite(value), name
+    for field in dataclasses.fields(rec):
+        for key, value in getattr(rec, field.name).items():
+            if field.name != "mandel":
+                assert math.isfinite(value), (field.name, key)
+
+
+def test_record_is_the_table_row_by_name():
+    state = make_random_state(np.random.default_rng(5))
+    rec, row = evaluate(state), witness_table(state)
+    assert row.shape == (len(WITNESS_NAMES),) == (42,)
+    assert rec.var_y["B"] == row[WITNESS_NAMES.index("var_y_B")]
+    assert rec.antibunch_pair["AC"] == row[WITNESS_NAMES.index("antibunch_AC")]
+    assert rec.bisep_eprime["BC|A"] == row[WITNESS_NAMES.index("bisep_eprime_BC_A")]
+    assert rec.steering["CB"] == row[WITNESS_NAMES.index("steering_CB")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6))
+def test_stacked_states_evaluate_bitwise_like_single_states(seed, count):
+    rng = np.random.default_rng(seed)
+    states = [make_random_state(rng) for _ in range(count)]
+    table = witness_table(np.stack([s.values for s in states]))
+    assert table.shape == (count, len(WITNESS_NAMES))
+    for row, state in zip(table, states):
+        single = witness_table(state)
+        assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+
+
+def test_trajectory_with_one_inconsistent_sample_raises():
+    rng = np.random.default_rng(11)
+    states = np.stack([make_random_state(rng).values for _ in range(9)])
+    witness_table(states)
+    states[4, Moment.ABd] += 1e-6j  # <ABd> no longer conj(<AdB>) at sample 4
+    with pytest.raises(InternalConsistencyError, match="at sample 4"):
+        witness_table(states)
