@@ -5,8 +5,15 @@ is specified either by a ``preset`` (AA, AN, NA, NN) or by explicit model
 parameters; the two spellings are mutually exclusive except for ``chi``,
 which may override a preset's drive strength.  Unset keys take the
 documented defaults (detunings 1, couplings/decays/baths 0, initial
-occupations 1, t_max 10, samples 1001, abs_tol 1e-10, rel_tol 1e-9,
-threshold 1e-4).
+occupations 1, t_max 10, samples 1001, threshold 1e-4).
+
+Every command resolves one base ``Scenario`` from ``--config`` or
+``--preset`` (never both) and its override flags, and hands it to the
+runner.  Each subcommand registers only the flags it honours, so any other
+flag is a usage error: ``table`` scores every preset and takes no
+``--preset``/``--chi`` (nor a config that sets model parameters),
+``sweep`` varies chi itself and takes no ``--chi``, and only ``table``
+takes ``--threshold``.
 
 All CSV output is UTF-8 with a header row, 17 significant digits and a
 deterministic byte stream for identical inputs; complex moments are split
@@ -25,13 +32,11 @@ import numpy as np
 from .dynamics import IntegrationError, NoSteadyStateError, Trajectory
 from .model import (
     MOMENT_NAMES,
-    OCCUPATIONS,
     Moment,
     Scenario,
     SystemParams,
     initial_state,
     preset_params,
-    validate_params,
 )
 from .oracle import ClosureReport, FockBasisSpec, PositivityError, closure_report
 from .runner import SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
@@ -43,15 +48,8 @@ _PARAM_KEYS = (
     "delta_a", "delta_b", "delta_c", "g_a", "g_b", "chi",
     "gamma_a", "gamma_b", "gamma_c", "n_a", "n_b", "n_c",
 )
-_RUN_KEYS = ("init_na", "init_nb", "init_nc", "t_max", "samples",
-             "abs_tol", "rel_tol", "threshold")
+_RUN_KEYS = ("init_na", "init_nb", "init_nc", "t_max", "samples", "threshold")
 _ALL_KEYS = ("preset",) + _PARAM_KEYS + _RUN_KEYS
-
-_RUN_DEFAULTS = {
-    "init_na": 1.0, "init_nb": 1.0, "init_nc": 1.0,
-    "t_max": 10.0, "samples": 1001,
-    "abs_tol": 1e-10, "rel_tol": 1e-9, "threshold": 1e-4,
-}
 
 
 class ConfigError(ValueError):
@@ -133,23 +131,17 @@ def parse_config(text: str) -> Scenario:
             n_b=number("n_b", 0.0),
             n_c=number("n_c", 0.0),
         )
-    problems = validate_params(params)
-    if problems:
-        raise ConfigError("; ".join(problems))
-
     try:
         return Scenario(
             params=params,
             initial=initial_state(
-                number("init_na", _RUN_DEFAULTS["init_na"]),
-                number("init_nb", _RUN_DEFAULTS["init_nb"]),
-                number("init_nc", _RUN_DEFAULTS["init_nc"]),
+                number("init_na", 1.0),
+                number("init_nb", 1.0),
+                number("init_nc", 1.0),
             ),
-            t_max=number("t_max", _RUN_DEFAULTS["t_max"]),
-            sample_count=integer("samples", _RUN_DEFAULTS["samples"]),
-            abs_tol=number("abs_tol", _RUN_DEFAULTS["abs_tol"]),
-            rel_tol=number("rel_tol", _RUN_DEFAULTS["rel_tol"]),
-            threshold=number("threshold", _RUN_DEFAULTS["threshold"]),
+            t_max=number("t_max", Scenario.t_max),
+            sample_count=integer("samples", Scenario.sample_count),
+            threshold=number("threshold", Scenario.threshold),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -172,8 +164,6 @@ def format_config(scenario: Scenario) -> str:
         f"init_nc = {_fmt(occ[2])}",
         f"t_max = {_fmt(scenario.t_max)}",
         f"samples = {scenario.sample_count}",
-        f"abs_tol = {_fmt(scenario.abs_tol)}",
-        f"rel_tol = {_fmt(scenario.rel_tol)}",
         f"threshold = {_fmt(scenario.threshold)}",
     ]
     return "\n".join(lines) + "\n"
@@ -300,17 +290,22 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: ``--chi`` must not pass for ``--chi-grid``
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", type=Path, help="config file path")
-    sub.add_argument("--preset", help="configuration label (AA, AN, NA, NN)")
-    sub.add_argument("--chi", type=float, help="drive strength override")
+def _add_common(sub, preset: bool = True):
+    """Base-scenario flags; with ``preset``, one of --config/--preset is required."""
+    source = sub.add_mutually_exclusive_group(required=preset)
+    source.add_argument("--config", type=Path, help="config file path")
+    if preset:
+        source.add_argument("--preset", help="configuration label (AA, AN, NA, NN)")
     sub.add_argument("--tmax", type=float, help="time span override")
     sub.add_argument("--samples", type=int, help="sample count override")
-    sub.add_argument("--threshold", type=float, help="tick threshold override")
     sub.add_argument("--out", type=Path, help="output CSV path (default stdout)")
 
 
@@ -320,12 +315,15 @@ def _build_parser() -> _Parser:
 
     sim = subs.add_parser("simulate", help="one scenario -> witness time-series CSV")
     _add_common(sim)
-    sim.add_argument("--witnesses", help="comma list of witness columns (default all)")
-    sim.add_argument("--moments", action="store_true",
-                     help="emit the raw moment trajectory instead of witnesses")
+    sim.add_argument("--chi", type=float, help="drive strength override")
+    form = sim.add_mutually_exclusive_group()
+    form.add_argument("--witnesses", help="comma list of witness columns (default all)")
+    form.add_argument("--moments", action="store_true",
+                      help="emit the raw moment trajectory instead of witnesses")
 
     tab = subs.add_parser("table", help="sign matrix over all configurations")
-    _add_common(tab)
+    _add_common(tab, preset=False)
+    tab.add_argument("--threshold", type=float, help="tick threshold override")
     tab.add_argument("--chi-grid", default="0,0.2",
                      help="comma list of drive strengths (default 0,0.2)")
 
@@ -336,30 +334,24 @@ def _build_parser() -> _Parser:
 
     orc = subs.add_parser("oracle-check", help="closure-error report against the oracle")
     _add_common(orc)
+    orc.add_argument("--chi", type=float, help="drive strength override")
     orc.add_argument("--nmax", type=int, default=6, help="Fock truncation per mode")
     return parser
 
 
-def _resolve_scenario(args, require_source: bool = True) -> Scenario:
+def _resolve_scenario(args) -> Scenario:
+    """The command's base scenario: config, preset or defaults, then the flags."""
     if args.config is not None:
         scenario = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    elif args.preset is not None:
-        scenario = Scenario(params=preset_params(args.preset, 0.0))
-    elif require_source:
-        raise _UsageError("either --config or --preset is required")
+    elif getattr(args, "preset", None) is not None:
+        scenario = Scenario(params=preset_params(args.preset))
     else:
         scenario = Scenario(params=SystemParams())
-    if args.preset is not None and args.config is not None:
-        scenario = replace(scenario, params=preset_params(args.preset, scenario.params.chi))
-    if args.chi is not None:
+    if getattr(args, "chi", None) is not None:
         scenario = scenario.with_params(chi=args.chi)
-    if args.tmax is not None:
-        scenario = replace(scenario, t_max=args.tmax)
-    if args.samples is not None:
-        scenario = replace(scenario, sample_count=args.samples)
-    if args.threshold is not None:
-        scenario = replace(scenario, threshold=args.threshold)
-    return scenario
+    flags = {"t_max": args.tmax, "sample_count": args.samples,
+             "threshold": getattr(args, "threshold", None)}
+    return replace(scenario, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -369,61 +361,30 @@ def _parse_grid(text: str) -> list[float]:
         raise _UsageError(f"malformed chi grid {text!r}") from None
 
 
-def _emit(obj, out: Path | None) -> None:
-    if out is None:
-        emit_csv(obj, sys.stdout)
-    else:
-        emit_csv(obj, out)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        scenario = _resolve_scenario(args)
+        dest = sys.stdout if args.out is None else args.out
         if args.command == "simulate":
-            scenario = _resolve_scenario(args)
             traj, series = run_scenario(scenario)
             if args.moments:
-                _emit(traj, args.out)
-            elif args.witnesses:
-                columns = [c.strip() for c in args.witnesses.split(",") if c.strip()]
-                if args.out is None:
-                    write_witness_series(series, sys.stdout, columns)
-                else:
-                    write_witness_series(series, args.out, columns)
+                emit_csv(traj, dest)
             else:
-                _emit(series, args.out)
+                columns = None
+                if args.witnesses:
+                    columns = [c.strip() for c in args.witnesses.split(",") if c.strip()]
+                write_witness_series(series, dest, columns)
         elif args.command == "table":
-            defaults = _resolve_scenario(args, require_source=False)
-            matrix = table_matrix(
-                t_max=defaults.t_max,
-                threshold=defaults.threshold,
-                sample_count=defaults.sample_count,
-                abs_tol=defaults.abs_tol,
-                rel_tol=defaults.rel_tol,
-                chis=tuple(_parse_grid(args.chi_grid)),
-                init_occupations=tuple(defaults.initial[s].real for s in OCCUPATIONS),
-            )
-            _emit(matrix, args.out)
+            if scenario.params != SystemParams():
+                raise _UsageError("table runs every preset; its config must not set model parameters")
+            emit_csv(table_matrix(scenario, _parse_grid(args.chi_grid)), dest)
         elif args.command == "sweep":
-            scenario = _resolve_scenario(args)
-            label = args.preset
-            if label is None:
-                raise _UsageError("sweep requires --preset")
-            surface = chi_sweep(
-                label,
-                _parse_grid(args.chi_grid),
-                args.witness,
-                t_max=scenario.t_max,
-                sample_count=scenario.sample_count,
-                abs_tol=scenario.abs_tol,
-                rel_tol=scenario.rel_tol,
-            )
-            _emit(surface, args.out)
+            emit_csv(chi_sweep(scenario, _parse_grid(args.chi_grid), args.witness), dest)
         elif args.command == "oracle-check":
-            scenario = _resolve_scenario(args)
             report = closure_report(scenario, FockBasisSpec(args.nmax))
-            _emit(report, args.out)
+            emit_csv(report, dest)
             if args.out is not None:
                 for name, err in report.max_abs_error.items():
                     print(f"max |exact - closed| {name}: {err:.3e}")

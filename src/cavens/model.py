@@ -254,24 +254,25 @@ class Scenario:
 
     ``threshold`` is the dip depth below the classical boundary required to
     count a witness as fired when scoring a sign matrix; it rides along with
-    the scenario so a parsed config is self-contained.
+    the scenario so a parsed config is self-contained.  Construction rejects
+    invalid parameters and a non-finite time span, which the integrator
+    would otherwise chase forever.
     """
 
     params: SystemParams
     initial: MomentState = field(default_factory=lambda: initial_state(1.0, 1.0, 1.0))
     t_max: float = 10.0
     sample_count: int = 1001
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
     threshold: float = 1e-4
 
     def __post_init__(self):
-        if not self.t_max > 0:
-            raise ValueError("t_max must be > 0")
+        problems = validate_params(self.params)
+        if problems:
+            raise ValueError("; ".join(problems))
+        if not 0 < self.t_max < np.inf:
+            raise ValueError("t_max must be finite and > 0")
         if self.sample_count < 2:
             raise ValueError("sample_count must be >= 2")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("solver tolerances must be > 0")
         if not self.threshold > 0:
             raise ValueError("threshold must be > 0")
 

@@ -445,7 +445,7 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
     traj = integrate(scenario)
     rho0 = thermal_state(basis, occs)
     L = build_generator(scenario.params, basis)
-    rhos = evolve_path(rho0, L, traj.taus, abs_tol=1e-12, rel_tol=max(scenario.rel_tol, 1e-9))
+    rhos = evolve_path(rho0, L, traj.taus, abs_tol=1e-12, rel_tol=1e-9)
 
     closed_source = decoupled(traj.states)
     closed = {name: closed_source.word(*word) for name, word in _REPORT_WORDS.items()}

@@ -10,12 +10,12 @@ cell keeps its evidence (the attained minimum and the time it occurred).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import IntegrationError, Trajectory, integrate
-from .model import Configuration, Scenario, initial_state, preset_params
+from .model import Configuration, Scenario, SystemParams, preset_params
 from .witnesses import (
     MODE_KEYS,
     ORDERED_PAIR_KEYS,
@@ -143,44 +143,28 @@ def _score(taus, table, threshold):
     return vmin < _BOUNDARIES - threshold, vmin, argmin
 
 
-def table_matrix(
-    t_max: float = 10.0,
-    threshold: float = 1e-4,
-    sample_count: int = 1001,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-9,
-    chis: tuple = (0.0, 0.2),
-    init_occupations: tuple = (1.0, 1.0, 1.0),
-) -> SignMatrix:
-    """Sign matrix over all four configurations and the given drive strengths."""
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+def table_matrix(base: Scenario = Scenario(SystemParams()), chis=(0.0, 0.2)) -> SignMatrix:
+    """Sign matrix over all four configurations and the given drive strengths.
+
+    Every (configuration, chi) column runs ``base`` with that preset's
+    parameters; ``base`` supplies the initial state, time grid and threshold.
+    """
     cells = []
     for config in Configuration:
         for chi in chis:
-            scenario = Scenario(
-                params=preset_params(config, chi),
-                initial=initial_state(*init_occupations),
-                t_max=t_max,
-                sample_count=sample_count,
-                abs_tol=abs_tol,
-                rel_tol=rel_tol,
-                threshold=threshold,
-            )
-            _, series = run_scenario(scenario)
-            ticks, vmins, argmins = _score(series.taus, series.table, threshold)
+            _, series = run_scenario(replace(base, params=preset_params(config, chi)))
+            ticks, vmins, argmins = _score(series.taus, series.table, base.threshold)
             cells += [
                 SignCell(config.name, chi, row, key, bool(t), float(v), float(a))
                 for (row, key), t, v, a in zip(_CELLS, ticks, vmins, argmins)
             ]
-    return SignMatrix(threshold=threshold, t_max=t_max, cells=tuple(cells))
+    return SignMatrix(threshold=base.threshold, t_max=base.t_max, cells=tuple(cells))
 
 
 @dataclass(frozen=True)
 class SweepSurface:
     """One witness on a (chi, tau) grid; rows are independent scenario runs."""
 
-    config: str
     witness: str
     chis: np.ndarray
     taus: np.ndarray
@@ -188,39 +172,23 @@ class SweepSurface:
     status: tuple        # "ok" or the per-row failure message
 
 
-def chi_sweep(
-    config: "str | Configuration",
-    chis,
-    witness: str,
-    t_max: float = 10.0,
-    sample_count: int = 1001,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-9,
-    init_occupations: tuple = (1.0, 1.0, 1.0),
-) -> SweepSurface:
-    """Run one scenario per drive strength and collect one witness column.
+def chi_sweep(base: Scenario, chis, witness: str) -> SweepSurface:
+    """Run ``base`` once per drive strength and collect one witness column.
 
-    Failed rows are retained as NaN with a per-row status message; the other
-    rows are unaffected.
+    Every row is built (and so validated) before any is integrated.  Failed
+    rows are retained as NaN with a per-row status message; the other rows
+    are unaffected.
     """
-    config = Configuration.parse(config)
     chis = np.asarray(list(chis), dtype=float)
     if chis.size == 0:
         raise ValueError("chi grid must be non-empty")
     if witness not in WITNESS_NAMES:
         raise KeyError(f"unknown witness column {witness!r}")
-    taus = np.linspace(0.0, t_max, sample_count)
+    scenarios = [base.with_params(chi=float(chi)) for chi in chis]
+    taus = np.linspace(0.0, base.t_max, base.sample_count)
     values = np.full((chis.size, taus.size), np.nan)
     status = []
-    for i, chi in enumerate(chis):
-        scenario = Scenario(
-            params=preset_params(config, float(chi)),
-            initial=initial_state(*init_occupations),
-            t_max=t_max,
-            sample_count=sample_count,
-            abs_tol=abs_tol,
-            rel_tol=rel_tol,
-        )
+    for i, scenario in enumerate(scenarios):
         try:
             _, series = run_scenario(scenario)
             values[i] = series.column(witness)
@@ -229,7 +197,6 @@ def chi_sweep(
             # numeric failure: keep the sweep going, the row stays NaN
             status.append(f"error: {exc}")
     return SweepSurface(
-        config=config.name,
         witness=witness,
         chis=chis,
         taus=taus,

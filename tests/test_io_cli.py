@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavens.io_cli as io_cli
 from cavens.io_cli import (
@@ -22,7 +24,7 @@ def test_parse_preset_with_chi_override():
     assert sc.params == preset_params("AN", 0.2)
     assert sc.t_max == 10.0
     assert sc.sample_count == 1001
-    assert sc.abs_tol == 1e-10 and sc.rel_tol == 1e-9
+    assert sc == Scenario(params=preset_params("AN", 0.2))
     assert sc.threshold == 1e-4
     assert sc.initial[Moment.AdA] == 1.0
 
@@ -71,6 +73,29 @@ def test_config_echo_round_trip():
     assert parse_config(format_config(sc)) == sc
 
 
+_finite = st.floats(-10.0, 10.0)
+_non_negative = st.floats(0.0, 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sc=st.builds(
+    Scenario,
+    params=st.builds(
+        SystemParams,
+        delta_a=_finite, delta_b=_finite, delta_c=_finite,
+        g_a=_finite, g_b=_finite, chi=_finite,
+        gamma_a=_non_negative, gamma_b=_non_negative, gamma_c=_non_negative,
+        n_a=_non_negative, n_b=_non_negative, n_c=_non_negative,
+    ),
+    initial=st.builds(initial_state, _non_negative, _non_negative, _non_negative),
+    t_max=st.floats(0.0, 1e6, exclude_min=True),
+    sample_count=st.integers(2, 10**6),
+    threshold=st.floats(0.0, 1e3, exclude_min=True),
+))
+def test_config_echo_round_trips_any_valid_scenario(sc):
+    assert parse_config(format_config(sc)) == sc
+
+
 def test_trajectory_csv_layout(tmp_path):
     sc = Scenario(params=SystemParams(delta_a=1), initial=initial_state(1, 0, 0),
                   t_max=1.0, sample_count=2)
@@ -115,7 +140,7 @@ def test_witness_column_filter():
 
 
 def test_sign_matrix_csv_row_shape():
-    matrix = table_matrix(t_max=1.0, sample_count=41)
+    matrix = table_matrix(Scenario(params=SystemParams(), t_max=1.0, sample_count=41))
     buf = io.StringIO()
     emit_csv(matrix, buf)
     lines = buf.getvalue().splitlines()
@@ -130,7 +155,8 @@ def test_sign_matrix_csv_row_shape():
 
 
 def test_sweep_csv(tmp_path):
-    surface = chi_sweep("NN", [0.0, 0.2], "duan_AB", t_max=1.0, sample_count=5)
+    surface = chi_sweep(Scenario(params=preset_params("NN"), t_max=1.0, sample_count=5),
+                        [0.0, 0.2], "duan_AB")
     out = tmp_path / "sweep.csv"
     emit_csv(surface, out)
     lines = out.read_text(encoding="utf-8").splitlines()
@@ -220,9 +246,58 @@ def test_cli_table_honours_config_occupations(tmp_path):
     assert main(["table", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["table", "--tmax", "2", "--samples", "21", "--out", str(plain)]) == 0
     expected = io.StringIO()
-    emit_csv(table_matrix(t_max=2.0, sample_count=21, init_occupations=(0.1,) * 3), expected)
+    base = Scenario(params=SystemParams(), initial=initial_state(0.1, 0.1, 0.1),
+                    t_max=2.0, sample_count=21)
+    emit_csv(table_matrix(base), expected)
     assert out.read_text(encoding="utf-8") == expected.getvalue()
     assert out.read_bytes() != plain.read_bytes()
+
+
+def test_cli_sweep_with_config(tmp_path):
+    sweep = ["sweep", "--chi-grid", "0,0.2", "--witness", "mandel_C", "--tmax", "2", "--samples", "5"]
+    cfg, occ = tmp_path / "an.cfg", tmp_path / "occ.cfg"
+    cfg.write_text("preset = AN\n", encoding="utf-8")
+    occ.write_text("preset = AN\ninit_na = 0.1\ninit_nb = 0.1\ninit_nc = 0.1\n", encoding="utf-8")
+    outs = {name: tmp_path / f"{name}.csv" for name in ("preset", "config", "occ")}
+    assert main(sweep + ["--preset", "AN", "--out", str(outs["preset"])]) == 0
+    assert main(sweep + ["--config", str(cfg), "--out", str(outs["config"])]) == 0
+    assert main(sweep + ["--config", str(occ), "--out", str(outs["occ"])]) == 0
+    assert outs["config"].read_bytes() == outs["preset"].read_bytes()
+    assert outs["occ"].read_bytes() != outs["preset"].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{an}", "--preset", "AN"],
+    ["sweep", "--config", "{explicit}", "--preset", "AN", "--chi-grid", "0", "--witness", "var_x_A"],
+    ["table", "--preset", "AN"],
+    ["table", "--config", "{an}"],
+    ["table", "--chi", "0.1"],
+    ["sweep", "--preset", "AN", "--chi", "0.1", "--chi-grid", "0", "--witness", "var_x_A"],
+    ["simulate", "--preset", "AN", "--threshold", "1e-4"],
+    ["oracle-check", "--preset", "AN", "--threshold", "1e-4"],
+    ["simulate", "--preset", "AN", "--moments", "--witnesses", "mandel_A"],
+    ["simulate", "--config", "{rel_tol}"],
+])
+def test_cli_rejects_inputs_it_would_not_honour(argv, tmp_path, capsys):
+    configs = {"an": "preset = AN\n", "explicit": "g_a = 0.2\n",
+               "rel_tol": "preset = AN\nrel_tol = 1e-9\n"}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
+    argv = [arg.format(**{name: tmp_path / f"{name}.cfg" for name in configs}) for arg in argv]
+    assert main(argv + ["--tmax", "1", "--samples", "3"]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "AN", "--chi", "nan"],
+    ["simulate", "--preset", "AN", "--chi", "inf"],
+    ["simulate", "--preset", "AN", "--tmax", "inf"],
+    ["table", "--chi-grid", "nan"],
+    ["sweep", "--preset", "AN", "--chi-grid", "nan", "--witness", "var_x_A"],
+])
+def test_cli_rejects_non_finite_inputs(argv, capsys):
+    assert main(argv + ["--samples", "5"]) == 1
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_cli_oracle_check(tmp_path, capsys):

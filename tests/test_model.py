@@ -105,6 +105,15 @@ def test_scenario_invariants():
     with pytest.raises(ValueError):
         Scenario(params=p, sample_count=1)
     with pytest.raises(ValueError):
-        Scenario(params=p, abs_tol=0.0)
+        Scenario(params=p, t_max=np.inf)
     with pytest.raises(ValueError):
         Scenario(params=p, threshold=0.0)
+
+
+@pytest.mark.parametrize("changes", [
+    dict(chi=np.nan), dict(chi=np.inf), dict(delta_a=-np.inf), dict(gamma_c=-0.1), dict(n_b=np.nan),
+])
+def test_scenario_rejects_invalid_params(changes):
+    # the integrator never returns on a non-finite right-hand side
+    with pytest.raises(ValueError, match="must be"):
+        Scenario(params=preset_params("AN", 0.2)).with_params(**changes)

@@ -44,7 +44,7 @@ def test_antinode_mode_decays_faster_than_node_mode():
 
 @pytest.fixture(scope="module")
 def small_matrix():
-    return table_matrix(t_max=5.0, sample_count=251)
+    return table_matrix(Scenario(params=SystemParams(), t_max=5.0, sample_count=251))
 
 
 def test_table_matrix_shape_and_evidence(small_matrix):
@@ -78,11 +78,12 @@ def test_table_matrix_known_cells(small_matrix):
 
 def test_table_matrix_threshold_validation():
     with pytest.raises(ValueError):
-        table_matrix(threshold=0.0)
+        table_matrix(Scenario(params=SystemParams(), threshold=0.0))
 
 
 def test_sweep_single_point_matches_run_scenario():
-    surface = chi_sweep("AN", [0.2], "var_x_A", t_max=2.0, sample_count=41)
+    surface = chi_sweep(Scenario(params=preset_params("AN"), t_max=2.0, sample_count=41),
+                        [0.2], "var_x_A")
     sc = Scenario(params=preset_params("AN", 0.2), t_max=2.0, sample_count=41)
     _, series = run_scenario(sc)
     np.testing.assert_array_equal(surface.values[0], series.column("var_x_A"))
@@ -90,23 +91,36 @@ def test_sweep_single_point_matches_run_scenario():
 
 
 def test_sweep_permutation_only_permutes_rows():
-    fwd = chi_sweep("NA", [0.0, 0.1], "hz_e_AB", t_max=1.5, sample_count=31)
-    rev = chi_sweep("NA", [0.1, 0.0], "hz_e_AB", t_max=1.5, sample_count=31)
+    base = Scenario(params=preset_params("NA"), t_max=1.5, sample_count=31)
+    fwd = chi_sweep(base, [0.0, 0.1], "hz_e_AB")
+    rev = chi_sweep(base, [0.1, 0.0], "hz_e_AB")
     np.testing.assert_array_equal(fwd.values[0], rev.values[1])
     np.testing.assert_array_equal(fwd.values[1], rev.values[0])
 
 
 def test_sweep_min_variance_non_increasing_with_drive():
-    surface = chi_sweep("AN", [0.0, 0.1, 0.2], "var_x_A", t_max=10.0, sample_count=501)
+    surface = chi_sweep(Scenario(params=preset_params("AN"), t_max=10.0, sample_count=501),
+                        [0.0, 0.1, 0.2], "var_x_A")
     mins = surface.values[:, 1:].min(axis=1)
     assert np.all(np.diff(mins) <= 1e-8)  # slack at integrator accuracy
 
 
+_AN_SHORT = Scenario(params=preset_params("AN"), t_max=1.0, sample_count=11)
+
+
 def test_sweep_validates_input():
     with pytest.raises(KeyError):
-        chi_sweep("AN", [0.0], "nope")
+        chi_sweep(_AN_SHORT, [0.0], "nope")
     with pytest.raises(ValueError):
-        chi_sweep("AN", [], "var_x_A")
+        chi_sweep(_AN_SHORT, [], "var_x_A")
+
+
+def test_sweep_rejects_an_invalid_row_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setattr(runner_mod, "run_scenario", ran.append)
+    with pytest.raises(ValueError, match="chi must be finite"):
+        chi_sweep(_AN_SHORT, [0.1, float("nan")], "var_x_A")
+    assert ran == []
 
 
 def test_sweep_keeps_partial_results(monkeypatch):
@@ -118,7 +132,7 @@ def test_sweep_keeps_partial_results(monkeypatch):
         return real(scenario)
 
     monkeypatch.setattr(runner_mod, "run_scenario", flaky)
-    surface = chi_sweep("AN", [0.0, 0.1], "var_x_A", t_max=1.0, sample_count=11)
+    surface = chi_sweep(_AN_SHORT, [0.0, 0.1], "var_x_A")
     assert surface.status[0] == "ok"
     assert surface.status[1].startswith("error:")
     assert np.all(np.isfinite(surface.values[0]))
@@ -135,7 +149,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(runner_mod, "run_scenario", buggy)
     with pytest.raises(TypeError, match="synthetic bug"):
-        chi_sweep("AN", [0.0, 0.1], "var_x_A", t_max=1.0, sample_count=11)
+        chi_sweep(_AN_SHORT, [0.0, 0.1], "var_x_A")
 
 
 def test_sweep_row_with_inconsistent_sample_fails_alone(monkeypatch):
@@ -150,7 +164,7 @@ def test_sweep_row_with_inconsistent_sample_fails_alone(monkeypatch):
         return Trajectory(traj.taus, states)
 
     monkeypatch.setattr(runner_mod, "integrate", drifting)
-    surface = chi_sweep("AN", [0.0, 0.1, 0.2], "hz_e_AB", t_max=1.0, sample_count=11)
+    surface = chi_sweep(_AN_SHORT, [0.0, 0.1, 0.2], "hz_e_AB")
     assert surface.status[0] == surface.status[2] == "ok"
     assert surface.status[1].startswith("error:")
     assert "imaginary residue" in surface.status[1]
