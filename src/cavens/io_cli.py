@@ -388,6 +388,7 @@ def main(argv=None) -> int:
             if args.out is not None:
                 for name, err in report.max_abs_error.items():
                     print(f"max |exact - closed| {name}: {err:.3e}")
+                print(f"truncation leakage (top-level population): {report.truncation_leakage:.3e}")
         return 0
     # numeric failures first: LinAlgError subclasses ValueError
     except (IntegrationError, NoSteadyStateError, PositivityError,

@@ -104,8 +104,7 @@ def oracle_cross_data():
                           t_max=5.0, sample_count=51)
             traj = integrate(sc)
             L = build_generator(sc.params, spec)
-            rhos = evolve_path(thermal_state(spec, (0.2, 0.2, 0.2)), L, traj.taus,
-                               abs_tol=1e-12, rel_tol=1e-9)
+            rhos = evolve_path(thermal_state(spec, (0.2, 0.2, 0.2)), L, traj.taus)
             data[(cfg, chi)] = (traj, rhos, spec)
     return data
 

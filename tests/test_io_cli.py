@@ -308,7 +308,9 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert main(["oracle-check", "--config", str(cfg), "--nmax", "3",
                  "--out", str(out)]) == 0
     assert out.exists()
-    assert "max |exact - closed|" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "max |exact - closed|" in printed
+    assert "truncation leakage" in printed
 
 
 def test_cli_numeric_failure_exit_code(monkeypatch, capsys):

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.integrate import solve_ivp
 
 from cavens.closure import annihilator, creator
-from cavens.dynamics import integrate
+from cavens.dynamics import IntegrationError, integrate
 from cavens.model import Moment, Scenario, SystemParams, initial_state, preset_params
 from cavens.oracle import (
+    ATOL,
+    RTOL,
     DensityMatrix,
     FockBasisSpec,
     PositivityError,
@@ -12,6 +18,7 @@ from cavens.oracle import (
     closure_report,
     coherent_state,
     evolve,
+    evolve_path,
     expectation,
     fock_state,
     moments_from_density,
@@ -67,6 +74,65 @@ def test_generator_trace_preserving_on_random_hermitian(rng):
         assert abs(np.trace(L.apply(herm))) < 1e-10
 
 
+_coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+_rate = st.floats(0.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.builds(SystemParams, delta_a=_coefficient, delta_b=_coefficient, delta_c=_coefficient,
+              g_a=_coefficient, g_b=_coefficient, chi=_coefficient,
+              gamma_a=_rate, gamma_b=_rate, gamma_c=_rate, n_a=_rate, n_b=_rate, n_c=_rate),
+    st.integers(0, 2**32 - 1),
+)
+def test_superoperator_matches_operator_form(p, seed):
+    """L.apply equals -i[H, rho] + sum_x Gamma_x((nbar_x + 1) D[x] + nbar_x D[xd]) rho."""
+    spec = FockBasisSpec(2)
+    one, eye = np.diag(np.sqrt([1.0, 2.0]), 1), np.eye(3)
+    a = np.kron(np.kron(one, eye), eye)
+    b = np.kron(np.kron(eye, one), eye)
+    c = np.kron(np.kron(eye, eye), one)
+    H = (p.delta_a * a.T @ a + p.delta_b * b.T @ b + p.delta_c * c.T @ c
+         + p.g_a * (c @ a.T + c.T @ a) + p.g_b * (c @ b.T + c.T @ b) + p.chi * (a.T + a))
+
+    def D(J, rho):
+        JdJ = J.conj().T @ J
+        return J @ rho @ J.conj().T - (JdJ @ rho + rho @ JdJ) / 2
+
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
+    rho = (G + G.conj().T) / 2
+    expected = -1j * (H @ rho - rho @ H)
+    for gamma, nbar, x in ((p.gamma_a, p.n_a, a), (p.gamma_b, p.n_b, b), (p.gamma_c, p.n_c, c)):
+        expected += gamma * ((nbar + 1) * D(x, rho) + nbar * D(x.T, rho))
+    got = build_generator(p, spec).apply(rho)
+    assert np.abs(got - expected).max() < 1e-12
+
+
+def test_evolve_path_matches_solve_ivp():
+    spec = FockBasisSpec(3)
+    L = build_generator(preset_params("NA", 0.2), spec)
+    rho0 = thermal_state(spec, (0.2, 0.1, 0.3))
+    taus = np.linspace(0.0, 2.0, 9)
+    rhos = evolve_path(rho0, L, taus)
+    sol = solve_ivp(lambda _t, y: L.superop @ y, (0.0, 2.0), rho0.matrix.ravel(),
+                    method="RK45", t_eval=taus, rtol=RTOL, atol=ATOL)
+    assert np.array_equal(rhos, sol.y.T.reshape(rhos.shape))
+    coherent = coherent_state(spec, (0.3j, 0.0, 0.1))
+    np.testing.assert_array_equal(evolve_path(coherent, L, [0.0]), coherent.matrix[None])
+
+
+def test_evolve_path_failure_reports_last_good_tau():
+    spec = FockBasisSpec(1)
+    L = build_generator(preset_params("AN", 0.0), spec)
+    # a generator growing as exp(800 tau) overflows near tau 0.89
+    L.superop = 800.0 * sparse.identity(spec.dim ** 2, format="csr")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as failure:
+            evolve_path(fock_state(spec, (0, 0, 0)), L, np.linspace(0.0, 2.0, 5))
+    assert 0.5 < failure.value.last_tau < 1.0
+
+
 def test_zero_generator_identity_evolution():
     spec = FockBasisSpec(4)
     p = SystemParams(delta_a=0, delta_b=0, delta_c=0)
@@ -99,7 +165,7 @@ def test_thermal_second_moments_match_dynamics_at_t1():
                   t_max=1.0, sample_count=11)
     traj = integrate(sc)
     L = build_generator(sc.params, spec)
-    rho = evolve(thermal_state(spec, (0.2, 0.2, 0.2)), L, 1.0, rel_tol=1e-9)
+    rho = evolve(thermal_state(spec, (0.2, 0.2, 0.2)), L, 1.0)
     oracle_moments = moments_from_density(rho).values
     assert np.abs(oracle_moments - traj.states[-1]).max() < 1e-4
 
@@ -119,7 +185,7 @@ def test_witness_cross_check_against_oracle_at_small_occupations():
                   t_max=1.0, sample_count=5)
     traj = integrate(sc)
     L = build_generator(sc.params, spec)
-    rho = evolve(thermal_state(spec, (0.2, 0.2, 0.2)), L, 1.0, rel_tol=1e-9)
+    rho = evolve(thermal_state(spec, (0.2, 0.2, 0.2)), L, 1.0)
     closed = evaluate(traj.state_at(len(traj) - 1))
     exact = exact_witnesses(rho)
     for m in ("A", "B", "C"):
@@ -197,6 +263,22 @@ def test_closure_report_driven_records_error():
     # no tolerance asserted for the driven case; the report records magnitude
     print("driven closure error:", {k: f"{v:.2e}" for k, v in report.max_abs_error.items()})
     assert all(np.isfinite(v) for v in report.max_abs_error.values())
+
+
+@pytest.mark.parametrize("occupations", [(1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.2, 0.2, 1.0)])
+def test_closure_report_truncation_leakage(occupations):
+    """Each mode in turn holds the largest top-level population."""
+    spec = FockBasisSpec(3)
+    sc = Scenario(params=preset_params("NA", 0.4), initial=initial_state(*occupations),
+                  t_max=2.0, sample_count=9)
+    report = closure_report(sc, spec)
+    rhos = evolve_path(thermal_state(spec, occupations), build_generator(sc.params, spec),
+                       report.taus)
+    levels = np.unravel_index(np.arange(spec.dim), (spec.local_dim,) * 3)
+    top = max(np.diagonal(rho).real[levels[mode] == spec.n_max].sum()
+              for rho in rhos for mode in range(3))
+    assert report.truncation_leakage == pytest.approx(top, rel=1e-12)
+    assert report.truncation_leakage > 1e-3
 
 
 def test_closure_report_rejects_coherences():
