@@ -25,10 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Moment, MomentState
+from .model import MOMENT_NAMES, Moment, MomentState
 
 __all__ = [
     "OperatorFactor",
+    "SLOT_WORDS",
+    "word_for_name",
     "annihilator",
     "creator",
     "cprod",
@@ -56,6 +58,23 @@ class OperatorFactor:
     @property
     def conjugate(self) -> "OperatorFactor":
         return OperatorFactor(self.mode, not self.daggered)
+
+
+def word_for_name(name: str) -> tuple[OperatorFactor, ...]:
+    """Operator word of a name such as ``"AdBd"``: each ``d`` daggers the factor before it."""
+    factors: list[OperatorFactor] = []
+    for ch in name:
+        if ch in "ABC":
+            factors.append(OperatorFactor(ch, False))
+        elif ch == "d" and factors:
+            factors[-1] = factors[-1].conjugate
+        else:
+            raise ValueError(f"cannot parse moment name {name!r}")
+    return tuple(factors)
+
+
+# operator word of every stored moment, indexed by ``Moment``
+SLOT_WORDS = tuple(word_for_name(name) for name in MOMENT_NAMES)
 
 
 def annihilator(mode: str) -> OperatorFactor:

@@ -1,17 +1,27 @@
 """The 27 coupled linear moment equations and their integration.
 
-Averaging the damped Heisenberg equations of the three-mode model (reservoir
-noise averages vanish) closes exactly at second order because the
-Hamiltonian is quadratic: the moment vector s obeys
+The modes A, B (ensembles) and C (cavity) evolve under
 
-    ds/dtau = M(p) s + b(p),
+    H = sum_x delta_x xd x + g_a (Ad C + Cd A) + g_b (Bd C + Cd B) + chi (Ad + A),
 
-where ``M`` is a constant 27x27 complex matrix and the affine source ``b``
-holds the drive terms (slots <A>, <Ad>) and the thermal feed terms
-``gamma * nbar`` (the three occupations).  The full redundant set, with all
-conjugate moments, is integrated so that conjugate-pair consistency is a
-free correctness check: the equation list is closed under Hermitian
-conjugation.
+each damped at rate gamma_x into a bath of thermal occupation nbar_x.  With
+the reservoir noise averaged out, the quantum Langevin equations (Gardiner
+& Collett, PRA 31, 3761, 1985) of v = (A, B, C, Ad, Bd, Cd) are linear,
+
+    d<v>/dtau = K <v> + f,   K = blockdiag(-i h - Gamma/2, i h - Gamma/2),
+
+with h = [[delta_a, 0, g_a], [0, delta_b, g_b], [g_a, g_b, delta_c]],
+Gamma = diag(gamma_a, gamma_b, gamma_c) and f = -i chi on A, +i chi on Ad.
+As H is quadratic, the product rule closes on the 6 means and the 21 pair
+moments: the moment vector s obeys
+
+    ds/dtau = M(p) s + b(p)
+
+with a constant 27x27 complex ``M`` and the affine source ``b`` (drive and
+thermal feed), both derived by ``coefficient_matrix``.  The full redundant
+set, with all conjugate moments, is integrated so that conjugate-pair
+consistency is a free correctness check: the equation list is closed under
+Hermitian conjugation.
 """
 
 from __future__ import annotations
@@ -22,19 +32,25 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import CONJUGATE_PAIRS, Moment, MomentState, Scenario, SystemParams
+from .closure import SLOT_WORDS, OperatorFactor
+from .model import CONJUGATE_PAIRS, MODES, OCCUPATIONS, Moment, MomentState, Scenario, SystemParams
 
 __all__ = [
     "Trajectory",
     "IntegrationError",
     "NoSteadyStateError",
     "coefficient_matrix",
+    "conjugate_closure_defect",
     "rhs",
     "integrate",
     "steady_state_first_moments",
 ]
 
-M_ = Moment  # local shorthand for the slot indices
+# the mode operators in the row order of K, each slot's word as indices into
+# them, and the slot of every sorted word; the empty word <1> is column 27, b
+_OPERATORS = tuple(OperatorFactor(mode, dagger) for dagger in (False, True) for mode in MODES)
+_WORDS = tuple(tuple(_OPERATORS.index(f) for f in word) for word in SLOT_WORDS)
+_SLOT_OF = {tuple(sorted(word)): slot for slot, word in enumerate(_WORDS)} | {(): 27}
 
 
 class IntegrationError(RuntimeError):
@@ -78,154 +94,36 @@ class Trajectory:
 
 
 def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (M, b) of the linear moment system for fixed parameters.
+    """Derive (M, b) from the drift K and drive f by the product rule.
 
-    One block of assignments per equation, in slot order.  Conventions:
-    couplings enter through the interaction terms g(C Ad + Cd A) (and the B
-    analogue), the drive through chi(Ad + A), and each mode is damped at its
-    own rate with a thermal feed ``gamma * nbar`` in the occupation rows.
+    A mean <x> gets row K[x] and source f[x].  A pair gets
+
+        d<xy>/dtau = sum_z K[x,z] <zy> + sum_z K[y,z] <xz> + f_x <y> + f_y <x>,
+
+    and an occupation <xd x> also the thermal feed gamma_x nbar_x.  Each word
+    on the right is read as its stored slot: cross-mode factors commute, and
+    as K never turns an annihilator into a creator, the anti-normal words
+    (<C Cd> and <A Ad> in the <A Cd> row) carry constants K[A,C] + K[Cd,Ad] = 0.
+    Only nonzero K entries are added, so untouched entries of M stay +0.0.
     """
-    da, db, dc = p.delta_a, p.delta_b, p.delta_c
-    ga, gb, chi = p.g_a, p.g_b, p.chi
-    Ga, Gb, Gc = p.gamma_a, p.gamma_b, p.gamma_c
+    h = np.array([[p.delta_a, 0.0, p.g_a], [0.0, p.delta_b, p.g_b], [p.g_a, p.g_b, p.delta_c]])
+    drift = -1j * h - np.diag([p.gamma_a, p.gamma_b, p.gamma_c]) / 2
+    K = np.zeros((6, 6), dtype=complex)
+    K[:3, :3], K[3:, 3:] = drift, drift.conj()
+    f = np.array([-1j * p.chi, 0, 0, 1j * p.chi, 0, 0])
 
-    M = np.zeros((27, 27), dtype=complex)
-    b = np.zeros(27, dtype=complex)
-
-    # -- first moments -----------------------------------------------------
-    M[M_.A, M_.A] = -1j * da - Ga / 2
-    M[M_.A, M_.C] = -1j * ga
-    b[M_.A] = -1j * chi
-
-    M[M_.B, M_.B] = -1j * db - Gb / 2
-    M[M_.B, M_.C] = -1j * gb
-
-    M[M_.C, M_.C] = -1j * dc - Gc / 2
-    M[M_.C, M_.A] = -1j * ga
-    M[M_.C, M_.B] = -1j * gb
-
-    M[M_.Ad, M_.Ad] = 1j * da - Ga / 2
-    M[M_.Ad, M_.Cd] = 1j * ga
-    b[M_.Ad] = 1j * chi
-
-    M[M_.Bd, M_.Bd] = 1j * db - Gb / 2
-    M[M_.Bd, M_.Cd] = 1j * gb
-
-    M[M_.Cd, M_.Cd] = 1j * dc - Gc / 2
-    M[M_.Cd, M_.Ad] = 1j * ga
-    M[M_.Cd, M_.Bd] = 1j * gb
-
-    # -- squared amplitudes ------------------------------------------------
-    M[M_.AA, M_.AA] = -2j * da - Ga
-    M[M_.AA, M_.AC] = -2j * ga
-    M[M_.AA, M_.A] = -2j * chi
-
-    M[M_.BB, M_.BB] = -2j * db - Gb
-    M[M_.BB, M_.BC] = -2j * gb
-
-    M[M_.CC, M_.CC] = -2j * dc - Gc
-    M[M_.CC, M_.AC] = -2j * ga
-    M[M_.CC, M_.BC] = -2j * gb
-
-    M[M_.AdAd, M_.AdAd] = 2j * da - Ga
-    M[M_.AdAd, M_.AdCd] = 2j * ga
-    M[M_.AdAd, M_.Ad] = 2j * chi
-
-    M[M_.BdBd, M_.BdBd] = 2j * db - Gb
-    M[M_.BdBd, M_.BdCd] = 2j * gb
-
-    M[M_.CdCd, M_.CdCd] = 2j * dc - Gc
-    M[M_.CdCd, M_.AdCd] = 2j * ga
-    M[M_.CdCd, M_.BdCd] = 2j * gb
-
-    # -- occupations (thermal feed enters here) ------------------------------
-    M[M_.AdA, M_.ACd] = 1j * ga
-    M[M_.AdA, M_.AdC] = -1j * ga
-    M[M_.AdA, M_.A] = 1j * chi
-    M[M_.AdA, M_.Ad] = -1j * chi
-    M[M_.AdA, M_.AdA] = -Ga
-    b[M_.AdA] = Ga * p.n_a
-
-    M[M_.BdB, M_.BCd] = 1j * gb
-    M[M_.BdB, M_.BdC] = -1j * gb
-    M[M_.BdB, M_.BdB] = -Gb
-    b[M_.BdB] = Gb * p.n_b
-
-    M[M_.CdC, M_.AdC] = 1j * ga
-    M[M_.CdC, M_.ACd] = -1j * ga
-    M[M_.CdC, M_.BdC] = 1j * gb
-    M[M_.CdC, M_.BCd] = -1j * gb
-    M[M_.CdC, M_.CdC] = -Gc
-    b[M_.CdC] = Gc * p.n_c
-
-    # -- ensemble-ensemble pair --------------------------------------------
-    M[M_.AB, M_.AB] = -1j * (da + db) - (Ga + Gb) / 2
-    M[M_.AB, M_.BC] = -1j * ga
-    M[M_.AB, M_.AC] = -1j * gb
-    M[M_.AB, M_.B] = -1j * chi
-
-    M[M_.ABd, M_.ABd] = 1j * (db - da) - (Ga + Gb) / 2
-    M[M_.ABd, M_.BdC] = -1j * ga
-    M[M_.ABd, M_.ACd] = 1j * gb
-    M[M_.ABd, M_.Bd] = -1j * chi
-
-    M[M_.AdB, M_.AdB] = 1j * (da - db) - (Ga + Gb) / 2
-    M[M_.AdB, M_.BCd] = 1j * ga
-    M[M_.AdB, M_.AdC] = -1j * gb
-    M[M_.AdB, M_.B] = 1j * chi
-
-    M[M_.AdBd, M_.AdBd] = 1j * (da + db) - (Ga + Gb) / 2
-    M[M_.AdBd, M_.BdCd] = 1j * ga
-    M[M_.AdBd, M_.AdCd] = 1j * gb
-    M[M_.AdBd, M_.Bd] = 1j * chi
-
-    # -- ensemble-cavity pair, undriven side ---------------------------------
-    M[M_.BC, M_.BC] = -1j * (db + dc) - (Gb + Gc) / 2
-    M[M_.BC, M_.CC] = -1j * gb
-    M[M_.BC, M_.BB] = -1j * gb
-    M[M_.BC, M_.AB] = -1j * ga
-
-    M[M_.BCd, M_.BCd] = -1j * (db - dc) - (Gb + Gc) / 2
-    M[M_.BCd, M_.BdB] = 1j * gb
-    M[M_.BCd, M_.CdC] = -1j * gb
-    M[M_.BCd, M_.AdB] = 1j * ga
-
-    M[M_.BdC, M_.BdC] = 1j * (db - dc) - (Gb + Gc) / 2
-    M[M_.BdC, M_.CdC] = 1j * gb
-    M[M_.BdC, M_.BdB] = -1j * gb
-    M[M_.BdC, M_.ABd] = -1j * ga
-
-    M[M_.BdCd, M_.BdCd] = 1j * (db + dc) - (Gb + Gc) / 2
-    M[M_.BdCd, M_.CdCd] = 1j * gb
-    M[M_.BdCd, M_.BdBd] = 1j * gb
-    M[M_.BdCd, M_.AdBd] = 1j * ga
-
-    # -- ensemble-cavity pair, driven side -----------------------------------
-    M[M_.AC, M_.AC] = -1j * (da + dc) - (Ga + Gc) / 2
-    M[M_.AC, M_.CC] = -1j * ga
-    M[M_.AC, M_.AA] = -1j * ga
-    M[M_.AC, M_.AB] = -1j * gb
-    M[M_.AC, M_.C] = -1j * chi
-
-    M[M_.ACd, M_.ACd] = 1j * (dc - da) - (Ga + Gc) / 2
-    M[M_.ACd, M_.AdA] = 1j * ga
-    M[M_.ACd, M_.CdC] = -1j * ga
-    M[M_.ACd, M_.ABd] = 1j * gb
-    M[M_.ACd, M_.Cd] = -1j * chi
-
-    M[M_.AdC, M_.AdC] = 1j * (da - dc) - (Ga + Gc) / 2
-    M[M_.AdC, M_.CdC] = 1j * ga
-    M[M_.AdC, M_.AdA] = -1j * ga
-    M[M_.AdC, M_.AdB] = -1j * gb
-    M[M_.AdC, M_.C] = 1j * chi
-
-    M[M_.AdCd, M_.AdCd] = 1j * (da + dc) - (Ga + Gc) / 2
-    M[M_.AdCd, M_.CdCd] = 1j * ga
-    M[M_.AdCd, M_.AdAd] = 1j * ga
-    M[M_.AdCd, M_.AdBd] = 1j * gb
-    M[M_.AdCd, M_.Cd] = 1j * chi
-
-    return M, b
+    Mb = np.zeros((27, 28), dtype=complex)  # [M | b]
+    for slot, word in enumerate(_WORDS):
+        for i, x in enumerate(word):
+            rest = word[:i] + word[i + 1:]
+            for z in np.flatnonzero(K[x]):
+                Mb[slot, _SLOT_OF[tuple(sorted(rest + (z,)))]] += K[x, z]
+            if f[x] != 0:
+                Mb[slot, _SLOT_OF[rest]] += f[x]
+    feeds = (p.gamma_a * p.n_a, p.gamma_b * p.n_b, p.gamma_c * p.n_c)
+    for slot, feed in zip(OCCUPATIONS, feeds):
+        Mb[slot, 27] += feed
+    return np.ascontiguousarray(Mb[:, :27]), Mb[:, 27].copy()
 
 
 @lru_cache(maxsize=64)
@@ -281,7 +179,7 @@ def steady_state_first_moments(p: SystemParams) -> tuple[complex, complex, compl
     (possible only when some modes are undamped).
     """
     M, b = _cached_system(p)
-    idx = [M_.A, M_.B, M_.C]
+    idx = [Moment.A, Moment.B, Moment.C]
     A3 = M[np.ix_(idx, idx)]
     b3 = b[idx]
     if np.linalg.cond(A3) > 1e12:

@@ -30,9 +30,9 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import RK45
 
-from .closure import OperatorFactor
+from .closure import SLOT_WORDS, OperatorFactor, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
-from .model import MOMENT_NAMES, Moment, MomentState, Scenario, SystemParams
+from .model import Moment, MomentState, Scenario, SystemParams
 from .witnesses import WITNESS_NAMES, Correlators, WitnessRecord, decoupled, witness_table
 
 __all__ = [
@@ -327,26 +327,11 @@ def expectation(
     return complex(np.dot(data, rho[cols, rows]))
 
 
-def _word_for_name(name: str) -> tuple[OperatorFactor, ...]:
-    factors: list[OperatorFactor] = []
-    for ch in name:
-        if ch in "ABC":
-            factors.append(OperatorFactor(ch, False))
-        elif ch == "d":
-            factors[-1] = factors[-1].conjugate
-        else:
-            raise ValueError(f"cannot parse moment name {name!r}")
-    return tuple(factors)
-
-
-_SLOT_WORDS = {Moment[name]: _word_for_name(name) for name in MOMENT_NAMES}
-
-
 def moments_from_density(
     rho: "DensityMatrix | np.ndarray", spec: FockBasisSpec | None = None
 ) -> MomentState:
     """All 27 stored moments of a density matrix, for oracle cross-checks."""
-    return MomentState([expectation(rho, word, spec) for word in _SLOT_WORDS.values()])
+    return MomentState([expectation(rho, word, spec) for word in SLOT_WORDS])
 
 
 def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from cavens.model import CONJUGATE_PAIRS, Moment, MomentState
+from cavens.model import CONJUGATE_PAIRS, Moment, MomentState, SystemParams
+
+_coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+_rate = st.floats(0.0, 2.0, allow_nan=False)
+
+# valid SystemParams: detunings, couplings and drive in [-2, 2], rates and baths in [0, 2]
+system_params = st.builds(
+    SystemParams, delta_a=_coefficient, delta_b=_coefficient, delta_c=_coefficient,
+    g_a=_coefficient, g_b=_coefficient, chi=_coefficient,
+    gamma_a=_rate, gamma_b=_rate, gamma_c=_rate, n_a=_rate, n_b=_rate, n_c=_rate,
+)
 
 
 def make_random_state(rng) -> MomentState:

@@ -2,6 +2,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cavens.dynamics as dynamics
 from cavens.dynamics import (
@@ -22,16 +24,18 @@ from cavens.model import (
     initial_state,
     preset_params,
 )
-from conftest import make_random_state
+from conftest import make_random_state, system_params
 
 
-def test_equations_closed_under_conjugation():
+@settings(deadline=None)
+@given(system_params)
+@example(SystemParams(delta_a=0.7, delta_b=1.3, delta_c=0.9, g_a=0.31, g_b=0.17,
+                      chi=0.23, gamma_a=1.1, gamma_b=0.6, gamma_c=0.05,
+                      n_a=0.4, n_b=0.0, n_c=0.2))
+def test_equations_closed_under_conjugation(p):
     for cfg in ("AA", "AN", "NA", "NN"):
         for chi in (0.0, 0.2):
             assert conjugate_closure_defect(preset_params(cfg, chi)) == 0.0
-    p = SystemParams(delta_a=0.7, delta_b=1.3, delta_c=0.9, g_a=0.31, g_b=0.17,
-                     chi=0.23, gamma_a=1.1, gamma_b=0.6, gamma_c=0.05,
-                     n_a=0.4, n_b=0.0, n_c=0.2)
     assert conjugate_closure_defect(p) == 0.0
 
 
@@ -82,25 +86,28 @@ def test_rhs_linearity(rng):
                                rtol=0, atol=1e-12)
 
 
-def test_rhs_matches_lindblad_generator(rng):
+@settings(deadline=None)
+@given(system_params, st.integers(0, 2**32 - 1))
+@example(SystemParams(delta_a=0.9, delta_b=1.1, delta_c=1.0, g_a=0.23, g_b=0.077,
+                      chi=0.31, gamma_a=1.7, gamma_b=0.4, gamma_c=0.26,
+                      n_a=0.15, n_b=0.05, n_c=0.3), 20240901)
+def test_rhs_matches_lindblad_generator(p, seed):
     """Every one of the 27 equations against the master-equation derivative.
 
     Random density matrices supported on two levels per mode keep all traces
     exact on an n_max = 3 basis, so the comparison pins each coefficient to
-    machine precision.
+    machine precision, on random valid parameters.
     """
+    from cavens.closure import SLOT_WORDS
     from cavens.oracle import FockBasisSpec, build_generator, expectation, moments_from_density
-    from cavens.oracle import _SLOT_WORDS
 
     spec = FockBasisSpec(3)
-    p = SystemParams(delta_a=0.9, delta_b=1.1, delta_c=1.0, g_a=0.23, g_b=0.077,
-                     chi=0.31, gamma_a=1.7, gamma_b=0.4, gamma_c=0.26,
-                     n_a=0.15, n_b=0.05, n_c=0.3)
     M, b = coefficient_matrix(p)
     L = build_generator(p, spec)
     ld = spec.local_dim
     idx = np.array([(na * ld + nb) * ld + nc
                     for na in range(2) for nb in range(2) for nc in range(2)])
+    rng = np.random.default_rng(seed)
     for _ in range(3):
         G = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         small = G @ G.conj().T
@@ -109,7 +116,7 @@ def test_rhs_matches_lindblad_generator(rng):
         rho[np.ix_(idx, idx)] = small
         s = moments_from_density(rho, spec).values
         drho = L.apply(rho)
-        lindblad = np.array([expectation(drho, w, spec) for w in _SLOT_WORDS.values()])
+        lindblad = np.array([expectation(drho, w, spec) for w in SLOT_WORDS])
         np.testing.assert_allclose(lindblad, M @ s + b, rtol=0, atol=1e-12)
 
 

@@ -301,6 +301,7 @@ def test_cli_rejects_non_finite_inputs(argv, capsys):
 
 
 def test_cli_oracle_check(tmp_path, capsys):
+    # init 0.1 at n_max 3: the truncation defect (n_max+1) * P_top is about 2.7e-3
     cfg = tmp_path / "o.cfg"
     cfg.write_text("preset = AN\ninit_na = 0.1\ninit_nb = 0.1\ninit_nc = 0.1\n"
                    "t_max = 0.5\nsamples = 3\n", encoding="utf-8")
@@ -308,9 +309,28 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert main(["oracle-check", "--config", str(cfg), "--nmax", "3",
                  "--out", str(out)]) == 0
     assert out.exists()
-    printed = capsys.readouterr().out
-    assert "max |exact - closed|" in printed
-    assert "truncation leakage" in printed
+    captured = capsys.readouterr()
+    assert "max |exact - closed|" in captured.out
+    assert "truncation leakage" in captured.out
+    assert captured.err.startswith("cavens: warning: truncation defect")
+    assert captured.err.count("\n") == 1
+    # the warning goes to stderr without --out too, leaving the CSV on stdout alone
+    assert main(["oracle-check", "--config", str(cfg), "--nmax", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text(encoding="utf-8")
+    assert captured.err.startswith("cavens: warning: truncation defect")
+
+
+def test_cli_oracle_check_vacuum_does_not_warn(tmp_path, capsys):
+    # no drive and a vacuum start: nothing leaves the vacuum, so the leakage is 0
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text("preset = AN\nchi = 0\ninit_na = 0\ninit_nb = 0\ninit_nc = 0\n"
+                   "t_max = 0.5\nsamples = 3\n", encoding="utf-8")
+    assert main(["oracle-check", "--config", str(cfg), "--nmax", "3",
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    captured = capsys.readouterr()
+    assert "truncation leakage (top-level population): 0.000e+00" in captured.out
+    assert captured.err == ""
 
 
 def test_cli_numeric_failure_exit_code(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from cavens.oracle import (
     moments_from_density,
     thermal_state,
 )
+from conftest import system_params
 
 
 def test_basis_spec_enforces_cap():
@@ -74,17 +75,8 @@ def test_generator_trace_preserving_on_random_hermitian(rng):
         assert abs(np.trace(L.apply(herm))) < 1e-10
 
 
-_coefficient = st.floats(-2.0, 2.0, allow_nan=False)
-_rate = st.floats(0.0, 2.0, allow_nan=False)
-
-
 @settings(max_examples=30, deadline=None)
-@given(
-    st.builds(SystemParams, delta_a=_coefficient, delta_b=_coefficient, delta_c=_coefficient,
-              g_a=_coefficient, g_b=_coefficient, chi=_coefficient,
-              gamma_a=_rate, gamma_b=_rate, gamma_c=_rate, n_a=_rate, n_b=_rate, n_c=_rate),
-    st.integers(0, 2**32 - 1),
-)
+@given(system_params, st.integers(0, 2**32 - 1))
 def test_superoperator_matches_operator_form(p, seed):
     """L.apply equals -i[H, rho] + sum_x Gamma_x((nbar_x + 1) D[x] + nbar_x D[xd]) rho."""
     spec = FockBasisSpec(2)
