@@ -8,7 +8,9 @@ from .model import (
     MomentState,
     Scenario,
     SystemParams,
+    conjugate_mismatch,
     initial_state,
+    occupation_defect,
     preset_params,
     validate_params,
 )
@@ -29,7 +31,7 @@ from .closure import (
     number_triple_product,
     pair_moment,
 )
-from .witnesses import InternalConsistencyError, WitnessRecord, evaluate
+from .witnesses import WITNESS_NAMES, InternalConsistencyError, witness_table
 from .oracle import (
     DensityMatrix,
     FockBasisSpec,
@@ -37,7 +39,7 @@ from .oracle import (
     build_generator,
     closure_report,
     evolve,
-    expectation,
+    exact_correlators,
     moments_from_density,
 )
 from .runner import SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix

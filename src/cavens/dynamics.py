@@ -85,13 +85,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.taus.size
 
-    def state_at(self, i: int) -> MomentState:
-        return MomentState(self.states[i])
-
-    def slot(self, slot: Moment) -> np.ndarray:
-        """Time series of one moment."""
-        return self.states[:, slot]
-
 
 def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Derive (M, b) from the drift K and drive f by the product rule.

@@ -25,18 +25,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import IntegrationError, NoSteadyStateError, Trajectory
+from .dynamics import IntegrationError, NoSteadyStateError, Trajectory, integrate
 from .model import (
     MOMENT_NAMES,
-    Moment,
     Scenario,
     SystemParams,
     initial_state,
+    occupations,
     preset_params,
 )
 from .oracle import ClosureReport, FockBasisSpec, PositivityError, closure_report
@@ -45,10 +45,7 @@ from .witnesses import WITNESS_NAMES, InternalConsistencyError
 
 __all__ = ["ConfigError", "parse_config", "format_config", "emit_csv", "main"]
 
-_PARAM_KEYS = (
-    "delta_a", "delta_b", "delta_c", "g_a", "g_b", "chi",
-    "gamma_a", "gamma_b", "gamma_c", "n_a", "n_b", "n_c",
-)
+_PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 _RUN_KEYS = ("init_na", "init_nb", "init_nc", "t_max", "samples", "threshold")
 _ALL_KEYS = ("preset",) + _PARAM_KEYS + _RUN_KEYS
 # oracle-check warns when the truncated commutator defect reaches this
@@ -120,20 +117,7 @@ def parse_config(text: str) -> Scenario:
         except ValueError as exc:
             raise ConfigError(str(exc), lineno) from None
     else:
-        params = SystemParams(
-            delta_a=number("delta_a", 1.0),
-            delta_b=number("delta_b", 1.0),
-            delta_c=number("delta_c", 1.0),
-            g_a=number("g_a", 0.0),
-            g_b=number("g_b", 0.0),
-            chi=number("chi", 0.0),
-            gamma_a=number("gamma_a", 0.0),
-            gamma_b=number("gamma_b", 0.0),
-            gamma_c=number("gamma_c", 0.0),
-            n_a=number("n_a", 0.0),
-            n_b=number("n_b", 0.0),
-            n_c=number("n_c", 0.0),
-        )
+        params = SystemParams(**{f.name: number(f.name, f.default) for f in fields(SystemParams)})
     try:
         return Scenario(
             params=params,
@@ -153,13 +137,7 @@ def parse_config(text: str) -> Scenario:
 def format_config(scenario: Scenario) -> str:
     """Echo a scenario as explicit-parameter config text (parse round trips)."""
     p = scenario.params
-    init = scenario.initial.values
-    occ = [init[s].real for s in (Moment.AdA, Moment.BdB, Moment.CdC)]
-    rest = init.copy()
-    for s in (Moment.AdA, Moment.BdB, Moment.CdC):
-        rest[s] = 0.0
-    if np.abs(rest).max() > 0:
-        raise ValueError("only occupation-only initial states can be echoed")
+    occ = occupations(scenario.initial)
     lines = [f"{key} = {_fmt(getattr(p, key))}" for key in _PARAM_KEYS]
     lines += [
         f"init_na = {_fmt(occ[0])}",
@@ -371,10 +349,10 @@ def main(argv=None) -> int:
         scenario = _resolve_scenario(args)
         dest = sys.stdout if args.out is None else args.out
         if args.command == "simulate":
-            traj, series = run_scenario(scenario)
             if args.moments:
-                emit_csv(traj, dest)
+                emit_csv(integrate(scenario), dest)
             else:
+                _, series = run_scenario(scenario)
                 columns = None
                 if args.witnesses:
                     columns = [c.strip() for c in args.witnesses.split(",") if c.strip()]

@@ -10,12 +10,14 @@ in ``MOMENT_NAMES`` (three means, their conjugates, squared amplitudes,
 occupations and all cross-mode pair moments).  Physical states satisfy
 conjugate-pair consistency, e.g. ``<Ad> == conj(<A>)`` and
 ``<AdBd> == conj(<AB>)``; the pairing is tabulated in ``CONJUGATE_PAIRS``.
+``conjugate_mismatch`` and ``occupation_defect`` give the largest violation
+of these invariants over a ``(..., 27)`` stack of states.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 
 import numpy as np
@@ -32,6 +34,9 @@ __all__ = [
     "preset_params",
     "initial_state",
     "validate_params",
+    "occupations",
+    "conjugate_mismatch",
+    "occupation_defect",
 ]
 
 MODES = ("A", "B", "C")
@@ -151,12 +156,9 @@ def validate_params(p: SystemParams) -> list[str]:
     for name in ("gamma_a", "gamma_b", "gamma_c", "n_a", "n_b", "n_c"):
         if getattr(p, name) < 0:
             problems.append(f"{name} must be >= 0")
-    for name in (
-        "delta_a", "delta_b", "delta_c", "g_a", "g_b", "chi",
-        "gamma_a", "gamma_b", "gamma_c", "n_a", "n_b", "n_c",
-    ):
-        if not np.isfinite(getattr(p, name)):
-            problems.append(f"{name} must be finite")
+    for f in fields(SystemParams):
+        if not np.isfinite(getattr(p, f.name)):
+            problems.append(f"{f.name} must be finite")
     return problems
 
 
@@ -212,19 +214,6 @@ class MomentState:
     def zeros(cls) -> "MomentState":
         return cls(np.zeros(27, dtype=complex))
 
-    def conjugate_mismatch(self) -> float:
-        """Largest violation of conjugate-pair consistency across all 12 pairs."""
-        v = self.values
-        return max(abs(v[i] - np.conj(v[j])) for i, j in CONJUGATE_PAIRS)
-
-    def occupation_defect(self) -> float:
-        """Largest imaginary part or negativity among the three occupations."""
-        v = self.values
-        worst = 0.0
-        for slot in OCCUPATIONS:
-            worst = max(worst, abs(v[slot].imag), max(0.0, -v[slot].real))
-        return worst
-
     def with_slot(self, slot: "Moment | int", value: complex) -> "MomentState":
         v = self.values.copy()
         v[slot] = value
@@ -246,6 +235,34 @@ def initial_state(n_a0: float, n_b0: float, n_c0: float) -> MomentState:
     for slot, n in zip(OCCUPATIONS, occ):
         v[slot] = n
     return MomentState(v)
+
+
+def occupations(initial: MomentState) -> tuple[float, float, float]:
+    """The three occupations of an occupation-only state, as ``initial_state`` takes them.
+
+    Raises ``ValueError`` when any other moment is nonzero, since only a
+    phase-insensitive state is fixed by its occupations alone.
+    """
+    rest = np.delete(initial.values, OCCUPATIONS)
+    if np.abs(rest).max() > 0:
+        raise ValueError("initial state must be phase-insensitive (occupations only)")
+    return tuple(float(initial.values[slot].real) for slot in OCCUPATIONS)
+
+
+_CONJUGATE_SLOTS = np.array(CONJUGATE_PAIRS).T
+
+
+def conjugate_mismatch(states: np.ndarray) -> float:
+    """Largest violation of conjugate-pair consistency over a ``(..., 27)`` stack."""
+    v = np.asarray(states)
+    i, j = _CONJUGATE_SLOTS
+    return float(np.abs(v[..., i] - np.conj(v[..., j])).max(initial=0.0))
+
+
+def occupation_defect(states: np.ndarray) -> float:
+    """Largest imaginary part or negativity of an occupation over a ``(..., 27)`` stack."""
+    occ = np.asarray(states)[..., OCCUPATIONS]
+    return float(np.maximum(np.abs(occ.imag), -occ.real).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ The generator is one sparse superoperator on vec(rho), built once per run,
 so each RK45 right-hand side is one matvec; the basis dimension is capped
 (default 512 = three modes at eight levels each, n_max 7, where the
 superoperator holds 3.4e6 nonzeros).
+
+Every expectation Tr[rho O] comes from ``exact_correlators``, batched over a
+``(..., d, d)`` density stack: ``moments_from_density`` reads the 27 stored
+moments from it, and ``witness_table(exact_correlators(rhos, spec))`` is the
+witness catalog on exact instead of decoupled correlators.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from scipy.integrate import RK45
 
 from .closure import SLOT_WORDS, OperatorFactor, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
-from .model import Moment, MomentState, Scenario, SystemParams
-from .witnesses import WITNESS_NAMES, Correlators, WitnessRecord, decoupled, witness_table
+from .model import Scenario, SystemParams, occupations
+from .witnesses import WITNESS_NAMES, Correlators, decoupled, witness_table
 
 __all__ = [
     "FockBasisSpec",
@@ -43,10 +48,8 @@ __all__ = [
     "build_generator",
     "evolve",
     "evolve_path",
-    "expectation",
-    "moments_from_density",
     "exact_correlators",
-    "exact_witnesses",
+    "moments_from_density",
     "thermal_state",
     "fock_state",
     "coherent_state",
@@ -307,39 +310,14 @@ def _word_op_entries(spec: FockBasisSpec, word: tuple):
     return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
 
-def expectation(
-    rho: "DensityMatrix | np.ndarray",
-    word: Sequence[OperatorFactor],
-    spec: FockBasisSpec | None = None,
-) -> complex:
-    """Tr[rho * product(word)], exact on the truncated basis."""
-    if isinstance(rho, DensityMatrix):
-        spec = rho.spec
-        rho = rho.matrix
-    if spec is None:
-        raise ValueError("spec is required when rho is a bare array")
-    if len(word) > 6:
-        raise ValueError("operator words longer than 6 are not supported")
-    if not word:
-        return complex(np.trace(rho))
-    # Tr[rho O] = sum over stored entries O[r, c] * rho[c, r]
-    rows, cols, data = _word_op_entries(spec, tuple(word))
-    return complex(np.dot(data, rho[cols, rows]))
-
-
-def moments_from_density(
-    rho: "DensityMatrix | np.ndarray", spec: FockBasisSpec | None = None
-) -> MomentState:
-    """All 27 stored moments of a density matrix, for oracle cross-checks."""
-    return MomentState([expectation(rho, word, spec) for word in SLOT_WORDS])
-
-
 def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:
     """Exact expectations of operator words for a ``(..., d, d)`` density stack.
 
-    Values are taken on the Hermitian part (rho + rho^dagger)/2, which drops
-    the integrator's antisymmetric noise, so the moments are
-    conjugate-consistent at machine precision.
+    ``exact_correlators(rhos, spec).word(*word)`` is Tr[rho word] with the
+    stack's leading shape, summed as O[r, c] rho[c, r] over the stored
+    entries of the word operator.  Values are taken on the Hermitian part
+    (rho + rho^dagger)/2, which drops the integrator's antisymmetric noise,
+    so the moments are conjugate-consistent at machine precision.
     """
     rhos = np.asarray(rhos)
 
@@ -351,19 +329,10 @@ def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:
     return Correlators(correlate)
 
 
-def exact_witnesses(
-    rho: "DensityMatrix | np.ndarray", spec: FockBasisSpec | None = None
-) -> WitnessRecord:
-    """The witness catalog computed from exact truncated-basis correlators.
-
-    The same witness formulas as the moment pipeline, fed with exact moments
-    and exact fourth- and sixth-order correlators from rho instead of
-    decoupled ones.
-    """
-    if isinstance(rho, DensityMatrix):
-        spec = rho.spec
-        rho = rho.matrix
-    return WitnessRecord.from_row(witness_table(exact_correlators(rho, spec)))
+def moments_from_density(rhos: np.ndarray, spec: FockBasisSpec) -> np.ndarray:
+    """All 27 stored moments of a ``(..., d, d)`` density stack, shape ``(..., 27)``."""
+    exact = exact_correlators(rhos, spec)
+    return np.stack([exact.word(*word) for word in SLOT_WORDS], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -410,16 +379,7 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
     product) and tabulates the pipeline's decoupled fourth/sixth-order
     correlators and witnesses against exact oracle values.
     """
-    init = scenario.initial.values.copy()
-    occs = [init[s].real for s in (Moment.AdA, Moment.BdB, Moment.CdC)]
-    rest = init.copy()
-    for s in (Moment.AdA, Moment.BdB, Moment.CdC):
-        rest[s] = 0.0
-    if np.abs(rest).max() > 0.0:
-        raise ValueError(
-            "closure_report needs phase-insensitive initial data (occupations only)"
-        )
-
+    occs = occupations(scenario.initial)
     traj = integrate(scenario)
     rho0 = thermal_state(basis, occs)
     L = build_generator(scenario.params, basis)

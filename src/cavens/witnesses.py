@@ -19,7 +19,6 @@ raises ``InternalConsistencyError`` instead of being silently discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "InternalConsistencyError",
     "Correlators",
     "decoupled",
-    "WitnessRecord",
     "mandel_q",
     "antibunch_single",
     "antibunch_inter",
@@ -59,7 +57,6 @@ __all__ = [
     "steering",
     "bisep",
     "witness_table",
-    "evaluate",
 ]
 
 IMAG_TOL = 1e-10
@@ -256,21 +253,17 @@ def bisep(state, partition: tuple[str, str, str]):
     return e, eprime
 
 
-# (record field, key) of every table column, in column order
-_COLUMNS = (
-    tuple(("mandel", m) for m in MODE_KEYS)
-    + tuple(("antibunch", m) for m in MODE_KEYS)
-    + tuple(("antibunch_pair", p) for p in PAIR_KEYS)
-    + tuple((f, m) for m in MODE_KEYS for f in ("var_x", "var_y"))
-    + tuple((f, p) for p in PAIR_KEYS for f in ("var_x_pair", "var_y_pair"))
-    + tuple((f, p) for f in ("duan", "hz_e", "hz_etilde") for p in PAIR_KEYS)
-    + tuple(("steering", k) for k in ORDERED_PAIR_KEYS)
-    + tuple((f, k) for f in ("bisep_e", "bisep_eprime") for k in PARTITION_KEYS)
+# column order of every witness table; a partition "AB|C" is named "AB_C"
+WITNESS_NAMES = (
+    tuple(f"mandel_{m}" for m in MODE_KEYS)
+    + tuple(f"antibunch_{k}" for k in MODE_KEYS + PAIR_KEYS)
+    + tuple(f"{f}_{k}" for k in MODE_KEYS + PAIR_KEYS for f in ("var_x", "var_y"))
+    + tuple(f"{f}_{p}" for f in ("duan", "hz_e", "hz_etilde") for p in PAIR_KEYS)
+    + tuple(f"steering_{k}" for k in ORDERED_PAIR_KEYS)
+    + tuple(f"{f}_{k.replace('|', '_')}" for f in ("bisep_e", "bisep_eprime")
+            for k in PARTITION_KEYS)
 )
-WITNESS_NAMES = tuple(
-    f"{field.removesuffix('_pair')}_{key.replace('|', '_')}" for field, key in _COLUMNS
-)
-_MAY_BE_NAN = np.array([field == "mandel" for field, _ in _COLUMNS])
+_MAY_BE_NAN = np.array([name.startswith("mandel_") for name in WITNESS_NAMES])
 
 
 def witness_table(state) -> np.ndarray:
@@ -284,20 +277,21 @@ def witness_table(state) -> np.ndarray:
     src = _source(state)
     v = {}
     for m in MODE_KEYS:
-        v["mandel", m] = mandel_q(src, m)
-        v["antibunch", m] = antibunch_single(src, m)
-        v["var_x", m], v["var_y", m] = quadrature_variances(src, m)
+        v[f"mandel_{m}"] = mandel_q(src, m)
+        v[f"antibunch_{m}"] = antibunch_single(src, m)
+        v[f"var_x_{m}"], v[f"var_y_{m}"] = quadrature_variances(src, m)
     for key in PAIR_KEYS:
         pair = tuple(key)
-        v["antibunch_pair", key] = antibunch_inter(src, pair)
-        v["var_x_pair", key], v["var_y_pair", key] = intermodal_quadrature_variances(src, pair)
-        v["duan", key] = duan(src, pair)
-        v["hz_e", key], v["hz_etilde", key] = hz_pair(src, pair)
+        v[f"antibunch_{key}"] = antibunch_inter(src, pair)
+        v[f"var_x_{key}"], v[f"var_y_{key}"] = intermodal_quadrature_variances(src, pair)
+        v[f"duan_{key}"] = duan(src, pair)
+        v[f"hz_e_{key}"], v[f"hz_etilde_{key}"] = hz_pair(src, pair)
     for key in ORDERED_PAIR_KEYS:
-        v["steering", key] = steering(src, tuple(key))
+        v[f"steering_{key}"] = steering(src, tuple(key))
     for key in PARTITION_KEYS:
-        v["bisep_e", key], v["bisep_eprime", key] = bisep(src, tuple(key.replace("|", "")))
-    table = np.stack([v[column] for column in _COLUMNS], axis=-1)
+        name = key.replace("|", "_")
+        v[f"bisep_e_{name}"], v[f"bisep_eprime_{name}"] = bisep(src, tuple(key.replace("|", "")))
+    table = np.stack([v[name] for name in WITNESS_NAMES], axis=-1)
     bad = ~(np.isfinite(table) | _MAY_BE_NAN)
     if bad.any():
         where = tuple(np.argwhere(bad)[0])
@@ -305,35 +299,3 @@ def witness_table(state) -> np.ndarray:
             f"non-finite witness value {WITNESS_NAMES[where[-1]]}={table[where]}"
         )
     return table
-
-
-@dataclass(frozen=True)
-class WitnessRecord:
-    """All witness values at one time point, keyed by mode/pair/partition."""
-
-    mandel: dict
-    antibunch: dict
-    antibunch_pair: dict
-    var_x: dict
-    var_y: dict
-    var_x_pair: dict
-    var_y_pair: dict
-    duan: dict
-    hz_e: dict
-    hz_etilde: dict
-    steering: dict
-    bisep_e: dict
-    bisep_eprime: dict
-
-    @classmethod
-    def from_row(cls, row) -> "WitnessRecord":
-        """The record of one ``witness_table`` row."""
-        values = {f.name: {} for f in fields(cls)}
-        for (field, key), value in zip(_COLUMNS, row):
-            values[field][key] = float(value)
-        return cls(**values)
-
-
-def evaluate(state: MomentState) -> WitnessRecord:
-    """Evaluate the full witness catalog at one state."""
-    return WitnessRecord.from_row(witness_table(state))

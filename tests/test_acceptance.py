@@ -17,6 +17,7 @@ from cavens.model import (
     Moment,
     Scenario,
     SystemParams,
+    conjugate_mismatch,
     initial_state,
     preset_params,
 )
@@ -24,13 +25,13 @@ from cavens.oracle import (
     FockBasisSpec,
     build_generator,
     evolve_path,
-    expectation,
+    exact_correlators,
     moments_from_density,
     thermal_state,
     _word_for_name,
 )
 from cavens.runner import run_scenario, table_matrix
-from cavens.witnesses import evaluate, mandel_q, steering, antibunch_single
+from cavens.witnesses import WITNESS_NAMES, mandel_q, steering, antibunch_single, witness_table
 from conftest import make_coherent_state, make_random_state, rotate_mode_a
 
 ALL_CONFIGS = ("AA", "AN", "NA", "NN")
@@ -45,8 +46,7 @@ def test_criterion_1_conjugate_consistency():
     for cfg in ALL_CONFIGS:
         for chi in (0.0, 0.2):
             traj = integrate(Scenario(params=preset_params(cfg, chi)))
-            worst = max(worst, max(traj.state_at(i).conjugate_mismatch()
-                                   for i in range(len(traj))))
+            worst = max(worst, conjugate_mismatch(traj.states))
     ok = worst < 1e-8
     _report(1, ok, f"max conjugate-pair mismatch {worst:.2e} (< 1e-8)")
     assert ok
@@ -133,7 +133,7 @@ def test_criterion_4_oracle_second_moment_equivalence(oracle_cross_data):
     worst_where = None
     for (cfg, chi), (traj, rhos, spec) in oracle_cross_data.items():
         for i in range(len(traj)):
-            om = moments_from_density(rhos[i], spec).values
+            om = moments_from_density(rhos[i], spec)
             err = np.abs(om[second_slots] - traj.states[i][second_slots])
             j = int(np.argmax(err))
             if err[j] > worst:
@@ -151,11 +151,11 @@ def test_criterion_5_closure_exact_for_zero_mean_data(oracle_cross_data):
     for cfg in ("AN", "NA"):
         traj, rhos, spec = oracle_cross_data[(cfg, 0.0)]
         for i in range(len(traj)):
-            state = traj.state_at(i)
+            state = traj.states[i]
             for a, b in pairs:
                 dec = decouple4(state, creator(a), annihilator(a),
                                 creator(b), annihilator(b))
-                exact = expectation(rhos[i], _word_for_name(f"{a}d{a}{b}d{b}"), spec)
+                exact = exact_correlators(rhos[i], spec).word(*_word_for_name(f"{a}d{a}{b}d{b}"))
                 worst = max(worst, abs(dec - exact))
     ok = worst < 1e-3
     _report(5, ok, f"max |decoupled - exact <nd n>| = {worst:.3e} (< 1e-3, zero mean)")
@@ -302,30 +302,30 @@ def test_criterion_8_witness_algebra_suite():
             worst = max(worst, abs(lhs - (occ_x - occ_y) / 2))
         # phase covariance of the phase-insensitive witnesses
         rot = rotate_mode_a(s, rng.uniform(0, 2 * np.pi))
-        r1, r2 = evaluate(s), evaluate(rot)
-        for field in ("antibunch", "antibunch_pair", "hz_e", "hz_etilde", "steering"):
-            d1, d2 = getattr(r1, field), getattr(r2, field)
-            worst = max(worst, max(abs(d1[k] - d2[k]) for k in d1))
+        r1, r2 = (dict(zip(WITNESS_NAMES, witness_table(x))) for x in (s, rot))
+        # antibunch_A..antibunch_AC, hz_e_*, hz_etilde_* and steering_*: 18 columns
+        phase_free = [n for n in WITNESS_NAMES if n.startswith(("antibunch_", "hz_e", "steering_"))]
+        worst = max(worst, max(abs(r1[n] - r2[n]) for n in phase_free))
 
     boundary_worst = 0.0
     for _ in range(100):
         a, b, c = (rng.normal(scale=0.7) + 1j * rng.normal(scale=0.7) for _ in range(3))
-        rec = evaluate(make_coherent_state(a, b, c))
+        rec = dict(zip(WITNESS_NAMES, witness_table(make_coherent_state(a, b, c))))
         occs = {"A": abs(a) ** 2, "B": abs(b) ** 2, "C": abs(c) ** 2}
         devs = []
-        devs += [abs(rec.antibunch[m]) for m in occs]
-        devs += [abs(rec.var_x[m] - 0.25) for m in occs]
-        devs += [abs(rec.var_y[m] - 0.25) for m in occs]
-        devs += [abs(rec.antibunch_pair[p]) for p in ("AB", "BC", "AC")]
-        devs += [abs(rec.var_x_pair[p] - 0.25) for p in ("AB", "BC", "AC")]
-        devs += [abs(rec.var_y_pair[p] - 0.25) for p in ("AB", "BC", "AC")]
-        devs += [abs(rec.duan[p]) for p in ("AB", "BC", "AC")]
-        devs += [abs(rec.hz_e[p]) for p in ("AB", "BC", "AC")]
-        devs += [abs(rec.hz_etilde[p]) for p in ("AB", "BC", "AC")]
-        devs += [abs(rec.steering[op] - occs[op[0]] / 2)
+        devs += [abs(rec[f"antibunch_{m}"]) for m in occs]
+        devs += [abs(rec[f"var_x_{m}"] - 0.25) for m in occs]
+        devs += [abs(rec[f"var_y_{m}"] - 0.25) for m in occs]
+        devs += [abs(rec[f"antibunch_{p}"]) for p in ("AB", "BC", "AC")]
+        devs += [abs(rec[f"var_x_{p}"] - 0.25) for p in ("AB", "BC", "AC")]
+        devs += [abs(rec[f"var_y_{p}"] - 0.25) for p in ("AB", "BC", "AC")]
+        devs += [abs(rec[f"duan_{p}"]) for p in ("AB", "BC", "AC")]
+        devs += [abs(rec[f"hz_e_{p}"]) for p in ("AB", "BC", "AC")]
+        devs += [abs(rec[f"hz_etilde_{p}"]) for p in ("AB", "BC", "AC")]
+        devs += [abs(rec[f"steering_{op}"] - occs[op[0]] / 2)
                  for op in ("AB", "BA", "BC", "CB", "AC", "CA")]
-        devs += [abs(rec.bisep_e[k]) for k in ("AB|C", "BC|A", "AC|B")]
-        devs += [abs(rec.bisep_eprime[k]) for k in ("AB|C", "BC|A", "AC|B")]
+        devs += [abs(rec[f"bisep_e_{k}"]) for k in ("AB_C", "BC_A", "AC_B")]
+        devs += [abs(rec[f"bisep_eprime_{k}"]) for k in ("AB_C", "BC_A", "AC_B")]
         boundary_worst = max(boundary_worst, max(devs))
 
     ok = worst < 1e-10 and boundary_worst < 1e-10

@@ -59,18 +59,18 @@ def test_decouple3_coherent_factorizes():
 
 def test_decouple3_plus_state_matches_fock_expectation():
     """Product of (|0> + |1>)/sqrt(2): decoupled <ABC> equals the exact 1/8."""
-    from cavens.oracle import DensityMatrix, FockBasisSpec, expectation, moments_from_density
+    from cavens.oracle import FockBasisSpec, exact_correlators, moments_from_density
 
     spec = FockBasisSpec(3)
     c = np.zeros(spec.local_dim, dtype=complex)
     c[0] = c[1] = 1 / np.sqrt(2)
     vec = np.kron(np.kron(c, c), c)
-    rho = DensityMatrix(np.outer(vec, vec.conj()), spec)
-    state = moments_from_density(rho)
+    rho = np.outer(vec, vec.conj())
+    state = moments_from_density(rho, spec)
     word = (annihilator("A"), annihilator("B"), annihilator("C"))
     dec = decouple3(state, *word)
     assert dec == pytest.approx(0.125, abs=1e-12)
-    assert dec == pytest.approx(expectation(rho, word), abs=1e-12)
+    assert dec == pytest.approx(exact_correlators(rho, spec).word(*word), abs=1e-12)
 
 
 def test_decouple4_occupation_pairing_only():

@@ -16,14 +16,16 @@ from cavens.dynamics import (
     steady_state_first_moments,
 )
 from cavens.model import (
-    CONJUGATE_PAIRS,
     Moment,
     MomentState,
     Scenario,
     SystemParams,
+    conjugate_mismatch,
     initial_state,
+    occupation_defect,
     preset_params,
 )
+from cavens.witnesses import witness_table
 from conftest import make_random_state, system_params
 
 
@@ -71,9 +73,7 @@ def test_rhs_preserves_conjugate_consistency(rng):
     p = preset_params("AN", 0.2)
     for _ in range(20):
         s = make_random_state(rng)
-        d = rhs(s, p)
-        for i, j in CONJUGATE_PAIRS:
-            assert abs(d[i] - np.conj(d[j])) < 1e-13
+        assert conjugate_mismatch(rhs(s, p)) < 1e-13
 
 
 def test_rhs_linearity(rng):
@@ -98,8 +98,7 @@ def test_rhs_matches_lindblad_generator(p, seed):
     exact on an n_max = 3 basis, so the comparison pins each coefficient to
     machine precision, on random valid parameters.
     """
-    from cavens.closure import SLOT_WORDS
-    from cavens.oracle import FockBasisSpec, build_generator, expectation, moments_from_density
+    from cavens.oracle import FockBasisSpec, build_generator, moments_from_density
 
     spec = FockBasisSpec(3)
     M, b = coefficient_matrix(p)
@@ -114,9 +113,9 @@ def test_rhs_matches_lindblad_generator(p, seed):
         small /= np.trace(small)
         rho = np.zeros((spec.dim, spec.dim), dtype=complex)
         rho[np.ix_(idx, idx)] = small
-        s = moments_from_density(rho, spec).values
+        s = moments_from_density(rho, spec)
         drho = L.apply(rho)
-        lindblad = np.array([expectation(drho, w, spec) for w in SLOT_WORDS])
+        lindblad = moments_from_density(drho, spec)
         np.testing.assert_allclose(lindblad, M @ s + b, rtol=0, atol=1e-12)
 
 
@@ -166,8 +165,22 @@ def test_conjugate_consistency_along_trajectories():
     for cfg in ("AN", "NA"):
         traj = integrate(Scenario(params=preset_params(cfg, 0.2),
                                   t_max=10.0, sample_count=201))
-        worst = max(traj.state_at(i).conjugate_mismatch() for i in range(len(traj)))
+        worst = conjugate_mismatch(traj.states)
         assert worst < 1e-10
+
+
+_occupation = st.floats(0.0, 2.0)
+
+
+@settings(deadline=None)
+@given(system_params, _occupation, _occupation, _occupation)
+def test_invariants_hold_on_random_parameters(p, n_a0, n_b0, n_c0):
+    """Random valid parameters keep every sample conjugate-consistent and physical."""
+    traj = integrate(Scenario(params=p, initial=initial_state(n_a0, n_b0, n_c0),
+                              t_max=5.0, sample_count=51))
+    assert conjugate_mismatch(traj.states) < 1e-8
+    assert occupation_defect(traj.states) < 1e-8
+    witness_table(traj.states)  # raises on an imaginary residue or a non-finite value
 
 
 def test_steady_state_homogeneous_is_zero():

@@ -204,6 +204,19 @@ def test_cli_simulate_moments_and_filter(tmp_path, capsys):
     assert captured.out.splitlines()[0] == "tau,duan_AC"
 
 
+def test_cli_simulate_moments_evaluates_no_witness(tmp_path):
+    # at t_max 200 RK45's conjugate drift leaves witness residues above
+    # IMAG_TOL on this run; the moment CSV needs no witness, so it is written
+    out = tmp_path / "m.csv"
+    assert main(["simulate", "--preset", "AN", "--chi", "0.2", "--tmax", "200",
+                 "--samples", "21", "--moments", "--out", str(out)]) == 0
+    expected = io.StringIO()
+    emit_csv(integrate(Scenario(params=preset_params("AN", 0.2), t_max=200.0,
+                                sample_count=21)), expected)
+    assert out.read_text(encoding="utf-8") == expected.getvalue()
+    assert len(expected.getvalue().splitlines()) == 22
+
+
 def test_cli_simulate_with_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = AN\nchi = 0.1\nt_max = 1\nsamples = 4\n", encoding="utf-8")

@@ -7,7 +7,10 @@ from cavens.model import (
     MomentState,
     Scenario,
     SystemParams,
+    conjugate_mismatch,
     initial_state,
+    occupation_defect,
+    occupations,
     preset_params,
     validate_params,
 )
@@ -65,8 +68,8 @@ def test_initial_state_unit_occupations():
     assert s[Moment.CdC] == 1.0
     others = [s[i] for i in range(27) if i not in (Moment.AdA, Moment.BdB, Moment.CdC)]
     assert all(z == 0 for z in others)
-    assert s.conjugate_mismatch() == 0.0
-    assert s.occupation_defect() == 0.0
+    assert conjugate_mismatch(s.values) == 0.0
+    assert occupation_defect(s.values) == 0.0
 
 
 def test_initial_state_vacuum_and_scaled():
@@ -117,3 +120,20 @@ def test_scenario_rejects_invalid_params(changes):
     # the integrator never returns on a non-finite right-hand side
     with pytest.raises(ValueError, match="must be"):
         Scenario(params=preset_params("AN", 0.2)).with_params(**changes)
+
+
+def test_invariant_checks_take_a_stack():
+    states = np.stack([initial_state(1, 1, 1).values] * 3)
+    assert conjugate_mismatch(states) == 0.0
+    assert occupation_defect(states) == 0.0
+    states[1, Moment.AB] = 0.5  # <AB> no longer conj(<AdBd>) = 0
+    states[2, Moment.BdB] = -0.25 + 1e-3j
+    assert conjugate_mismatch(states) == 0.5
+    assert occupation_defect(states) == 0.25
+    assert conjugate_mismatch(states[0]) == occupation_defect(states[0]) == 0.0
+
+
+def test_occupations_reads_only_occupation_states():
+    assert occupations(initial_state(0.2, 0.5, 0.0)) == (0.2, 0.5, 0.0)
+    with pytest.raises(ValueError, match="phase-insensitive"):
+        occupations(initial_state(1, 1, 1).with_slot(Moment.ABd, 0.1j))

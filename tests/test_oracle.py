@@ -19,12 +19,18 @@ from cavens.oracle import (
     coherent_state,
     evolve,
     evolve_path,
-    expectation,
+    exact_correlators,
     fock_state,
     moments_from_density,
     thermal_state,
 )
+from cavens.witnesses import WITNESS_NAMES, witness_table
 from conftest import system_params
+
+
+def _expect(rho: DensityMatrix, *word):
+    """Tr[rho word] of one density matrix."""
+    return exact_correlators(rho.matrix, rho.spec).word(*word)
 
 
 def test_basis_spec_enforces_cap():
@@ -41,7 +47,7 @@ def test_single_mode_decay():
     p = SystemParams(delta_a=0, delta_b=0, delta_c=0, gamma_a=1.0)
     L = build_generator(p, spec)
     rho = evolve(fock_state(spec, (1, 0, 0)), L, 1.0)
-    n = expectation(rho, (creator("A"), annihilator("A")))
+    n = _expect(rho, creator("A"), annihilator("A"))
     assert abs(n.real - np.exp(-1.0)) < 1e-7
 
 
@@ -51,7 +57,7 @@ def test_beam_splitter_rabi_exchange():
     L = build_generator(p, spec)
     for t in (0.7, 1.9):
         rho = evolve(fock_state(spec, (1, 0, 0)), L, t)
-        n = expectation(rho, (creator("A"), annihilator("A"))).real
+        n = _expect(rho, creator("A"), annihilator("A")).real
         assert abs(n - np.cos(0.5 * t) ** 2) < 1e-7
 
 
@@ -61,7 +67,7 @@ def test_oracle_conserves_excitation_without_damping():
     L = build_generator(p, spec)
     rho = evolve(fock_state(spec, (1, 1, 0)), L, 3.0)
     total = sum(
-        expectation(rho, (creator(m), annihilator(m))).real for m in ("A", "B", "C")
+        _expect(rho, creator(m), annihilator(m)).real for m in ("A", "B", "C")
     )
     assert abs(total - 2.0) < 1e-7
 
@@ -158,7 +164,7 @@ def test_thermal_second_moments_match_dynamics_at_t1():
     traj = integrate(sc)
     L = build_generator(sc.params, spec)
     rho = evolve(thermal_state(spec, (0.2, 0.2, 0.2)), L, 1.0)
-    oracle_moments = moments_from_density(rho).values
+    oracle_moments = moments_from_density(rho.matrix, spec)
     assert np.abs(oracle_moments - traj.states[-1]).max() < 1e-4
 
 
@@ -169,48 +175,47 @@ def test_witness_cross_check_against_oracle_at_small_occupations():
     second moments alone carry no closure error, so the only discrepancy is
     integration plus truncation, well under 1e-3.
     """
-    from cavens.oracle import exact_witnesses
-    from cavens.witnesses import evaluate
-
     spec = FockBasisSpec(6)
     sc = Scenario(params=preset_params("AN", 0.2), initial=initial_state(0.2, 0.2, 0.2),
                   t_max=1.0, sample_count=5)
     traj = integrate(sc)
     L = build_generator(sc.params, spec)
     rho = evolve(thermal_state(spec, (0.2, 0.2, 0.2)), L, 1.0)
-    closed = evaluate(traj.state_at(len(traj) - 1))
-    exact = exact_witnesses(rho)
-    for m in ("A", "B", "C"):
-        assert abs(closed.var_x[m] - exact.var_x[m]) < 1e-3
-        assert abs(closed.var_y[m] - exact.var_y[m]) < 1e-3
-    for p in ("AB", "BC", "AC"):
-        assert abs(closed.var_x_pair[p] - exact.var_x_pair[p]) < 1e-3
-        assert abs(closed.var_y_pair[p] - exact.var_y_pair[p]) < 1e-3
-        assert abs(closed.duan[p] - exact.duan[p]) < 1e-3
-        assert abs(closed.hz_etilde[p] - exact.hz_etilde[p]) < 1e-3
+    closed = dict(zip(WITNESS_NAMES, witness_table(traj.states[-1])))
+    exact = dict(zip(WITNESS_NAMES, witness_table(exact_correlators(rho.matrix, spec))))
+    names = [f"{f}_{k}" for f in ("var_x", "var_y") for k in ("A", "B", "C", "AB", "BC", "AC")]
+    names += [f"{f}_{p}" for f in ("duan", "hz_etilde") for p in ("AB", "BC", "AC")]
+    for name in names:
+        assert abs(closed[name] - exact[name]) < 1e-3, name
 
 
-def test_expectation_examples():
+def test_exact_correlator_examples():
     spec = FockBasisSpec(6)
     one = fock_state(spec, (1, 0, 0))
-    assert expectation(one, (creator("A"), annihilator("A"))) == pytest.approx(1.0)
+    assert _expect(one, creator("A"), annihilator("A")) == pytest.approx(1.0)
     vac = fock_state(spec, (0, 0, 0))
-    assert expectation(vac, (annihilator("B"),)) == 0.0
-    assert expectation(vac, (creator("A"), annihilator("A"), annihilator("C"))) == 0.0
+    assert _expect(vac, annihilator("B")) == 0.0
+    assert _expect(vac, creator("A"), annihilator("A"), annihilator("C")) == 0.0
     coh = coherent_state(spec, (0.3, 0.0, 0.0))
-    assert abs(expectation(coh, (annihilator("A"),)) - 0.3) < 1e-6
-    with pytest.raises(ValueError, match="longer than 6"):
-        expectation(vac, (annihilator("A"),) * 7)
+    assert abs(_expect(coh, annihilator("A")) - 0.3) < 1e-6
+    # a stack gives each matrix's value, in the stack's shape
+    stack = np.stack([one.matrix, vac.matrix, coh.matrix]).reshape(3, 1, spec.dim, spec.dim)
+    got = exact_correlators(stack, spec).word(creator("A"), annihilator("A"))
+    assert got.shape == (3, 1)
+    np.testing.assert_array_equal(
+        got[:, 0], [_expect(rho, creator("A"), annihilator("A")) for rho in (one, vac, coh)])
 
 
 def test_moments_from_density_thermal():
     spec = FockBasisSpec(6)
-    state = moments_from_density(thermal_state(spec, (0.2, 0.0, 0.1)))
+    rhos = np.stack([thermal_state(spec, (0.2, 0.0, 0.1)).matrix, fock_state(spec, (1, 0, 2)).matrix])
+    state, fock = moments_from_density(rhos, spec)
     assert abs(state[Moment.AdA] - 0.2) < 1e-4
     assert abs(state[Moment.CdC] - 0.1) < 1e-6
     for slot in range(27):
         if slot not in (Moment.AdA, Moment.BdB, Moment.CdC):
             assert abs(state[slot]) < 1e-12
+    np.testing.assert_allclose(fock, initial_state(1, 0, 2).values, rtol=0, atol=1e-12)
 
 
 def test_density_matrix_validation_errors():
