@@ -13,10 +13,12 @@ this generator; the oracle therefore validates them up to truncation
 leakage, and quantifies the error of the higher-order decoupling rules
 which are *not* exact.
 
-The generator is one sparse superoperator on vec(rho), built once per run,
-so each RK45 right-hand side is one matvec; the basis dimension is capped
+The generator is one real sparse matrix on the d^2 real Hermitian
+coordinates of rho, built once per run, so each DOP853 right-hand side
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) is one real matvec and
+every sampled rho is exactly Hermitian; the basis dimension is capped
 (default 512 = three modes at eight levels each, n_max 7, where the
-superoperator holds 3.4e6 nonzeros).
+generator holds 3.6e6 nonzeros).
 
 Every expectation Tr[rho O] comes from ``exact_correlators``, batched over a
 ``(..., d, d)`` density stack: ``moments_from_density`` reads the 27 stored
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import RK45
+from scipy.integrate import DOP853
 
 from .closure import SLOT_WORDS, OperatorFactor, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
@@ -59,7 +61,7 @@ __all__ = [
 
 _MODE_INDEX = {"A": 0, "B": 1, "C": 2}
 
-# RK45 tolerances of every density propagation
+# DOP853 tolerances of every density propagation
 ATOL = 1e-12
 RTOL = 1e-9
 
@@ -200,14 +202,47 @@ def coherent_state(spec: FockBasisSpec, alphas: Sequence[complex]) -> DensityMat
     return DensityMatrix(m, spec)
 
 
-class Liouvillian:
-    """The Lindblad generator as one sparse superoperator on row-major vec(rho).
+@lru_cache(maxsize=8)
+def _triangles(d: int):
+    """Masks of the diagonal-and-upper and the strictly upper triangle of d x d."""
+    ones = np.ones((d, d), dtype=bool)
+    return np.triu(ones), np.triu(ones, 1)
 
-    With vec(X rho Y) = kron(X, Y^T) vec(rho), the generator is
-    kron(K, I) + kron(I, conj(K)) + sum_J w kron(J, conj(J)) for jump
-    operators J of weight w and the effective Hamiltonian
-    K = -iH - sum_J w Jd J / 2.  ``superop`` is assembled once, as CSR, so
-    the density right-hand side is a single sparse matvec.
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """The d^2 real Hermitian coordinates of a Hermitian rho (see ``Liouvillian``)."""
+    upper, _ = _triangles(rho.shape[-1])
+    return np.where(upper, rho.real, rho.imag.T).ravel()
+
+
+def _write_hermitian(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the exactly Hermitian matrices of coordinates ``x`` (m, d, d) into ``out``."""
+    upper, strict = _triangles(x.shape[-1])
+    xt = x.swapaxes(-1, -2)
+    out.real = np.where(upper, x, xt)
+    out.imag = np.where(strict, xt, np.where(upper, 0.0, -x))
+
+
+def _hermitian_check(rho0: DensityMatrix) -> None:
+    """Reject an initial state the Hermitian coordinates cannot hold."""
+    m = rho0.matrix
+    defect = np.abs(m - m.conj().T).max()
+    if defect > 1e-10:
+        raise ValueError(f"initial state has hermiticity defect {defect:.3e} above 1e-10")
+
+
+class Liouvillian:
+    """The Lindblad generator as one real sparse matrix on rho's Hermitian coordinates.
+
+    A Hermitian rho is held by the d^2 real entries of a d x d matrix X,
+    read row-major: on and above the diagonal X[i, j] = Re rho[i, j], below
+    it X[j, i] = Im rho[i, j] (i < j).  The generator is
+    rho -> K rho + rho Kd + sum_J w J rho Jd for jump operators J of weight w
+    and the effective Hamiltonian K = -iH - sum_J w Jd J / 2.  Each term
+    X rho Yd couples rho[r, s] to rho'[p, q] with X[p, r] conj(Y[q, s]); those
+    complex entries are mapped to real coordinates by index arithmetic and
+    summed into ``superop`` by one CSR conversion, so the right-hand side
+    of the density equation is one real sparse matvec.
     """
 
     def __init__(self, spec: FockBasisSpec, params: SystemParams):
@@ -233,14 +268,47 @@ class Liouvillian:
         jumps = [(w, J) for w, J in jumps if w != 0.0]
         K = -1j * H - 0.5 * sum(w * (J.conj().T @ J) for w, J in jumps)
         eye = sparse.identity(spec.dim, format="csr")
-        gen = sparse.kron(K, eye) + sparse.kron(eye, K.conj())
-        for w, J in jumps:
-            gen = gen + w * sparse.kron(J, J.conj())
-        self.superop = gen.tocsr()
+        terms = [(1.0, K, eye), (1.0, eye, K)] + [(w, J, J) for w, J in jumps]
+        self.superop = _real_superop(terms, spec.dim)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate -i[H, rho] plus all damping dissipators."""
-        return (self.superop @ rho.ravel()).reshape(rho.shape)
+        """Evaluate -i[H, rho] plus all damping dissipators; rho must be Hermitian."""
+        out = np.empty(rho.shape, dtype=complex)
+        _write_hermitian((self.superop @ _coordinates(rho)).reshape(rho.shape), out)
+        return out
+
+
+def _real_superop(terms, d: int) -> sparse.csr_matrix:
+    """CSR matrix on the real Hermitian coordinates of rho -> sum w X rho Yd.
+
+    The complex entry g couples rho[r, s] = x_re + i sigma x_im, with x_re
+    at (min, max) and x_im at (max, min) of (r, s) and sigma = sign(s - r),
+    to rho'[p, q].  A row on or above the diagonal reads Re rho'[p, q], so it
+    gets Re(g) on x_re and -sigma Im(g) on x_im; a row below it reads
+    Im rho'[q, p] = Re(i rho'[p, q]), since rho' is Hermitian, so there g is
+    replaced by i g.  Zero entries are dropped before the one CSR
+    conversion, which sums duplicates.  Indices are int32: d^2 stays far
+    below 2^31.
+    """
+    rows, cols, vals = [], [], []
+    for w, X, Y in terms:
+        X, Y = X.tocoo(), Y.tocoo()
+        p, q = np.ix_(X.row.astype(np.int32), Y.row.astype(np.int32))
+        r, s = np.ix_(X.col.astype(np.int32), Y.col.astype(np.int32))
+        g = w * np.multiply.outer(X.data, Y.data.conj())
+        upper = p <= q
+        row = p * d + q
+        lo, hi = np.minimum(r, s), np.maximum(r, s)
+        for val, col in ((np.where(upper, g.real, -g.imag), lo * d + hi),
+                         (np.where(upper, g.imag, g.real) * np.sign(r - s), hi * d + lo)):
+            keep = val != 0.0
+            rows.append(row[keep])
+            cols.append(col[keep])
+            vals.append(val[keep])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    superop = sparse.coo_matrix((vals, (rows, cols)), shape=(d * d, d * d)).tocsr()
+    superop.eliminate_zeros()
+    return superop
 
 
 def build_generator(p: SystemParams, basis: FockBasisSpec) -> Liouvillian:
@@ -249,41 +317,51 @@ def build_generator(p: SystemParams, basis: FockBasisSpec) -> Liouvillian:
 
 
 def _integrate_rho(rho0: DensityMatrix, L: Liouvillian, t_eval: np.ndarray) -> np.ndarray:
-    """RK45 path sampled at ``t_eval`` (starting at 0) into one preallocated array.
+    """DOP853 path sampled at ``t_eval`` (starting at 0) into one preallocated array.
 
-    Steps the solver as ``solve_ivp(t_eval=...)`` does and fills each step's
-    samples from its dense output, so the values are the same, but the path
-    is held once instead of as per-step chunks joined at the end.
+    Steps ``scipy.integrate.DOP853`` on rho's real Hermitian coordinates and
+    writes each step's dense-output samples straight into the complex
+    ``(n, d, d)`` path, so every sample is exactly Hermitian.
     """
     d = rho0.spec.dim
     superop = L.superop
-    solver = RK45(lambda _t, y: superop @ y, 0.0, rho0.matrix.ravel(), float(t_eval[-1]),
-                  rtol=RTOL, atol=ATOL)
-    path = np.empty((len(t_eval), d * d), dtype=complex)
-    # sample 0 is the initial state itself: the dense output of a zero-length
-    # span (a grid of [0] alone) is real-valued in scipy
-    path[0] = solver.y
+    solver = DOP853(lambda _t, y: superop @ y, 0.0, _coordinates(rho0.matrix),
+                    float(t_eval[-1]), rtol=RTOL, atol=ATOL)
+    path = np.empty((len(t_eval), d, d), dtype=complex)
+    # sample 0 is the initial state itself, also on a grid of [0] alone,
+    # where the solver takes no step
+    _write_hermitian(solver.y.reshape(1, d, d), path[:1])
     filled = 1
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(f"density-matrix integration failed: {message}", solver.t)
-        # samples up to and including the step's end
-        stop = int(np.searchsorted(t_eval, solver.t, side="right"))
-        if stop > filled:
-            path[filled:stop] = solver.dense_output()(t_eval[filled:stop]).T
-            filled = stop
-    return path.reshape(len(t_eval), d, d)
+    try:
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(f"density-matrix integration failed: {message}", solver.t)
+            # samples up to and including the step's end
+            stop = int(np.searchsorted(t_eval, solver.t, side="right"))
+            if stop > filled:
+                x = solver.dense_output()(t_eval[filled:stop]).T.reshape(-1, d, d)
+                _write_hermitian(x, path[filled:stop])
+                filled = stop
+    finally:
+        # scipy's solver references itself through its right-hand-side
+        # closures; dropping its attributes frees its stage arrays (34 MB at
+        # n_max 7) and the superoperator now, not at the next cyclic collection
+        vars(solver).clear()
+    return path
 
 
 def evolve(rho0: DensityMatrix, L: Liouvillian, t: float) -> DensityMatrix:
     """Propagate a state to time t and validate the result.
 
-    Raises ``PositivityError`` when the evolved state has an eigenvalue
-    below -1e-6, the signature of a too-small truncation.
+    Raises ``ValueError`` for a non-Hermitian initial matrix (defect above
+    1e-10), which the Hermitian coordinates cannot hold, and
+    ``PositivityError`` when the evolved state has an eigenvalue below
+    -1e-6, the signature of a too-small truncation.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
+    _hermitian_check(rho0)
     if t == 0:
         return rho0
     raw = _integrate_rho(rho0, L, np.array([0.0, t]))[-1]
@@ -293,10 +371,15 @@ def evolve(rho0: DensityMatrix, L: Liouvillian, t: float) -> DensityMatrix:
 
 
 def evolve_path(rho0: DensityMatrix, L: Liouvillian, taus: np.ndarray) -> np.ndarray:
-    """Raw density matrices sampled along a grid starting at 0."""
+    """Exactly Hermitian density matrices sampled along a grid starting at 0.
+
+    Raises ``ValueError`` for a non-Hermitian initial matrix (defect above
+    1e-10).
+    """
     taus = np.asarray(taus, dtype=float)
     if taus[0] != 0.0:
         raise ValueError("sample grid must start at 0")
+    _hermitian_check(rho0)
     return _integrate_rho(rho0, L, taus)
 
 
@@ -316,8 +399,9 @@ def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:
     ``exact_correlators(rhos, spec).word(*word)`` is Tr[rho word] with the
     stack's leading shape, summed as O[r, c] rho[c, r] over the stored
     entries of the word operator.  Values are taken on the Hermitian part
-    (rho + rho^dagger)/2, which drops the integrator's antisymmetric noise,
-    so the moments are conjugate-consistent at machine precision.
+    (rho + rho^dagger)/2.  Paths from ``evolve_path`` are already exactly
+    Hermitian; for any other input this drops the antisymmetric part, so
+    the moments are conjugate-consistent at machine precision.
     """
     rhos = np.asarray(rhos)
 
