@@ -11,14 +11,18 @@ Every command resolves one base ``Scenario`` from ``--config`` or
 ``--preset`` (never both) and its override flags, and hands it to the
 runner.  Each subcommand registers only the flags it honours, so any other
 flag is a usage error: ``table`` scores every preset and takes no
-``--preset``/``--chi`` (nor a config that sets model parameters),
-``sweep`` varies chi itself and takes no ``--chi``, and only ``table``
-takes ``--threshold``.  ``oracle-check`` warns on stderr when its Fock
+``--preset``/``--chi``, ``sweep`` varies chi itself and takes no ``--chi``,
+and only ``table`` takes ``--threshold``.  A config key that a subcommand
+would not honour is an error too: ``table`` rejects a config that sets model
+parameters, ``sweep`` one that sets ``chi``, and every other subcommand one
+that sets ``threshold``.  So are an empty ``--chi-grid`` and an empty
+``--witnesses`` list.  ``oracle-check`` warns on stderr when its Fock
 truncation leaks enough to blur the closure errors it reports.
 
 All CSV output is UTF-8 with a header row, 17 significant digits and a
 deterministic byte stream for identical inputs; complex moments are split
-into ``re_<name>`` / ``im_<name>`` column pairs.
+into ``re_<name>`` / ``im_<name>`` column pairs.  Every product is handed
+to one writer as a list of columns (float arrays and string lists).
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .model import (
     occupations,
     preset_params,
 )
-from .oracle import ClosureReport, FockBasisSpec, PositivityError, closure_report
-from .runner import SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
+from .oracle import ClosureReport, FockBasisSpec, closure_report
+from .runner import CELLS, SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
 from .witnesses import WITNESS_NAMES, InternalConsistencyError
 
 __all__ = ["ConfigError", "parse_config", "format_config", "emit_csv", "main"]
@@ -158,10 +162,18 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_rows(dest, header: list[str], rows) -> None:
+def _write_columns(dest, header: list[str], columns) -> None:
+    """Write equal-length columns under ``header``, one CSV row per index.
+
+    A float array is written with 17 significant digits; a list of strings
+    is written as it is.
+    """
+    cells = [[_fmt(x) for x in col.tolist()] if isinstance(col, np.ndarray) else col
+             for col in columns]
+
     def dump(fh):
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in zip(*cells):
             fh.write(",".join(row) + "\n")
 
     if hasattr(dest, "write"):
@@ -171,16 +183,14 @@ def _write_rows(dest, header: list[str], rows) -> None:
             dump(fh)
 
 
+def _re_im(z: np.ndarray) -> np.ndarray:
+    """Columns of ``(n, k)`` complex ``z`` as ``(2k, n)`` real rows: re, im of each in turn."""
+    return np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1).T
+
+
 def write_trajectory(traj: Trajectory, dest) -> None:
-    header = ["tau"]
-    for name in MOMENT_NAMES:
-        header += [f"re_{name}", f"im_{name}"]
-    rows = (
-        [_fmt(tau)]
-        + [part for z in state for part in (_fmt(z.real), _fmt(z.imag))]
-        for tau, state in zip(traj.taus, traj.states)
-    )
-    _write_rows(dest, header, rows)
+    header = ["tau"] + [f"{part}_{name}" for name in MOMENT_NAMES for part in ("re", "im")]
+    _write_columns(dest, header, [traj.taus, *_re_im(traj.states)])
 
 
 def write_witness_series(series: WitnessSeries, dest, columns: list[str] | None = None) -> None:
@@ -188,62 +198,46 @@ def write_witness_series(series: WitnessSeries, dest, columns: list[str] | None 
         unknown = sorted(set(columns) - set(WITNESS_NAMES))
         if unknown:
             raise KeyError(f"unknown witness column(s): {', '.join(unknown)}")
+        if not columns:
+            raise ValueError("no witness column selected")
     names = [n for n in WITNESS_NAMES if columns is None or n in columns]
-    picked = [series.column(n) for n in names]
-    rows = (
-        [_fmt(tau)] + [_fmt(col[i]) for col in picked]
-        for i, tau in enumerate(series.taus)
-    )
-    _write_rows(dest, ["tau"] + names, rows)
+    _write_columns(dest, ["tau"] + names, [series.taus] + [series.column(n) for n in names])
 
 
 def write_sign_matrix(matrix: SignMatrix, dest) -> None:
     header = ["config", "chi", "witness", "cell", "min_value", "argmin_tau"]
-    rows = (
-        [
-            c.config,
-            _fmt(c.chi),
-            f"{c.row}_{c.cell.replace('|', '_')}",
-            "tick" if c.tick else "cross",
-            _fmt(c.min_value),
-            _fmt(c.argmin_tau),
-        ]
-        for c in matrix.cells
-    )
-    _write_rows(dest, header, rows)
+    _write_columns(dest, header, [
+        [config for config, _ in matrix.columns for _ in CELLS],
+        np.repeat(np.array([chi for _, chi in matrix.columns], dtype=float), len(CELLS)),
+        [f"{row}_{key.replace('|', '_')}" for row, key in CELLS] * len(matrix.columns),
+        ["tick" if t else "cross" for t in matrix.ticks.ravel()],
+        matrix.min_value.ravel(),
+        matrix.argmin_tau.ravel(),
+    ])
 
 
 def write_sweep(surface: SweepSurface, dest) -> None:
-    header = ["chi", "tau", surface.witness, "status"]
-    rows = (
-        [_fmt(chi), _fmt(tau), _fmt(surface.values[i, j]), surface.status[i]]
-        for i, chi in enumerate(surface.chis)
-        for j, tau in enumerate(surface.taus)
-    )
-    _write_rows(dest, header, rows)
+    n = len(surface.taus)
+    _write_columns(dest, ["chi", "tau", surface.witness, "status"], [
+        np.repeat(surface.chis, n),
+        np.tile(surface.taus, len(surface.chis)),
+        surface.values.ravel(),
+        [status for status in surface.status for _ in range(n)],
+    ])
 
 
 def write_closure_report(report: ClosureReport, dest) -> None:
-    header = ["tau"]
-    for name in report.correlator_names:
-        header += [
-            f"re_{name}_exact", f"im_{name}_exact",
-            f"re_{name}_closed", f"im_{name}_closed",
-        ]
-    for name in WITNESS_NAMES:
-        header += [f"{name}_exact", f"{name}_closed"]
-
-    def rows():
-        for i, tau in enumerate(report.taus):
-            row = [_fmt(tau)]
-            for name in report.correlator_names:
-                e, c = report.exact[name][i], report.closed[name][i]
-                row += [_fmt(e.real), _fmt(e.imag), _fmt(c.real), _fmt(c.imag)]
-            for e, c in zip(report.witness_exact[i], report.witness_closed[i]):
-                row += [_fmt(e), _fmt(c)]
-            yield row
-
-    _write_rows(dest, header, rows())
+    header = ["tau"] + [
+        f"{part}_{name}_{side}" for name in report.correlator_names
+        for side in ("exact", "closed") for part in ("re", "im")
+    ] + [f"{name}_{side}" for name in WITNESS_NAMES for side in ("exact", "closed")]
+    correlators = np.stack([report.exact, report.closed], axis=-1)
+    witnesses = np.stack([report.witness_exact, report.witness_closed], axis=-1)
+    _write_columns(dest, header, [
+        report.taus,
+        *_re_im(correlators.reshape(len(report.taus), -1)),
+        *witnesses.reshape(len(report.taus), -1).T,
+    ])
 
 
 def emit_csv(obj, dest) -> None:
@@ -348,13 +342,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         scenario = _resolve_scenario(args)
         dest = sys.stdout if args.out is None else args.out
+        if args.command != "table" and scenario.threshold != Scenario.threshold:
+            raise _UsageError(f"{args.command} scores no ticks; its config must not set threshold")
         if args.command == "simulate":
             if args.moments:
                 emit_csv(integrate(scenario), dest)
             else:
                 _, series = run_scenario(scenario)
                 columns = None
-                if args.witnesses:
+                if args.witnesses is not None:
                     columns = [c.strip() for c in args.witnesses.split(",") if c.strip()]
                 write_witness_series(series, dest, columns)
         elif args.command == "table":
@@ -362,6 +358,8 @@ def main(argv=None) -> int:
                 raise _UsageError("table runs every preset; its config must not set model parameters")
             emit_csv(table_matrix(scenario, _parse_grid(args.chi_grid)), dest)
         elif args.command == "sweep":
+            if scenario.params.chi != 0.0:
+                raise _UsageError("sweep takes every chi from --chi-grid; its config must not set chi")
             emit_csv(chi_sweep(scenario, _parse_grid(args.chi_grid), args.witness), dest)
         elif args.command == "oracle-check":
             report = closure_report(scenario, FockBasisSpec(args.nmax))
@@ -376,8 +374,8 @@ def main(argv=None) -> int:
                 print(f"truncation leakage (top-level population): {report.truncation_leakage:.3e}")
         return 0
     # numeric failures first: LinAlgError subclasses ValueError
-    except (IntegrationError, NoSteadyStateError, PositivityError,
-            InternalConsistencyError, np.linalg.LinAlgError) as exc:
+    except (IntegrationError, NoSteadyStateError, InternalConsistencyError,
+            np.linalg.LinAlgError) as exc:
         print(f"cavens: numeric failure: {exc}", file=sys.stderr)
         return 2
     except (_UsageError, ConfigError, KeyError, ValueError, OSError) as exc:

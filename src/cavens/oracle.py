@@ -17,7 +17,7 @@ The generator is one real sparse matrix on the d^2 real Hermitian
 coordinates of rho, built once per run, so each DOP853 right-hand side
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) is one real matvec and
 every sampled rho is exactly Hermitian; the basis dimension is capped
-(default 512 = three modes at eight levels each, n_max 7, where the
+(at 512 = three modes at eight levels each, n_max 7, where the
 generator holds 3.6e6 nonzeros).
 
 Every expectation Tr[rho O] comes from ``exact_correlators``, batched over a
@@ -64,29 +64,32 @@ _MODE_INDEX = {"A": 0, "B": 1, "C": 2}
 # DOP853 tolerances of every density propagation
 ATOL = 1e-12
 RTOL = 1e-9
+# largest basis dimension: three modes at eight levels each
+DIM_CAP = 512
 
 
 class PositivityError(RuntimeError):
-    """Evolved state lost positivity beyond tolerance; truncation too small."""
+    """Evolved state lost positivity beyond tolerance.
+
+    The truncated generator is still in Lindblad form, so it preserves
+    positivity exactly; only integrator error can make rho non-positive.
+    """
 
 
 @dataclass(frozen=True)
 class FockBasisSpec:
     """Per-mode Fock truncation; levels 0..n_max are kept on all three modes.
 
-    The default ``dim_cap`` of 512 = 8**3 admits n_max up to 7.
+    The basis dimension is capped at ``DIM_CAP``, so n_max is at most 7.
     """
 
     n_max: int
-    dim_cap: int = 512
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.dim > self.dim_cap:
-            raise ValueError(
-                f"basis dimension {self.dim} exceeds cap {self.dim_cap}"
-            )
+        if self.dim > DIM_CAP:
+            raise ValueError(f"basis dimension {self.dim} exceeds cap {DIM_CAP}")
 
     @property
     def local_dim(self) -> int:
@@ -357,7 +360,8 @@ def evolve(rho0: DensityMatrix, L: Liouvillian, t: float) -> DensityMatrix:
     Raises ``ValueError`` for a non-Hermitian initial matrix (defect above
     1e-10), which the Hermitian coordinates cannot hold, and
     ``PositivityError`` when the evolved state has an eigenvalue below
-    -1e-6, the signature of a too-small truncation.
+    -1e-6; the truncated generator preserves positivity, so that is
+    integrator error.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -424,17 +428,18 @@ class ClosureReport:
     """Exact versus decoupled correlators along one scenario.
 
     ``exact`` holds oracle correlators, ``closed`` the same quantities from
-    the moment pipeline with decoupling; witness tables (columns
-    ``WITNESS_NAMES``) are carried both ways.  ``max_abs_error`` summarizes
-    the largest discrepancy per quantity over the whole grid.
+    the moment pipeline with decoupling, both ``(n, len(correlator_names))``
+    complex arrays; witness tables (columns ``WITNESS_NAMES``) are carried
+    both ways.  ``max_abs_error`` summarizes the largest discrepancy per
+    quantity over the whole grid.
     ``truncation_leakage`` is the largest population of any mode's top Fock
     level n_max over the grid, the oracle's own measure of truncation error.
     """
 
     taus: np.ndarray
     correlator_names: tuple
-    exact: dict
-    closed: dict
+    exact: np.ndarray
+    closed: np.ndarray
     witness_exact: np.ndarray
     witness_closed: np.ndarray
     max_abs_error: dict
@@ -471,17 +476,14 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
 
     closed_source = decoupled(traj.states)
     exact_source = exact_correlators(rhos, basis)
-    closed = {name: closed_source.word(*word) for name, word in _REPORT_WORDS.items()}
-    exact = {name: exact_source.word(*word) for name, word in _REPORT_WORDS.items()}
+    closed = np.stack([closed_source.word(*word) for word in _REPORT_WORDS.values()], axis=1)
+    exact = np.stack([exact_source.word(*word) for word in _REPORT_WORDS.values()], axis=1)
     d = basis.local_dim
     pops = np.diagonal(rhos, axis1=1, axis2=2).real.reshape(-1, d, d, d)
     leakage = max(float(top.sum(axis=(1, 2)).max())
                   for top in (pops[:, -1], pops[:, :, -1], pops[..., -1]))
 
-    max_err = {
-        name: float(np.abs(exact[name] - closed[name]).max())
-        for name in _REPORT_WORDS
-    }
+    max_err = dict(zip(_REPORT_WORDS, np.abs(exact - closed).max(axis=0).tolist()))
     return ClosureReport(
         taus=traj.taus,
         correlator_names=tuple(_REPORT_WORDS),

@@ -28,10 +28,10 @@ from .witnesses import (
 
 __all__ = [
     "WitnessSeries",
-    "SignCell",
     "SignMatrix",
     "SweepSurface",
     "SIGN_ROWS",
+    "CELLS",
     "run_scenario",
     "table_matrix",
     "chi_sweep",
@@ -82,7 +82,7 @@ SIGN_ROWS = (
     ("steering", ORDERED_PAIR_KEYS, 0.0, ("steering",)),
 )
 
-_CELLS = tuple((row, key) for row, keys, _, _ in SIGN_ROWS for key in keys)
+CELLS = tuple((row, key) for row, keys, _, _ in SIGN_ROWS for key in keys)
 _BOUNDARIES = np.array([b for _, keys, b, _ in SIGN_ROWS for _ in keys])
 # table columns of each cell's first and last scored witness
 _FIRST, _LAST = np.array([
@@ -92,39 +92,27 @@ _FIRST, _LAST = np.array([
 
 
 @dataclass(frozen=True)
-class SignCell:
-    """One tick/cross decision with its evidence."""
-
-    config: str
-    chi: float
-    row: str
-    cell: str
-    tick: bool
-    min_value: float
-    argmin_tau: float
-
-
-@dataclass(frozen=True)
 class SignMatrix:
-    """All cells for every (configuration, chi) column, in fixed row order."""
+    """Every sign cell of every (configuration, chi) column, with its evidence.
+
+    ``ticks[i, j]``, ``min_value[i, j]`` and ``argmin_tau[i, j]`` belong to
+    cell ``CELLS[j]`` (a (row, key) pair) of column ``columns[i]`` (a
+    (configuration name, chi) pair); all three arrays have shape
+    ``(len(columns), len(CELLS))``.
+    """
 
     threshold: float
     t_max: float
-    cells: tuple
-
-    def cell(self, config: str, chi: float, row: str, cell: str) -> SignCell:
-        for c in self.cells:
-            if (
-                c.config == config
-                and c.row == row
-                and c.cell == cell
-                and math.isclose(c.chi, chi, abs_tol=1e-12)
-            ):
-                return c
-        raise KeyError(f"no cell ({config}, {chi}, {row}, {cell})")
+    columns: tuple
+    ticks: np.ndarray
+    min_value: np.ndarray
+    argmin_tau: np.ndarray
 
     def tick(self, config: str, chi: float, row: str, cell: str) -> bool:
-        return self.cell(config, chi, row, cell).tick
+        for i, (c, x) in enumerate(self.columns):
+            if c == config and (row, cell) in CELLS and math.isclose(x, chi, abs_tol=1e-12):
+                return bool(self.ticks[i, CELLS.index((row, cell))])
+        raise KeyError(f"no cell ({config}, {chi}, {row}, {cell})")
 
 
 def _score(taus, table, threshold):
@@ -148,17 +136,17 @@ def table_matrix(base: Scenario = Scenario(SystemParams()), chis=(0.0, 0.2)) -> 
 
     Every (configuration, chi) column runs ``base`` with that preset's
     parameters; ``base`` supplies the initial state, time grid and threshold.
+    An empty ``chis`` raises ``ValueError``.
     """
-    cells = []
-    for config in Configuration:
-        for chi in chis:
-            _, series = run_scenario(replace(base, params=preset_params(config, chi)))
-            ticks, vmins, argmins = _score(series.taus, series.table, base.threshold)
-            cells += [
-                SignCell(config.name, chi, row, key, bool(t), float(v), float(a))
-                for (row, key), t, v, a in zip(_CELLS, ticks, vmins, argmins)
-            ]
-    return SignMatrix(threshold=base.threshold, t_max=base.t_max, cells=tuple(cells))
+    columns = tuple((config.name, chi) for config in Configuration for chi in chis)
+    if not columns:
+        raise ValueError("chi grid must be non-empty")
+    scores = []
+    for config, chi in columns:
+        _, series = run_scenario(replace(base, params=preset_params(config, chi)))
+        scores.append(_score(series.taus, series.table, base.threshold))
+    ticks, min_value, argmin_tau = (np.array(a) for a in zip(*scores))
+    return SignMatrix(base.threshold, base.t_max, columns, ticks, min_value, argmin_tau)
 
 
 @dataclass(frozen=True)

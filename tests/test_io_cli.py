@@ -15,8 +15,21 @@ from cavens.io_cli import (
     write_witness_series,
 )
 from cavens.dynamics import IntegrationError, integrate
-from cavens.model import Moment, Scenario, SystemParams, initial_state, preset_params
-from cavens.runner import run_scenario, table_matrix, chi_sweep
+from cavens.model import MOMENT_NAMES, Moment, Scenario, SystemParams, initial_state, preset_params
+from cavens.runner import CELLS, run_scenario, table_matrix, chi_sweep
+from cavens.witnesses import WITNESS_NAMES
+
+
+def _csv(obj):
+    """Header and rows of ``emit_csv(obj)``."""
+    buf = io.StringIO()
+    emit_csv(obj, buf)
+    lines = buf.getvalue().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _floats(rows, cols=slice(None)) -> np.ndarray:
+    return np.array([[float(x) for x in row[cols]] for row in rows])
 
 
 def test_parse_preset_with_chi_override():
@@ -114,6 +127,16 @@ def test_trajectory_csv_layout(tmp_path):
     assert float(first[col]) == 1.0
 
 
+def test_trajectory_csv_round_trips_every_number():
+    traj = integrate(Scenario(params=preset_params("AN", 0.2), t_max=2.0, sample_count=7))
+    header, rows = _csv(traj)
+    assert header == ["tau"] + [f"{part}_{n}" for n in MOMENT_NAMES for part in ("re", "im")]
+    values = _floats(rows)
+    np.testing.assert_array_equal(values[:, 0], traj.taus)
+    np.testing.assert_array_equal(values[:, 1::2], traj.states.real)
+    np.testing.assert_array_equal(values[:, 2::2], traj.states.imag)
+
+
 def test_csv_determinism_and_roundtrip_precision(tmp_path):
     sc = Scenario(params=preset_params("AN", 0.2), t_max=1.0, sample_count=9)
     _, series = run_scenario(sc)
@@ -121,11 +144,9 @@ def test_csv_determinism_and_roundtrip_precision(tmp_path):
     emit_csv(series, a)
     emit_csv(series, b)
     assert a.read_bytes() == b.read_bytes()
-    lines = a.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    k = header.index("hz_e_AB")
-    np.testing.assert_array_equal(values[:, k], series.column("hz_e_AB"))
+    header, rows = _csv(series)
+    assert header == ["tau"] + list(WITNESS_NAMES)
+    np.testing.assert_array_equal(_floats(rows), np.column_stack([series.taus, series.table]))
 
 
 def test_witness_column_filter():
@@ -154,6 +175,21 @@ def test_sign_matrix_csv_row_shape():
     assert any(l.startswith("AA,0,bisep_e_AB_C,") for l in lines)
 
 
+def test_sign_matrix_csv_round_trips_every_number():
+    matrix = table_matrix(Scenario(params=SystemParams(), t_max=1.0, sample_count=21), (0.0, 0.15))
+    header, rows = _csv(matrix)
+    assert header == ["config", "chi", "witness", "cell", "min_value", "argmin_tau"]
+    assert len(rows) == len(matrix.columns) * len(CELLS)
+    for k, row in enumerate(rows):
+        (config, chi), (name, key) = matrix.columns[k // len(CELLS)], CELLS[k % len(CELLS)]
+        assert row[0] == config and float(row[1]) == chi
+        assert row[2] == f"{name}_{key.replace('|', '_')}"
+        assert row[3] == ("tick" if matrix.ticks.flat[k] else "cross")
+    values = _floats(rows, slice(4, 6))
+    np.testing.assert_array_equal(values[:, 0], matrix.min_value.ravel())
+    np.testing.assert_array_equal(values[:, 1], matrix.argmin_tau.ravel())
+
+
 def test_sweep_csv(tmp_path):
     surface = chi_sweep(Scenario(params=preset_params("NN"), t_max=1.0, sample_count=5),
                         [0.0, 0.2], "duan_AB")
@@ -163,12 +199,36 @@ def test_sweep_csv(tmp_path):
     assert lines[0] == "chi,tau,duan_AB,status"
     assert len(lines) == 1 + 2 * 5
     assert lines[1].endswith(",ok")
+    _, rows = _csv(surface)
+    values = _floats(rows, slice(0, 3))
+    np.testing.assert_array_equal(values[:, 0], np.repeat(surface.chis, 5))
+    np.testing.assert_array_equal(values[:, 1], np.tile(surface.taus, 2))
+    np.testing.assert_array_equal(values[:, 2], surface.values.ravel())
+
+
+def test_sweep_csv_keeps_a_failed_row(monkeypatch):
+    import cavens.runner as runner_mod
+
+    real = runner_mod.run_scenario
+
+    def flaky(scenario):
+        if scenario.params.chi == 0.1:
+            raise IntegrationError("synthetic failure", 0.5)
+        return real(scenario)
+
+    monkeypatch.setattr(runner_mod, "run_scenario", flaky)
+    surface = chi_sweep(Scenario(params=preset_params("AN"), t_max=1.0, sample_count=4),
+                        [0.0, 0.1], "mandel_A")
+    _, rows = _csv(surface)
+    assert [row[3] for row in rows] == [s for s in surface.status for _ in range(4)]
+    assert rows[4][2] == "nan" and surface.status[1].startswith("error:")
+    np.testing.assert_array_equal(_floats(rows, slice(2, 3))[:, 0], surface.values.ravel())
 
 
 def test_closure_report_csv():
     from cavens.oracle import FockBasisSpec, closure_report
 
-    sc = Scenario(params=preset_params("AN", 0.0), initial=initial_state(0, 0, 0),
+    sc = Scenario(params=preset_params("AN", 0.2), initial=initial_state(0.2, 0.2, 0.2),
                   t_max=0.5, sample_count=3)
     report = closure_report(sc, FockBasisSpec(2))
     buf = io.StringIO()
@@ -176,6 +236,23 @@ def test_closure_report_csv():
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("tau,re_nn_AB_exact,im_nn_AB_exact,re_nn_AB_closed")
     assert len(lines) == 4
+    header, rows = _csv(report)
+    names = report.correlator_names
+    assert header[1:4 * len(names) + 1] == [
+        f"{part}_{n}_{side}" for n in names
+        for side in ("exact", "closed") for part in ("re", "im")]
+    assert header[4 * len(names) + 1:] == [f"{n}_{side}" for n in WITNESS_NAMES
+                                           for side in ("exact", "closed")]
+    values = _floats(rows)
+    np.testing.assert_array_equal(values[:, 0], report.taus)
+    pairs = values[:, 1:4 * len(names) + 1].reshape(len(rows), len(names), 2, 2)
+    np.testing.assert_array_equal(pairs[:, :, 0, 0], report.exact.real)
+    np.testing.assert_array_equal(pairs[:, :, 0, 1], report.exact.imag)
+    np.testing.assert_array_equal(pairs[:, :, 1, 0], report.closed.real)
+    np.testing.assert_array_equal(pairs[:, :, 1, 1], report.closed.imag)
+    witnesses = values[:, 4 * len(names) + 1:].reshape(len(rows), len(WITNESS_NAMES), 2)
+    np.testing.assert_array_equal(witnesses[..., 0], report.witness_exact)
+    np.testing.assert_array_equal(witnesses[..., 1], report.witness_closed)
 
 
 def test_emit_csv_rejects_unknown_type():
@@ -290,10 +367,17 @@ def test_cli_sweep_with_config(tmp_path):
     ["oracle-check", "--preset", "AN", "--threshold", "1e-4"],
     ["simulate", "--preset", "AN", "--moments", "--witnesses", "mandel_A"],
     ["simulate", "--config", "{rel_tol}"],
+    ["simulate", "--config", "{threshold}"],
+    ["sweep", "--config", "{threshold}", "--chi-grid", "0", "--witness", "var_x_A"],
+    ["oracle-check", "--config", "{threshold}", "--nmax", "1"],
+    ["sweep", "--config", "{chi}", "--chi-grid", "0", "--witness", "var_x_A"],
+    ["table", "--chi-grid", ","],
+    ["simulate", "--preset", "AN", "--witnesses", ","],
 ])
 def test_cli_rejects_inputs_it_would_not_honour(argv, tmp_path, capsys):
     configs = {"an": "preset = AN\n", "explicit": "g_a = 0.2\n",
-               "rel_tol": "preset = AN\nrel_tol = 1e-9\n"}
+               "rel_tol": "preset = AN\nrel_tol = 1e-9\n",
+               "threshold": "preset = AN\nthreshold = 2e-4\n", "chi": "preset = AN\nchi = 0.3\n"}
     for name, text in configs.items():
         (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
     argv = [arg.format(**{name: tmp_path / f"{name}.cfg" for name in configs}) for arg in argv]

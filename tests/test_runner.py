@@ -4,7 +4,7 @@ import pytest
 import cavens.runner as runner_mod
 from cavens.dynamics import IntegrationError, Trajectory
 from cavens.model import Moment, Scenario, SystemParams, preset_params
-from cavens.runner import SIGN_ROWS, chi_sweep, run_scenario, table_matrix
+from cavens.runner import CELLS, SIGN_ROWS, chi_sweep, run_scenario, table_matrix
 from cavens.witnesses import WITNESS_NAMES
 
 
@@ -49,16 +49,17 @@ def small_matrix():
 
 def test_table_matrix_shape_and_evidence(small_matrix):
     m = small_matrix
-    assert len(m.cells) == 288  # 36 cells per (configuration, chi) column
-    per_row = {row: len(keys) for row, keys, _, _ in SIGN_ROWS}
-    assert sum(per_row.values()) == 36
-    for c in m.cells:
-        boundary = 0.25 if c.row.startswith("squeeze") else 0.0
-        if np.isnan(c.min_value):
-            assert not c.tick
-            continue
-        assert c.tick == (c.min_value < boundary - m.threshold)
-        assert 0.0 < c.argmin_tau <= m.t_max
+    assert m.columns == tuple((config, chi) for config in ("AA", "AN", "NA", "NN")
+                              for chi in (0.0, 0.2))
+    # 36 cells per (configuration, chi) column
+    assert m.ticks.shape == m.min_value.shape == m.argmin_tau.shape == (8, 36)
+    assert len(CELLS) == sum(len(keys) for _, keys, _, _ in SIGN_ROWS) == 36
+    boundary = np.array([0.25 if row.startswith("squeeze") else 0.0 for row, _ in CELLS])
+    scored = np.isfinite(m.min_value)
+    assert not m.ticks[~scored].any()
+    np.testing.assert_array_equal(m.ticks[scored],
+                                  (m.min_value < boundary - m.threshold)[scored])
+    assert np.all((m.argmin_tau[scored] > 0.0) & (m.argmin_tau[scored] <= m.t_max))
 
 
 def test_table_matrix_known_cells(small_matrix):
@@ -73,12 +74,19 @@ def test_table_matrix_known_cells(small_matrix):
         for chi in (0.0, 0.2):
             assert not m.tick("NA", chi, "bisep_e", part)
     with pytest.raises(KeyError):
-        m.cell("NA", 0.7, "steering", "AB")
+        m.tick("NA", 0.7, "steering", "AB")
+    with pytest.raises(KeyError):
+        m.tick("NA", 0.0, "steering", "AA")
 
 
 def test_table_matrix_threshold_validation():
     with pytest.raises(ValueError):
         table_matrix(Scenario(params=SystemParams(), threshold=0.0))
+
+
+def test_table_matrix_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="non-empty"):
+        table_matrix(Scenario(params=SystemParams(), t_max=1.0, sample_count=11), [])
 
 
 def test_sweep_single_point_matches_run_scenario():
