@@ -1,6 +1,10 @@
 """Moment dynamics and nonclassicality witnesses for a driven cavity
 coupled to two atomic ensembles, with an independent truncated-Fock
-master-equation oracle."""
+master-equation oracle.
+
+The oracle needs scipy and is not imported here: reach it as
+``cavens.oracle`` (``from cavens.oracle import FockBasisSpec, closure_report``).
+"""
 
 from .model import (
     Configuration,
@@ -32,16 +36,6 @@ from .closure import (
     pair_moment,
 )
 from .witnesses import WITNESS_NAMES, InternalConsistencyError, witness_table
-from .oracle import (
-    DensityMatrix,
-    FockBasisSpec,
-    Liouvillian,
-    build_generator,
-    closure_report,
-    evolve,
-    exact_correlators,
-    moments_from_density,
-)
 from .runner import SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
 from .io_cli import ConfigError, emit_csv, parse_config
 

@@ -31,10 +31,11 @@ import argparse
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import IntegrationError, NoSteadyStateError, Trajectory, integrate
+from .dynamics import IntegrationError, Trajectory, integrate
 from .model import (
     MOMENT_NAMES,
     Scenario,
@@ -43,9 +44,11 @@ from .model import (
     occupations,
     preset_params,
 )
-from .oracle import ClosureReport, FockBasisSpec, closure_report
 from .runner import CELLS, SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
 from .witnesses import WITNESS_NAMES, InternalConsistencyError
+
+if TYPE_CHECKING:  # the oracle, and scipy with it, loads only for oracle-check
+    from .oracle import ClosureReport, FockBasisSpec
 
 __all__ = ["ConfigError", "parse_config", "format_config", "emit_csv", "main"]
 
@@ -250,10 +253,12 @@ def emit_csv(obj, dest) -> None:
         write_sign_matrix(obj, dest)
     elif isinstance(obj, SweepSurface):
         write_sweep(obj, dest)
-    elif isinstance(obj, ClosureReport):
-        write_closure_report(obj, dest)
     else:
-        raise TypeError(f"no CSV writer for {type(obj).__name__}")
+        from .oracle import ClosureReport
+
+        if not isinstance(obj, ClosureReport):
+            raise TypeError(f"no CSV writer for {type(obj).__name__}")
+        write_closure_report(obj, dest)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +341,13 @@ def _parse_grid(text: str) -> list[float]:
         raise _UsageError(f"malformed chi grid {text!r}") from None
 
 
+def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
+    """``oracle.closure_report``, importing the oracle on the first call."""
+    from . import oracle
+
+    return oracle.closure_report(scenario, basis)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -362,6 +374,8 @@ def main(argv=None) -> int:
                 raise _UsageError("sweep takes every chi from --chi-grid; its config must not set chi")
             emit_csv(chi_sweep(scenario, _parse_grid(args.chi_grid), args.witness), dest)
         elif args.command == "oracle-check":
+            from .oracle import FockBasisSpec
+
             report = closure_report(scenario, FockBasisSpec(args.nmax))
             emit_csv(report, dest)
             defect = (args.nmax + 1) * report.truncation_leakage
@@ -374,8 +388,7 @@ def main(argv=None) -> int:
                 print(f"truncation leakage (top-level population): {report.truncation_leakage:.3e}")
         return 0
     # numeric failures first: LinAlgError subclasses ValueError
-    except (IntegrationError, NoSteadyStateError, InternalConsistencyError,
-            np.linalg.LinAlgError) as exc:
+    except (IntegrationError, InternalConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"cavens: numeric failure: {exc}", file=sys.stderr)
         return 2
     except (_UsageError, ConfigError, KeyError, ValueError, OSError) as exc:

@@ -138,6 +138,7 @@ def table_matrix(base: Scenario = Scenario(SystemParams()), chis=(0.0, 0.2)) -> 
     parameters; ``base`` supplies the initial state, time grid and threshold.
     An empty ``chis`` raises ``ValueError``.
     """
+    chis = tuple(chis)  # read once: a one-shot iterator serves every configuration
     columns = tuple((config.name, chi) for config in Configuration for chi in chis)
     if not columns:
         raise ValueError("chi grid must be non-empty")

@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -209,11 +207,45 @@ def test_steady_state_singular_raises():
 
 
 def test_integration_failure_carries_last_time(monkeypatch):
-    def fake_solve_ivp(*args, **kwargs):
-        return types.SimpleNamespace(success=False, message="step size underflow",
-                                     t=np.array([0.0, 0.3]), y=None)
+    system = dynamics._cached_system
+    for poison, last_tau in (
+        # a NaN source: the first step size is NaN, and no step is ever taken
+        (lambda M, b: (M, np.full(27, np.nan)), 0.0),
+        # growth at rate 100 overflows after tau 7.09; every later step is rejected
+        (lambda M, b: (100 * np.eye(27), b), 7.0),
+    ):
+        monkeypatch.setattr(dynamics, "_cached_system", lambda p, poison=poison: poison(*system(p)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
+            integrate(Scenario(params=preset_params("AN", 0.0), t_max=10.0, sample_count=101))
+        assert str(err.value) == ("integration failed: Required step size is less than spacing "
+                                  f"between numbers. (last good tau = {last_tau:g})")
+        assert err.value.last_tau == last_tau
 
-    monkeypatch.setattr(dynamics, "solve_ivp", fake_solve_ivp)
-    with pytest.raises(IntegrationError) as err:
-        integrate(Scenario(params=preset_params("AN", 0.0)))
-    assert err.value.last_tau == 0.3
+
+def _solve_ivp_states(scenario: Scenario) -> np.ndarray:
+    """The trajectory as scipy's RK45 gives it at the tolerances ``integrate`` uses."""
+    from scipy.integrate import solve_ivp
+
+    M, b = coefficient_matrix(scenario.params)
+    sol = solve_ivp(lambda _t, y: M @ y + b, (0.0, scenario.t_max), scenario.initial.values,
+                    method="RK45", rtol=1e-9, atol=1e-10,
+                    t_eval=np.linspace(0.0, scenario.t_max, scenario.sample_count))
+    assert sol.success
+    return np.ascontiguousarray(sol.y.T)
+
+
+@pytest.mark.parametrize("t_max, samples", [(10.0, 101), (200.0, 21)])
+@pytest.mark.parametrize("chi", [0.0, 0.2])
+@pytest.mark.parametrize("cfg", ["AA", "AN", "NA", "NN"])
+def test_integrate_is_bitwise_solve_ivp(cfg, chi, t_max, samples):
+    sc = Scenario(params=preset_params(cfg, chi), t_max=t_max, sample_count=samples)
+    np.testing.assert_array_equal(integrate(sc).states.view(np.uint64),
+                                  _solve_ivp_states(sc).view(np.uint64))
+
+
+@settings(deadline=None, max_examples=50)
+@given(system_params, _occupation, _occupation, _occupation)
+def test_integrate_is_bitwise_solve_ivp_on_random_parameters(p, n_a0, n_b0, n_c0):
+    sc = Scenario(params=p, initial=initial_state(n_a0, n_b0, n_c0), t_max=5.0, sample_count=51)
+    np.testing.assert_array_equal(integrate(sc).states.view(np.uint64),
+                                  _solve_ivp_states(sc).view(np.uint64))

@@ -89,6 +89,15 @@ def test_table_matrix_rejects_an_empty_grid():
         table_matrix(Scenario(params=SystemParams(), t_max=1.0, sample_count=11), [])
 
 
+def test_table_matrix_reads_a_chi_iterator_once():
+    base = Scenario(params=SystemParams(), t_max=1.0, sample_count=11)
+    once, grid = table_matrix(base, iter([0.0, 0.2])), table_matrix(base, (0.0, 0.2))
+    assert once.columns == grid.columns
+    assert len(once.columns) == 8
+    for field in ("ticks", "min_value", "argmin_tau"):
+        np.testing.assert_array_equal(getattr(once, field), getattr(grid, field))
+
+
 def test_sweep_single_point_matches_run_scenario():
     surface = chi_sweep(Scenario(params=preset_params("AN"), t_max=2.0, sample_count=41),
                         [0.2], "var_x_A")
