@@ -23,6 +23,7 @@ from .dynamics import (
     NoSteadyStateError,
     Trajectory,
     integrate,
+    integrate_batch,
     rhs,
     steady_state_first_moments,
 )

@@ -26,6 +26,8 @@ Hermitian conjugation.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +44,7 @@ __all__ = [
     "conjugate_closure_defect",
     "rhs",
     "integrate",
+    "integrate_batch",
     "steady_state_first_moments",
 ]
 
@@ -155,6 +158,8 @@ _P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
+# stored complex, as numpy would cast them for every product with the stages
+_A, _B, _E, _P = (a.astype(complex) for a in (_A, _B, _E, _P))
 _RTOL, _ATOL = 1e-9, 1e-10
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10, -1 / 5
 
@@ -177,6 +182,11 @@ def _initial_step(M, b, y, f, t_max: float) -> float:
     return min(100 * h0, h1, t_max)
 
 
+def _affine(Ms, V, bs):
+    """``M @ v + b`` for every scenario: a stack of matrix products is one gemv per slice."""
+    return (Ms @ V[..., None])[..., 0] + bs
+
+
 def integrate(scenario: Scenario) -> Trajectory:
     """Integrate the moment system over [0, t_max].
 
@@ -184,56 +194,123 @@ def integrate(scenario: Scenario) -> Trajectory:
     tolerances rtol 1e-9 and atol 1e-10; the uniform grid of
     ``sample_count`` points is read from each step's quartic interpolant.
     The result equals ``solve_ivp(method="RK45", t_eval=...)`` bit for bit.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs.  This is ``integrate_batch`` of the one
+    scenario, raising its ``IntegrationError``.
     """
-    M, b = _cached_system(scenario.params)
-    t_max = float(scenario.t_max)
-    taus = np.linspace(0.0, t_max, scenario.sample_count)
-    states = np.empty((taus.size, 27), dtype=complex)
-    y = scenario.initial.values
-    f = M @ y + b
-    h_abs = _initial_step(M, b, y, f, t_max)
-    K = np.empty((7, 27), dtype=complex)
-    t, done = 0.0, 0  # done: samples written so far
-    while t < t_max:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
+    (result,) = integrate_batch([scenario])
+    if isinstance(result, IntegrationError):
+        raise result
+    return result
+
+
+def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
+    """Integrate scenarios that share one time grid, in lockstep.
+
+    Each pass tries one step of every unfinished scenario, and each scenario
+    keeps its own step control (a rejected step is retried on the next
+    pass).  A scenario's stage sums, matrix products and error norm are
+    separate BLAS calls on its own slice, and its controller runs in Python
+    floats, so its trajectory has the same bits in any batch as alone.  A
+    scenario that fails gets its ``IntegrationError`` in its place in the
+    result; the others are unaffected.  Scenarios whose ``t_max`` or
+    ``sample_count`` differ raise ``ValueError``.
+    """
+    scenarios = list(scenarios)
+    grids = {(float(sc.t_max), sc.sample_count) for sc in scenarios}
+    if len(grids) > 1:
+        raise ValueError("scenarios of one batch must share t_max and sample_count")
+    if not scenarios:
+        return []
+    ((t_max, n),) = grids
+    taus = np.linspace(0.0, t_max, n)
+    grid = taus.tolist()
+    systems = [_cached_system(sc.params) for sc in scenarios]
+    Ms = np.array([M for M, _ in systems])
+    bs = np.array([b for _, b in systems])
+    Y = np.array([sc.initial.values for sc in scenarios])
+    # the stages of every scenario's step; K[0] is f at the step's start
+    K = np.empty((7, len(scenarios), 27), dtype=complex)
+    Kt = K.transpose(1, 2, 0)  # a slice of Kt is one scenario's (27, 7) K.T
+    K[0] = _affine(Ms, Y, bs)
+    states = np.empty((len(scenarios), n, 27), dtype=complex)
+    results: list = [None] * len(scenarios)
+    # each scenario's step controller, in Python floats (np.power, unlike the C pow
+    # behind Python's **, rounds some powers differently); done: samples written so far
+    h_abs = [float(_initial_step(*system, y, f, t_max)) for system, y, f in zip(systems, Y, K[0])]
+    t, done, rejected = [0.0] * len(scenarios), [0] * len(scenarios), [False] * len(scenarios)
+    min_step = [10 * math.ulp(0.0)] * len(scenarios)
+    h_abs = [max(h, m) for h, m in zip(h_abs, min_step)]
+    live = list(range(len(scenarios)))  # scenarios still stepping, in the row order of Ms, bs, Y, K
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging scenario fails on its own
         while True:
-            if not h_abs >= min_step:  # also stops a NaN step, which would loop forever
-                last = float(taus[done - 1]) if done else 0.0
-                raise IntegrationError("integration failed: Required step size is less "
-                                       "than spacing between numbers.", last)
-            t_new = min(t + h_abs, t_max)
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
+            keep = []
+            for j, i in enumerate(live):
+                if t[i] >= t_max:
+                    continue
+                if h_abs[i] >= min_step[i]:  # also stops a NaN step, which would loop forever
+                    keep.append(j)
+                else:
+                    results[i] = IntegrationError(
+                        "integration failed: Required step size is less than spacing between "
+                        "numbers.", grid[done[i] - 1] if done[i] else 0.0)
+            if len(keep) < len(live):
+                live = [live[j] for j in keep]
+                if not live:
+                    break
+                Ms, bs, Y, K = Ms[keep], bs[keep], Y[keep], K[:, keep]
+                Kt = K.transpose(1, 2, 0)
+            t_new = [min(t[i] + h_abs[i], t_max) for i in live]
+            hs = [tn - t[i] for tn, i in zip(t_new, live)]
+            for i, step in zip(live, hs):
+                h_abs[i] = abs(step)
+            # complex: numpy casts a float step so for a product with a complex array
+            h = np.array(hs, dtype=complex)[:, None]
             for s in range(1, 6):
-                K[s] = M @ (y + np.dot(K[:s].T, _A[s, :s]) * h) + b
-            y_new = y + h * np.dot(K[:6].T, _B)
-            f_new = K[6] = M @ y_new + b
-            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
-            error = _rms(np.dot(K.T, _E) * h / scale)
-            if error < 1:
+                K[s] = _affine(Ms, Y + (Kt[..., :s] @ _A[s, :s]) * h, bs)
+            Y_new = Y + h * (Kt[..., :6] @ _B)
+            K[6] = _affine(Ms, Y_new, bs)
+            scale = _ATOL + np.maximum(np.abs(Y), np.abs(Y_new)) * _RTOL
+            e = (Kt @ _E) * h / scale
+            # np.linalg.norm's sum of squares: one dot product each of the strided real
+            # and imaginary parts of a scenario's scaled error
+            parts = e.view(float).reshape(-1, 27, 2).transpose(0, 2, 1)
+            squares = (parts[..., None, :] @ parts[..., None]).reshape(-1, 2).tolist()
+            for j, (i, (re2, im2)) in enumerate(zip(live, squares)):
+                error = math.sqrt(re2 + im2) / 27 ** 0.5
+                if not error < 1:
+                    h_abs[i] *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
+                    rejected[i] = True
+                    Y_new[j], K[6, j] = Y[j], K[0, j]  # the step is retried from the same state
+                    continue
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
-            rejected = True
-        end = np.searchsorted(taus, t_new, side="right")
-        if end > done:
-            powers = np.cumprod(np.tile((taus[done:end] - t) / h, (4, 1)), axis=0)
-            segment = h * np.dot(K.T.dot(_P), powers)
-            segment += y[:, None]
-            states[done:end] = segment.T
-            done = end
-        t, y, f = t_new, y_new, f_new
-    finite = np.all(np.isfinite(states), axis=1)
-    if not finite.all():
-        bad = int(np.argmax(~finite))
-        last = float(taus[bad - 1]) if bad > 0 else 0.0
-        raise IntegrationError("non-finite state encountered", last)
-    return Trajectory(taus, states)
+                h_abs[i] *= min(1, factor) if rejected[i] else factor
+                end = bisect.bisect_right(grid, t_new[j])
+                if end > done[i]:  # the quartic interpolant at the samples this step passed
+                    x = (taus[done[i]:end] - t[i]) / hs[j]
+                    powers = np.empty((4, x.size))
+                    powers[0] = x
+                    for k in range(1, 4):  # x, x^2, x^3, x^4 in the order of cumprod
+                        np.multiply(powers[k - 1], x, out=powers[k])
+                    segment = hs[j] * np.dot(K[:, j].T.dot(_P), powers)
+                    segment += Y[j][:, None]
+                    states[i, done[i]:end] = segment.T
+                    done[i] = end
+                t[i] = t_new[j]
+                min_step[i] = 10 * abs(math.nextafter(t[i], math.inf) - t[i])
+                h_abs[i] = max(h_abs[i], min_step[i])
+                rejected[i] = False
+            Y, K[0] = Y_new, K[6]
+    finite = np.isfinite(states).all(axis=2)
+    for i, result in enumerate(results):
+        if result is not None:
+            continue
+        if finite[i].all():
+            results[i] = Trajectory(taus, states[i])
+        else:
+            bad = int(np.argmax(~finite[i]))
+            results[i] = IntegrationError("non-finite state encountered",
+                                          grid[bad - 1] if bad > 0 else 0.0)
+    return results
 
 
 def steady_state_first_moments(p: SystemParams) -> tuple[complex, complex, complex]:

@@ -5,6 +5,11 @@ each witness dips below its classical boundary anywhere on the sampled time
 grid (excluding tau = 0).  A dip only counts when it clears the scenario
 threshold, which separates genuine features from integrator noise; every
 cell keeps its evidence (the attained minimum and the time it occurred).
+
+``table_matrix`` and ``chi_sweep`` integrate all scenarios of one call in
+lockstep (``dynamics.integrate_batch``): each keeps its own step control
+and gets the same bits as when run alone.  Their witnesses are evaluated
+as one stack.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import IntegrationError, Trajectory, integrate
+from .dynamics import Trajectory, integrate, integrate_batch
 from .model import Configuration, Scenario, SystemParams, preset_params
 from .witnesses import (
     MODE_KEYS,
@@ -66,6 +71,31 @@ def run_scenario(scenario: Scenario) -> tuple[Trajectory, WitnessSeries]:
     return traj, WitnessSeries(traj.taus, witness_table(traj.states))
 
 
+def _witness_tables(scenarios) -> list:
+    """Integrate ``scenarios`` in lockstep and evaluate every witness of each.
+
+    Entry ``i`` is scenario ``i``'s ``(n, 42)`` witness table, or the
+    ``IntegrationError`` or ``InternalConsistencyError`` it failed on.  The
+    integrated scenarios are evaluated as one stack; when that raises, each
+    is evaluated alone, so every error is its own scenario's.
+    """
+    results = integrate_batch(scenarios)
+    integrated = [i for i, result in enumerate(results) if isinstance(result, Trajectory)]
+    if not integrated:
+        return results
+    try:
+        stack = np.stack([results[i].states for i in integrated])
+        for i, table in zip(integrated, witness_table(stack)):
+            results[i] = table
+    except InternalConsistencyError:
+        for i in integrated:
+            try:
+                results[i] = witness_table(results[i].states)
+            except InternalConsistencyError as exc:
+                results[i] = exc
+    return results
+
+
 # (row name, cell keys, classical boundary, witness columns scored per key);
 # where two columns are named, the smaller of the two is scored
 SIGN_ROWS = (
@@ -115,18 +145,20 @@ class SignMatrix:
         raise KeyError(f"no cell ({config}, {chi}, {row}, {cell})")
 
 
-def _score(taus, table, threshold):
+def _score(taus, tables, threshold):
     """Minimum over tau > 0 of every sign cell, where it occurs, and the ticks.
 
-    NaN samples are skipped and ties go to the earliest tau; a cell without
-    a finite sample never ticks and reports NaN evidence.
+    ``tables`` is a ``(columns, n, 42)`` stack of witness tables; each result
+    has shape ``(columns, 36)``.  NaN samples are skipped and ties go to the
+    earliest tau; a cell without a finite sample never ticks and reports NaN
+    evidence.
     """
-    first, last = table[1:, _FIRST], table[1:, _LAST]
+    first, last = tables[:, 1:, _FIRST], tables[:, 1:, _LAST]
     vals = np.where(last < first, last, first)
     finite = np.isfinite(vals)
-    i = np.argmin(np.where(finite, vals, np.inf), axis=0)
-    scored = finite.any(axis=0)
-    vmin = np.where(scored, vals[i, np.arange(vals.shape[1])], np.nan)
+    i = np.argmin(np.where(finite, vals, np.inf), axis=1)
+    scored = finite.any(axis=1)
+    vmin = np.where(scored, np.take_along_axis(vals, i[:, None], axis=1)[:, 0], np.nan)
     argmin = np.where(scored, taus[1:][i], np.nan)
     return vmin < _BOUNDARIES - threshold, vmin, argmin
 
@@ -136,17 +168,21 @@ def table_matrix(base: Scenario = Scenario(SystemParams()), chis=(0.0, 0.2)) -> 
 
     Every (configuration, chi) column runs ``base`` with that preset's
     parameters; ``base`` supplies the initial state, time grid and threshold.
-    An empty ``chis`` raises ``ValueError``.
+    All columns are integrated in lockstep and scored as one stack.  The
+    first column that fails raises its ``IntegrationError`` or
+    ``InternalConsistencyError``.  An empty ``chis`` raises ``ValueError``.
     """
     chis = tuple(chis)  # read once: a one-shot iterator serves every configuration
     columns = tuple((config.name, chi) for config in Configuration for chi in chis)
     if not columns:
         raise ValueError("chi grid must be non-empty")
-    scores = []
-    for config, chi in columns:
-        _, series = run_scenario(replace(base, params=preset_params(config, chi)))
-        scores.append(_score(series.taus, series.table, base.threshold))
-    ticks, min_value, argmin_tau = (np.array(a) for a in zip(*scores))
+    tables = _witness_tables([replace(base, params=preset_params(config, chi))
+                              for config, chi in columns])
+    for table in tables:
+        if isinstance(table, Exception):
+            raise table
+    taus = np.linspace(0.0, base.t_max, base.sample_count)
+    ticks, min_value, argmin_tau = _score(taus, np.stack(tables), base.threshold)
     return SignMatrix(base.threshold, base.t_max, columns, ticks, min_value, argmin_tau)
 
 
@@ -164,9 +200,10 @@ class SweepSurface:
 def chi_sweep(base: Scenario, chis, witness: str) -> SweepSurface:
     """Run ``base`` once per drive strength and collect one witness column.
 
-    Every row is built (and so validated) before any is integrated.  Failed
-    rows are retained as NaN with a per-row status message; the other rows
-    are unaffected.
+    Every row is built (and so validated) before any is integrated; then all
+    rows are integrated in lockstep.  A row that fails, on its own
+    ``IntegrationError`` or ``InternalConsistencyError``, is retained as NaN
+    with its status message; the other rows are unaffected.
     """
     chis = np.asarray(list(chis), dtype=float)
     if chis.size == 0:
@@ -176,15 +213,14 @@ def chi_sweep(base: Scenario, chis, witness: str) -> SweepSurface:
     scenarios = [base.with_params(chi=float(chi)) for chi in chis]
     taus = np.linspace(0.0, base.t_max, base.sample_count)
     values = np.full((chis.size, taus.size), np.nan)
+    column = WITNESS_NAMES.index(witness)
     status = []
-    for i, scenario in enumerate(scenarios):
-        try:
-            _, series = run_scenario(scenario)
-            values[i] = series.column(witness)
+    for i, table in enumerate(_witness_tables(scenarios)):
+        if isinstance(table, Exception):  # numeric failure: the row stays NaN
+            status.append(f"error: {table}")
+        else:
+            values[i] = table[:, column]
             status.append("ok")
-        except (IntegrationError, InternalConsistencyError, np.linalg.LinAlgError) as exc:
-            # numeric failure: keep the sweep going, the row stays NaN
-            status.append(f"error: {exc}")
     return SweepSurface(
         witness=witness,
         chis=chis,

@@ -116,11 +116,14 @@ def _source(state) -> Correlators:
 
 
 def _real(value, what: str):
-    bad = np.flatnonzero(np.abs(np.imag(value)) >= IMAG_TOL)
+    residue = np.imag(value)
+    bad = np.flatnonzero(np.abs(residue) >= IMAG_TOL)
     if bad.size:
+        # a stack's last axis is the sample axis: name the sample within its trajectory
+        sample = bad[0] % np.shape(residue)[-1] if np.ndim(residue) else 0
         raise InternalConsistencyError(
-            f"{what} has imaginary residue {np.ravel(np.imag(value))[bad[0]]:.3e} "
-            f"at sample {bad[0]} (state inconsistent)"
+            f"{what} has imaginary residue {np.ravel(residue)[bad[0]]:.3e} "
+            f"at sample {sample} (state inconsistent)"
         )
     return np.real(value)
 

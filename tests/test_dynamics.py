@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from cavens.dynamics import (
     conjugate_closure_defect,
     coefficient_matrix,
     integrate,
+    integrate_batch,
     rhs,
     steady_state_first_moments,
 )
@@ -206,14 +209,17 @@ def test_steady_state_singular_raises():
         steady_state_first_moments(p)
 
 
+_POISONS = (
+    # a NaN source: the first step size is NaN, and no step is ever taken
+    (lambda M, b: (M, np.full(27, np.nan)), 0.0),
+    # growth at rate 100 overflows after tau 7.09; every later step is rejected
+    (lambda M, b: (100 * np.eye(27), b), 7.0),
+)
+
+
 def test_integration_failure_carries_last_time(monkeypatch):
     system = dynamics._cached_system
-    for poison, last_tau in (
-        # a NaN source: the first step size is NaN, and no step is ever taken
-        (lambda M, b: (M, np.full(27, np.nan)), 0.0),
-        # growth at rate 100 overflows after tau 7.09; every later step is rejected
-        (lambda M, b: (100 * np.eye(27), b), 7.0),
-    ):
+    for poison, last_tau in _POISONS:
         monkeypatch.setattr(dynamics, "_cached_system", lambda p, poison=poison: poison(*system(p)))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
             integrate(Scenario(params=preset_params("AN", 0.0), t_max=10.0, sample_count=101))
@@ -249,3 +255,54 @@ def test_integrate_is_bitwise_solve_ivp_on_random_parameters(p, n_a0, n_b0, n_c0
     sc = Scenario(params=p, initial=initial_state(n_a0, n_b0, n_c0), t_max=5.0, sample_count=51)
     np.testing.assert_array_equal(integrate(sc).states.view(np.uint64),
                                   _solve_ivp_states(sc).view(np.uint64))
+
+
+_presets = st.sampled_from(["AA", "AN", "NA", "NN"])
+_member = st.tuples(_presets, st.floats(0.0, 0.4), _occupation, _occupation, _occupation)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(_member, min_size=1, max_size=9),
+       st.sampled_from([(5.0, 51), (10.0, 101), (40.0, 21)]))
+def test_batch_members_are_bitwise_alone(members, grid):
+    t_max, samples = grid
+    scenarios = [Scenario(params=preset_params(cfg, chi), initial=initial_state(na, nb, nc),
+                          t_max=t_max, sample_count=samples) for cfg, chi, na, nb, nc in members]
+    for scenario, traj in zip(scenarios, integrate_batch(scenarios)):
+        np.testing.assert_array_equal(traj.states.view(np.uint64),
+                                      integrate(scenario).states.view(np.uint64))
+
+
+def test_poisoned_batch_member_fails_alone_without_warnings(monkeypatch):
+    grid = dict(t_max=10.0, sample_count=101)
+    healthy = [Scenario(params=preset_params(cfg, 0.2), **grid) for cfg in ("AA", "NA", "NN")]
+    expected = [integrate(sc).states for sc in healthy]
+    target = Scenario(params=preset_params("AN", 0.0), **grid)
+    system = dynamics._cached_system
+    for poison, last_tau in _POISONS:
+        def poisoned(p, poison=poison):
+            return poison(*system(p)) if p == target.params else system(p)
+
+        monkeypatch.setattr(dynamics, "_cached_system", poisoned)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as alone:
+            integrate(target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = integrate_batch([healthy[0], target, *healthy[1:]])
+        failed = results.pop(1)
+        assert isinstance(failed, IntegrationError)
+        assert str(failed) == str(alone.value)
+        assert failed.last_tau == alone.value.last_tau == last_tau
+        for traj, states in zip(results, expected):
+            np.testing.assert_array_equal(traj.states.view(np.uint64), states.view(np.uint64))
+
+
+def test_batch_rejects_mixed_grids():
+    p = preset_params("AN", 0.2)
+    with pytest.raises(ValueError, match="share t_max and sample_count"):
+        integrate_batch([Scenario(params=p, t_max=1.0, sample_count=11),
+                         Scenario(params=p, t_max=2.0, sample_count=11)])
+    with pytest.raises(ValueError, match="share t_max and sample_count"):
+        integrate_batch([Scenario(params=p, t_max=1.0, sample_count=11),
+                         Scenario(params=p, t_max=1.0, sample_count=21)])
+    assert integrate_batch([]) == []

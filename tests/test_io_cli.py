@@ -209,14 +209,14 @@ def test_sweep_csv(tmp_path):
 def test_sweep_csv_keeps_a_failed_row(monkeypatch):
     import cavens.runner as runner_mod
 
-    real = runner_mod.run_scenario
+    real = runner_mod.integrate_batch
 
-    def flaky(scenario):
-        if scenario.params.chi == 0.1:
-            raise IntegrationError("synthetic failure", 0.5)
-        return real(scenario)
+    def flaky(scenarios):
+        scenarios = list(scenarios)
+        return [IntegrationError("synthetic failure", 0.5) if sc.params.chi == 0.1 else result
+                for sc, result in zip(scenarios, real(scenarios))]
 
-    monkeypatch.setattr(runner_mod, "run_scenario", flaky)
+    monkeypatch.setattr(runner_mod, "integrate_batch", flaky)
     surface = chi_sweep(Scenario(params=preset_params("AN"), t_max=1.0, sample_count=4),
                         [0.0, 0.1], "mandel_A")
     _, rows = _csv(surface)

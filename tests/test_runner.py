@@ -134,21 +134,26 @@ def test_sweep_validates_input():
 
 def test_sweep_rejects_an_invalid_row_before_running_any(monkeypatch):
     ran = []
-    monkeypatch.setattr(runner_mod, "run_scenario", ran.append)
+    monkeypatch.setattr(runner_mod, "integrate_batch", ran.append)
     with pytest.raises(ValueError, match="chi must be finite"):
         chi_sweep(_AN_SHORT, [0.1, float("nan")], "var_x_A")
     assert ran == []
 
 
+def _replacing_row(monkeypatch, chi, replace):
+    """Route the sweep's batch through ``replace(result)`` for the row at ``chi``."""
+    real = runner_mod.integrate_batch
+
+    def batch(scenarios):
+        scenarios = list(scenarios)
+        return [replace(result) if sc.params.chi == chi else result
+                for sc, result in zip(scenarios, real(scenarios))]
+
+    monkeypatch.setattr(runner_mod, "integrate_batch", batch)
+
+
 def test_sweep_keeps_partial_results(monkeypatch):
-    real = runner_mod.run_scenario
-
-    def flaky(scenario):
-        if scenario.params.chi == 0.1:
-            raise IntegrationError("synthetic failure", 0.5)
-        return real(scenario)
-
-    monkeypatch.setattr(runner_mod, "run_scenario", flaky)
+    _replacing_row(monkeypatch, 0.1, lambda _: IntegrationError("synthetic failure", 0.5))
     surface = chi_sweep(_AN_SHORT, [0.0, 0.1], "var_x_A")
     assert surface.status[0] == "ok"
     assert surface.status[1].startswith("error:")
@@ -157,30 +162,27 @@ def test_sweep_keeps_partial_results(monkeypatch):
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    real = runner_mod.run_scenario
+    real = runner_mod.integrate_batch
 
-    def buggy(scenario):
-        if scenario.params.chi == 0.1:
+    def buggy(scenarios):
+        scenarios = list(scenarios)
+        if any(sc.params.chi == 0.1 for sc in scenarios):
             raise TypeError("synthetic bug")
-        return real(scenario)
+        return real(scenarios)
 
-    monkeypatch.setattr(runner_mod, "run_scenario", buggy)
+    monkeypatch.setattr(runner_mod, "integrate_batch", buggy)
     with pytest.raises(TypeError, match="synthetic bug"):
         chi_sweep(_AN_SHORT, [0.0, 0.1], "var_x_A")
 
 
+def _drifted(traj):
+    states = traj.states.copy()
+    states[7, Moment.AA] += 1e-6j  # <AA> no longer conj(<AdAd>) at sample 7
+    return Trajectory(traj.taus, states)
+
+
 def test_sweep_row_with_inconsistent_sample_fails_alone(monkeypatch):
-    real = runner_mod.integrate
-
-    def drifting(scenario):
-        traj = real(scenario)
-        if scenario.params.chi != 0.1:
-            return traj
-        states = traj.states.copy()
-        states[7, Moment.AA] += 1e-6j  # <AA> no longer conj(<AdAd>) at sample 7
-        return Trajectory(traj.taus, states)
-
-    monkeypatch.setattr(runner_mod, "integrate", drifting)
+    _replacing_row(monkeypatch, 0.1, _drifted)
     surface = chi_sweep(_AN_SHORT, [0.0, 0.1, 0.2], "hz_e_AB")
     assert surface.status[0] == surface.status[2] == "ok"
     assert surface.status[1].startswith("error:")

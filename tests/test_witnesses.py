@@ -193,3 +193,14 @@ def test_trajectory_with_one_inconsistent_sample_raises():
     states[4, Moment.ABd] += 1e-6j  # <ABd> no longer conj(<AdB>) at sample 4
     with pytest.raises(InternalConsistencyError, match="at sample 4"):
         witness_table(states)
+
+
+def test_stacked_trajectories_name_the_sample_within_its_trajectory():
+    rng = np.random.default_rng(12)
+    states = np.stack([[make_random_state(rng).values for _ in range(5)] for _ in range(3)])
+    witness_table(states)
+    states[2, 3, Moment.ABd] += 1e-6j  # third trajectory, its sample 3 (flat index 13)
+    with pytest.raises(InternalConsistencyError, match="at sample 3 "):
+        witness_table(states)
+    with pytest.raises(InternalConsistencyError, match="at sample 3 "):
+        witness_table(states[2])
