@@ -15,20 +15,22 @@ flag is a usage error: ``table`` scores every preset and takes no
 and only ``table`` takes ``--threshold``.  A config key that a subcommand
 would not honour is an error too: ``table`` rejects a config that sets model
 parameters, ``sweep`` one that sets ``chi``, and every other subcommand one
-that sets ``threshold``.  So are an empty ``--chi-grid`` and an empty
-``--witnesses`` list.  ``oracle-check`` warns on stderr when its Fock
-truncation leaks enough to blur the closure errors it reports.
+that sets ``threshold``.  So are an empty ``--chi-grid`` and an empty or
+repeating ``--witnesses`` list.  ``oracle-check`` warns on stderr when its
+Fock truncation leaks enough to blur the closure errors it reports.
 
-All CSV output is UTF-8 with a header row, 17 significant digits and a
-deterministic byte stream for identical inputs; complex moments are split
-into ``re_<name>`` / ``im_<name>`` column pairs.  Every product is handed
-to one writer as a list of columns (float arrays and string lists).
+All CSV output is UTF-8 with a header row and a deterministic byte stream
+for identical inputs; complex moments are split into ``re_<name>`` /
+``im_<name>`` column pairs.  Every product is handed to one writer as a list
+of columns (float arrays and string lists), which formats each row with one
+``%`` template: ``%.17g`` per float column, ``%s`` per string column.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -141,6 +143,10 @@ def parse_config(text: str) -> Scenario:
         raise ConfigError(str(exc)) from None
 
 
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
 def format_config(scenario: Scenario) -> str:
     """Echo a scenario as explicit-parameter config text (parse round trips)."""
     p = scenario.params
@@ -161,29 +167,18 @@ def format_config(scenario: Scenario) -> str:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_columns(dest, header: list[str], columns) -> None:
     """Write equal-length columns under ``header``, one CSV row per index.
 
-    A float array is written with 17 significant digits; a list of strings
-    is written as it is.
+    A float array is written as ``%.17g``, a list of strings as it is.  Rows
+    are streamed through one ``%`` template, so cells go in only as arguments.
     """
-    cells = [[_fmt(x) for x in col.tolist()] if isinstance(col, np.ndarray) else col
-             for col in columns]
-
-    def dump(fh):
+    template = ",".join("%.17g" if isinstance(col, np.ndarray) else "%s" for col in columns) + "\n"
+    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    opened = nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8", newline="")
+    with opened as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cells):
-            fh.write(",".join(row) + "\n")
-
-    if hasattr(dest, "write"):
-        dump(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            dump(fh)
+        fh.writelines(template % row for row in zip(*values))
 
 
 def _re_im(z: np.ndarray) -> np.ndarray:
@@ -203,6 +198,9 @@ def write_witness_series(series: WitnessSeries, dest, columns: list[str] | None 
             raise KeyError(f"unknown witness column(s): {', '.join(unknown)}")
         if not columns:
             raise ValueError("no witness column selected")
+        repeated = sorted({c for c in columns if columns.count(c) > 1})
+        if repeated:
+            raise ValueError(f"duplicate witness column(s): {', '.join(repeated)}")
     names = [n for n in WITNESS_NAMES if columns is None or n in columns]
     _write_columns(dest, ["tau"] + names, [series.taus] + [series.column(n) for n in names])
 

@@ -16,7 +16,7 @@ from cavens.io_cli import (
 )
 from cavens.dynamics import IntegrationError, integrate
 from cavens.model import MOMENT_NAMES, Moment, Scenario, SystemParams, initial_state, preset_params
-from cavens.runner import CELLS, run_scenario, table_matrix, chi_sweep
+from cavens.runner import CELLS, SignMatrix, SweepSurface, run_scenario, table_matrix, chi_sweep
 from cavens.witnesses import WITNESS_NAMES
 
 
@@ -260,6 +260,81 @@ def test_emit_csv_rejects_unknown_type():
         emit_csv(object(), io.StringIO())
 
 
+_EDGE_FLOATS = [0.0, -0.0, float("nan"), float(np.copysign(np.nan, -1.0)), float("inf"),
+                float("-inf"), 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 2**53 + 1.0, 1e17]
+
+
+def _written(header, columns) -> str:
+    buf = io.StringIO()
+    io_cli._write_columns(buf, header, columns)
+    return buf.getvalue()
+
+
+def _per_value_csv(header, columns) -> str:
+    """Reference text: every float through ``format(float(x), ".17g")`` on its own."""
+    cells = [[format(float(x), ".17g") for x in col] for col in columns]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)])
+
+
+def test_float_cells_match_per_value_17g_on_edge_values():
+    edge = np.array(_EDGE_FLOATS)
+    columns = [edge, edge[::-1].copy(), -edge]
+    text = _written(["a", "b", "c"], columns)
+    assert text == _per_value_csv(["a", "b", "c"], columns)
+    assert text.splitlines()[1:5] == ["0,1e+17,-0", "-0,9007199254740992,0",
+                                      "nan,0.33333333333333331,nan", "nan,0.10000000000000001,nan"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=60), width=st.integers(1, 3))
+def test_float_cells_match_per_value_17g_on_any_bit_pattern(bits, width):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    columns = list(values[: len(values) - len(values) % width].reshape(width, -1))
+    header = [f"c{k}" for k in range(width)]
+    assert _written(header, columns) == _per_value_csv(header, columns)
+
+
+_PERCENT_CELLS = ("100%", "%s", "%%", "%.17g")
+
+
+def test_string_cells_with_percent_signs_are_written_unchanged():
+    surface = SweepSurface("mandel_A", np.array([0.0, 0.5, 1.0, 2.0]), np.array([0.0, 1.0]),
+                           np.zeros((4, 2)), tuple(f"error: {s}" for s in _PERCENT_CELLS))
+    _, rows = _csv(surface)
+    assert [row[3] for row in rows] == [f"error: {s}" for s in _PERCENT_CELLS for _ in range(2)]
+    shape = (len(_PERCENT_CELLS), len(CELLS))
+    matrix = SignMatrix(1e-4, 1.0, tuple((label, 0.0) for label in _PERCENT_CELLS),
+                        np.zeros(shape, dtype=bool), np.ones(shape), np.ones(shape))
+    _, rows = _csv(matrix)
+    assert [row[0] for row in rows] == [label for label in _PERCENT_CELLS for _ in CELLS]
+    assert {row[3] for row in rows} == {"cross"}
+
+
+def test_a_product_with_zero_rows_writes_its_header_only():
+    surface = SweepSurface("mandel_A", np.zeros(0), np.zeros(0), np.zeros((0, 0)), ())
+    buf = io.StringIO()
+    emit_csv(surface, buf)
+    assert buf.getvalue() == "chi,tau,mandel_A,status\n"
+    assert _written(["x", "y"], [np.zeros(0), []]) == "x,y\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "AN", "--chi", "0.2", "--tmax", "1", "--samples", "5"],
+    ["simulate", "--preset", "NA", "--tmax", "1", "--samples", "5", "--moments"],
+    ["table", "--tmax", "1", "--samples", "5"],
+    ["sweep", "--preset", "AN", "--chi-grid", "0,0.2", "--witness", "mandel_C",
+     "--tmax", "1", "--samples", "5"],
+    ["oracle-check", "--preset", "AN", "--chi", "0.2", "--nmax", "1", "--tmax", "0.5",
+     "--samples", "3"],
+])
+def test_stdout_and_out_file_get_the_same_bytes(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_cli_simulate_to_file(tmp_path):
     out = tmp_path / "run.csv"
     code = main(["simulate", "--preset", "AN", "--chi", "0.2",
@@ -373,6 +448,7 @@ def test_cli_sweep_with_config(tmp_path):
     ["sweep", "--config", "{chi}", "--chi-grid", "0", "--witness", "var_x_A"],
     ["table", "--chi-grid", ","],
     ["simulate", "--preset", "AN", "--witnesses", ","],
+    ["simulate", "--preset", "AN", "--witnesses", "var_x_A,mandel_A,mandel_A"],
 ])
 def test_cli_rejects_inputs_it_would_not_honour(argv, tmp_path, capsys):
     configs = {"an": "preset = AN\n", "explicit": "g_a = 0.2\n",
