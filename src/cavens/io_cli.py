@@ -101,23 +101,15 @@ def parse_config(text: str) -> Scenario:
                     f"explicit {key!r} conflicts with 'preset'", seen[key][0]
                 )
 
-    def number(key: str, default: float) -> float:
+    def number(key: str, default, kind=float):
         if key not in seen:
             return default
         lineno, value = seen[key]
         try:
-            return float(value)
+            return kind(value)
         except ValueError:
-            raise ConfigError(f"malformed number {value!r} for {key!r}", lineno) from None
-
-    def integer(key: str, default: int) -> int:
-        if key not in seen:
-            return default
-        lineno, value = seen[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"malformed integer {value!r} for {key!r}", lineno) from None
+            noun = "number" if kind is float else "integer"
+            raise ConfigError(f"malformed {noun} {value!r} for {key!r}", lineno) from None
 
     if "preset" in seen:
         lineno, label = seen["preset"]
@@ -136,7 +128,7 @@ def parse_config(text: str) -> Scenario:
                 number("init_nc", 1.0),
             ),
             t_max=number("t_max", Scenario.t_max),
-            sample_count=integer("samples", Scenario.sample_count),
+            sample_count=number("samples", Scenario.sample_count, int),
             threshold=number("threshold", Scenario.threshold),
         )
     except ValueError as exc:
@@ -152,10 +144,8 @@ def format_config(scenario: Scenario) -> str:
     p = scenario.params
     occ = occupations(scenario.initial)
     lines = [f"{key} = {_fmt(getattr(p, key))}" for key in _PARAM_KEYS]
+    lines += [f"init_n{mode} = {_fmt(n)}" for mode, n in zip("abc", occ)]
     lines += [
-        f"init_na = {_fmt(occ[0])}",
-        f"init_nb = {_fmt(occ[1])}",
-        f"init_nc = {_fmt(occ[2])}",
         f"t_max = {_fmt(scenario.t_max)}",
         f"samples = {scenario.sample_count}",
         f"threshold = {_fmt(scenario.threshold)}",
@@ -390,7 +380,8 @@ def main(argv=None) -> int:
         print(f"cavens: numeric failure: {exc}", file=sys.stderr)
         return 2
     except (_UsageError, ConfigError, KeyError, ValueError, OSError) as exc:
-        print(f"cavens: error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"cavens: error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

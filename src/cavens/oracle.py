@@ -14,11 +14,11 @@ leakage, and quantifies the error of the higher-order decoupling rules
 which are *not* exact.
 
 The generator is one real sparse matrix on the d^2 real Hermitian
-coordinates of rho, built once per run, so each DOP853 right-hand side
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) is one real matvec and
-every sampled rho is exactly Hermitian; the basis dimension is capped
-(at 512 = three modes at eight levels each, n_max 7, where the
-generator holds 3.6e6 nonzeros).
+coordinates of rho, built once per run.  It is constant, so rho is carried
+by Taylor series in steps, one real matvec per term and exact to rounding,
+with ``scipy.sparse`` alone; every sampled rho is exactly Hermitian.  The
+basis dimension is capped (at 512 = three modes at eight levels each,
+n_max 7, where the generator holds 3.6e6 nonzeros).
 
 Every expectation Tr[rho O] comes from ``exact_correlators``, batched over a
 ``(..., d, d)`` density stack: ``moments_from_density`` reads the 27 stored
@@ -35,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import DOP853
 
 from .closure import SLOT_WORDS, OperatorFactor, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
@@ -61,9 +60,10 @@ __all__ = [
 
 _MODE_INDEX = {"A": 0, "B": 1, "C": 2}
 
-# DOP853 tolerances of every density propagation
-ATOL = 1e-12
-RTOL = 1e-9
+_TERM_CAP = 60
+_FEW_TERMS = 30
+_CANCELLATION = 1e3
+_BLOCK = 8
 # largest basis dimension: three modes at eight levels each
 DIM_CAP = 512
 
@@ -72,7 +72,7 @@ class PositivityError(RuntimeError):
     """Evolved state lost positivity beyond tolerance.
 
     The truncated generator is still in Lindblad form, so it preserves
-    positivity exactly; only integrator error can make rho non-positive.
+    positivity exactly, and the Taylor path is exact to rounding.
     """
 
 
@@ -226,14 +226,6 @@ def _write_hermitian(x: np.ndarray, out: np.ndarray) -> None:
     out.imag = np.where(strict, xt, np.where(upper, 0.0, -x))
 
 
-def _hermitian_check(rho0: DensityMatrix) -> None:
-    """Reject an initial state the Hermitian coordinates cannot hold."""
-    m = rho0.matrix
-    defect = np.abs(m - m.conj().T).max()
-    if defect > 1e-10:
-        raise ValueError(f"initial state has hermiticity defect {defect:.3e} above 1e-10")
-
-
 class Liouvillian:
     """The Lindblad generator as one real sparse matrix on rho's Hermitian coordinates.
 
@@ -319,72 +311,89 @@ def build_generator(p: SystemParams, basis: FockBasisSpec) -> Liouvillian:
     return Liouvillian(basis, p)
 
 
-def _integrate_rho(rho0: DensityMatrix, L: Liouvillian, t_eval: np.ndarray) -> np.ndarray:
-    """DOP853 path sampled at ``t_eval`` (starting at 0) into one preallocated array.
-
-    Steps ``scipy.integrate.DOP853`` on rho's real Hermitian coordinates and
-    writes each step's dense-output samples straight into the complex
-    ``(n, d, d)`` path, so every sample is exactly Hermitian.
-    """
-    d = rho0.spec.dim
-    superop = L.superop
-    solver = DOP853(lambda _t, y: superop @ y, 0.0, _coordinates(rho0.matrix),
-                    float(t_eval[-1]), rtol=RTOL, atol=ATOL)
-    path = np.empty((len(t_eval), d, d), dtype=complex)
-    # sample 0 is the initial state itself, also on a grid of [0] alone,
-    # where the solver takes no step
-    _write_hermitian(solver.y.reshape(1, d, d), path[:1])
-    filled = 1
-    try:
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(f"density-matrix integration failed: {message}", solver.t)
-            # samples up to and including the step's end
-            stop = int(np.searchsorted(t_eval, solver.t, side="right"))
-            if stop > filled:
-                x = solver.dense_output()(t_eval[filled:stop]).T.reshape(-1, d, d)
-                _write_hermitian(x, path[filled:stop])
-                filled = stop
-    finally:
-        # scipy's solver references itself through its right-hand-side
-        # closures; dropping its attributes frees its stage arrays (34 MB at
-        # n_max 7) and the superoperator now, not at the next cyclic collection
-        vars(solver).clear()
-    return path
-
-
 def evolve(rho0: DensityMatrix, L: Liouvillian, t: float) -> DensityMatrix:
-    """Propagate a state to time t and validate the result.
+    """The last sample of ``evolve_path`` on [0, t], validated.
 
-    Raises ``ValueError`` for a non-Hermitian initial matrix (defect above
-    1e-10), which the Hermitian coordinates cannot hold, and
-    ``PositivityError`` when the evolved state has an eigenvalue below
-    -1e-6; the truncated generator preserves positivity, so that is
-    integrator error.
+    Raises what ``evolve_path`` raises, and ``PositivityError`` when the
+    evolved state has an eigenvalue below -1e-6: the truncated generator
+    preserves positivity and the Taylor sum is exact to rounding, so that
+    flags an unphysical initial state.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    _hermitian_check(rho0)
+    raw = evolve_path(rho0, L, [0.0, t])[-1]
     if t == 0:
         return rho0
-    raw = _integrate_rho(rho0, L, np.array([0.0, t]))[-1]
     state = DensityMatrix(raw, rho0.spec)
     state.validate(herm_tol=1e-8, trace_tol=1e-7, eig_floor=1e-6)
     return state
 
 
 def evolve_path(rho0: DensityMatrix, L: Liouvillian, taus: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian density matrices sampled along a grid starting at 0.
+    """Exactly Hermitian exp(tau L) rho0 on a grid from 0, summed as Taylor series.
+
+    A step h from coordinates x forms v_0 = x, v_j = (h/j) superop v_(j-1)
+    until two in a row are below unit roundoff times |x|, and sums them
+    into its end value and, with weights theta^j, theta = (tau - t)/h, into
+    each sample tau it covers; one matrix product per ``_BLOCK`` terms does
+    both (Al-Mohy & Higham, *SIAM J. Sci. Comput.* 33, 488, 2011).  A step
+    with a non-finite term or result, no convergence in ``_TERM_CAP`` terms,
+    or a term above ``_CANCELLATION`` times the result (cancellation) is
+    halved; one of at most ``_FEW_TERMS`` terms doubles the next.  The first
+    step has h |superop|_1 = 8: its terms stay below 8^8/8! |x|_1.
 
     Raises ``ValueError`` for a non-Hermitian initial matrix (defect above
-    1e-10).
+    1e-10), which the coordinates cannot hold, and ``IntegrationError`` at
+    the last good tau when a halved step no longer advances tau.
     """
     taus = np.asarray(taus, dtype=float)
     if taus[0] != 0.0:
         raise ValueError("sample grid must start at 0")
-    _hermitian_check(rho0)
-    return _integrate_rho(rho0, L, taus)
+    defect = np.abs(rho0.matrix - rho0.matrix.conj().T).max()
+    if defect > 1e-10:
+        raise ValueError(f"initial state has hermiticity defect {defect:.3e} above 1e-10")
+    d = rho0.spec.dim
+    superop = L.superop
+    path = np.empty((len(taus), d, d), dtype=complex)
+    x = _coordinates(rho0.matrix)
+    # the samples at 0, which are all of them on a grid of zeros
+    filled, t, t_end = int(np.searchsorted(taus, 0.0, side="right")), 0.0, float(taus[-1])
+    _write_hermitian(x.reshape(1, d, d), path[:filled])
+    norm = np.bincount(superop.indices, np.abs(superop.data), minlength=d * d).max()
+    h = 8.0 / norm if norm else t_end
+    block = np.empty((_BLOCK, d * d))
+    while t < t_end:
+        h = min(h, t_end - t)
+        t_next = t_end if h == t_end - t else t + h
+        stop = int(np.searchsorted(taus, t_next, side="right"))
+        # one row per sample in (t, t_next], then the end value at theta 1
+        theta = np.append((taus[filled:stop] - t) / h, 1.0)
+        sums = np.tile(x, (len(theta), 1))
+        peak = np.abs(x).max()
+        tol, small, first, term = peak * np.finfo(float).eps / 2, 0, 1, x
+        for j in range(1, _TERM_CAP + 1):
+            term = np.multiply(superop @ term, h / j, out=block[(j - 1) % _BLOCK])
+            size = np.abs(term).max()
+            if not np.isfinite(size):
+                break
+            peak = max(peak, size)
+            small = small + 1 if size <= tol else 0
+            if small == 2 or j % _BLOCK == 0:
+                sums += (theta[:, None] ** np.arange(first, j + 1)) @ block[:j + 1 - first]
+                first = j + 1
+            if small == 2:
+                break
+        result = np.abs(sums[-1]).max()
+        if small == 2 and np.isfinite(result) and peak <= _CANCELLATION * result:
+            _write_hermitian(sums[:-1].reshape(-1, d, d), path[filled:stop])
+            filled, x, t = stop, sums[-1], t_next
+            if j <= _FEW_TERMS:
+                h *= 2
+        else:
+            h /= 2
+            if t + h == t:
+                raise IntegrationError("density-matrix integration failed: step size underflow", t)
+    return path
 
 
 @lru_cache(maxsize=4096)

@@ -461,6 +461,17 @@ def test_cli_rejects_inputs_it_would_not_honour(argv, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--preset", "AN", "--witnesses", "bogus"],
+     "cavens: error: unknown witness column(s): bogus"),
+    (["sweep", "--preset", "AN", "--chi-grid", "0", "--witness", "nope"],
+     "cavens: error: unknown witness column 'nope'"),
+])
+def test_cli_prints_unknown_witness_messages_unquoted(argv, line, capsys):
+    assert main(argv + ["--tmax", "1", "--samples", "3"]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--preset", "AN", "--chi", "nan"],
     ["simulate", "--preset", "AN", "--chi", "inf"],

@@ -10,8 +10,6 @@ from cavens.closure import annihilator, creator
 from cavens.dynamics import IntegrationError, integrate
 from cavens.model import Moment, Scenario, SystemParams, initial_state, preset_params
 from cavens.oracle import (
-    ATOL,
-    RTOL,
     DensityMatrix,
     FockBasisSpec,
     PositivityError,
@@ -125,13 +123,13 @@ def _complex_generator(p, n_max):
     return G.tocsr()
 
 
-# on this grid DOP853 at ATOL/RTOL differs from the exponential by 5.8e-11 and
-# from RK45 by 1.4e-10 (NA chi 0.2); over the four presets at most 4.6e-10
+# the bound is set by the RK45 reference below (atol 1e-12, rtol 1e-9), whose
+# own error is of order 1e-10; the Taylor path is exact to rounding
 PATH_BOUND = 1e-9
 
 
 def test_evolve_path_matches_solve_ivp():
-    """DOP853 on Hermitian coordinates matches the complex generator's
+    """The Taylor path on Hermitian coordinates matches the complex generator's
     exponential (n_max 2) and its RK45 path (n_max 3), and is exactly Hermitian."""
     p = preset_params("NA", 0.2)
     taus = np.linspace(0.0, 2.0, 9)
@@ -149,11 +147,54 @@ def test_evolve_path_matches_solve_ivp():
     rhos = evolve_path(rho0, L, taus)
     G = _complex_generator(p, 3)
     sol = solve_ivp(lambda _t, y: G @ y, (0.0, 2.0), rho0.matrix.ravel(),
-                    method="RK45", t_eval=taus, rtol=RTOL, atol=ATOL)
+                    method="RK45", t_eval=taus, rtol=1e-9, atol=1e-12)
     assert np.abs(rhos - sol.y.T.reshape(rhos.shape)).max() < PATH_BOUND
     assert np.array_equal(rhos, rhos.conj().swapaxes(-1, -2))
     coherent = coherent_state(spec, (0.3j, 0.0, 0.1))
     np.testing.assert_array_equal(evolve_path(coherent, L, [0.0]), coherent.matrix[None])
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.2])
+@pytest.mark.parametrize("config", ["AA", "AN", "NA", "NN"])
+def test_evolve_path_is_the_exponential(config, chi):
+    """At n_max 2 the path equals expm(tau G) rho0 of the dense complex generator."""
+    p = preset_params(config, chi)
+    spec = FockBasisSpec(2)
+    taus = np.linspace(0.0, 5.0, 11)
+    rho0 = thermal_state(spec, (0.2, 0.1, 0.3))
+    rhos = evolve_path(rho0, build_generator(p, spec), taus)
+    # one exponential over the grid spacing, applied sample by sample
+    step = expm(0.5 * _complex_generator(p, 2).toarray())
+    exact = [rho0.matrix.ravel()]
+    for _ in taus[1:]:
+        exact.append(step @ exact[-1])
+    assert np.abs(rhos - np.reshape(exact, rhos.shape)).max() < 1e-12
+
+
+def test_evolve_is_the_last_sample_of_evolve_path():
+    """Equal on [0, t]; on a finer grid the samples inside steps leave the
+    step sequence as it is, so the last sample differs by rounding only."""
+    spec = FockBasisSpec(3)
+    L = build_generator(preset_params("AN", 0.2), spec)
+    rho0 = thermal_state(spec, (0.2, 0.1, 0.3))
+    rho = evolve(rho0, L, 2.0).matrix
+    np.testing.assert_array_equal(rho, evolve_path(rho0, L, [0.0, 2.0])[-1])
+    assert np.abs(rho - evolve_path(rho0, L, np.linspace(0.0, 2.0, 21))[-1]).max() < 1e-14
+
+
+def test_stiff_decay_is_exact_to_rounding():
+    """A -800 identity generator: the first step, at h |L|_1 = 8, cancels
+    past its bound and is halved; every sample is exp(-800 tau) x0."""
+    spec = FockBasisSpec(1)
+    L = build_generator(preset_params("AN", 0.0), spec)
+    L.superop = -800.0 * sparse.identity(spec.dim ** 2, format="csr")
+    rho0 = thermal_state(spec, (0.2, 0.1, 0.3))
+    taus = np.linspace(0.0, 0.05, 11)
+    rhos = evolve_path(rho0, L, taus)
+    exact = np.exp(-800.0 * taus)[:, None, None] * rho0.matrix
+    nonzero = exact != 0
+    assert np.abs(rhos[nonzero] / exact[nonzero] - 1.0).max() < 1e-12
+    assert np.array_equal(rhos[~nonzero], exact[~nonzero])
 
 
 def test_evolution_rejects_non_hermitian_state():

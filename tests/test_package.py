@@ -19,6 +19,22 @@ def test_all_names_resolve(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def _scipy_modules(script: str, tmp_path) -> set:
+    """The scipy modules loaded once ``script`` has run in a fresh interpreter.
+
+    ``script`` gets an output path as ``sys.argv[1]`` and prints the
+    loaded scipy module names, space-separated, as its last line.
+    """
+    src = Path(cavens.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split()) if proc.stdout.strip() else set()
+
+
 _NO_SCIPY = """
 import sys
 import cavens, cavens.io_cli
@@ -29,17 +45,28 @@ assert cavens.io_cli.main(["sweep", "--preset", "AN", "--chi-grid", "0,0.2",
                            "--witness", "mandel_A", "--samples", "11", "--out", out]) == 0
 assert cavens.io_cli.main(["simulate", "--preset", "NA", "--samples", "11", "--out", out]) == 0
 assert cavens.io_cli.main(["simulate", "--preset", "NA", "--moments", "--samples", "11", "--out", out]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_non_oracle_commands_never_import_scipy(tmp_path):
     # scipy serves only the Fock-space oracle; the moment pipeline is numpy alone
-    src = Path(cavens.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "out.csv")],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _scipy_modules(_NO_SCIPY, tmp_path) == set()
+
+
+_ORACLE_IMPORTS = """
+import sys
+import cavens.io_cli
+
+assert cavens.io_cli.main(["oracle-check", "--preset", "AN", "--nmax", "2", "--samples", "5",
+                           "--tmax", "1", "--out", sys.argv[1]]) == 0
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_oracle_check_imports_only_scipy_sparse(tmp_path):
+    # the Taylor propagator needs scipy.sparse alone, not scipy's integrators
+    loaded = _scipy_modules(_ORACLE_IMPORTS, tmp_path)
+    assert "scipy.sparse" in loaded
+    for name in ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special"):
+        assert name not in loaded, name
