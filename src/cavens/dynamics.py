@@ -187,6 +187,56 @@ def _affine(Ms, V, bs):
     return (Ms @ V[..., None])[..., 0] + bs
 
 
+# pending spans that trigger a write: a bound on the stages held back, where
+# deferring a whole run would hold every step's stages at once
+_CHUNK = 64
+
+
+class _DenseOutput:
+    """The quartic interpolants of accepted steps, written into ``states`` in chunks.
+
+    A span is one step that passed samples: its scenario, first and end
+    sample, start time t and step h, with its 7 stages and start state.  A
+    chunk's ``K.T @ P`` is one stacked matmul; then spans are grouped by
+    sample count, because ``np.dot`` computes one sample by gemv and more by
+    gemm, whose bits differ, so only a group of equal counts repeats the
+    per-step products bit for bit.
+    """
+
+    def __init__(self, taus: np.ndarray, states: np.ndarray):
+        self.taus, self.states = taus, states
+        self.pending = []  # (stages (7, k, 27), starts (k, 27), k spans) per pass
+        self.count = 0
+
+    def add(self, stages: np.ndarray, starts: np.ndarray, spans: list) -> None:
+        self.pending.append((stages, starts, spans))
+        self.count += len(spans)
+        if self.count >= _CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.pending:
+            return
+        stages, starts, spans = zip(*self.pending)
+        self.pending, self.count = [], 0
+        Q = np.matmul(np.concatenate(stages, axis=1).transpose(1, 2, 0), _P)
+        starts = np.concatenate(starts)
+        scenario, first, end, t, h = map(np.array, zip(*(s for group in spans for s in group)))
+        counts = end - first
+        for m in set(counts.tolist()):  # a set: np.unique's first call adds 1.7 MB resident
+            k = np.flatnonzero(counts == m)
+            rows = first[k, None] + np.arange(m)
+            x = (self.taus[rows] - t[k, None]) / h[k, None]
+            powers = np.empty((k.size, 4, m))
+            powers[:, 0] = x
+            for p in range(1, 4):  # x, x^2, x^3, x^4 in the order of cumprod
+                np.multiply(powers[:, p - 1], x, out=powers[:, p])
+            # complex h: numpy casts the float step so for a product with a complex array
+            segment = h[k, None, None].astype(complex) * (Q[k] @ powers)
+            segment += starts[k, :, None]
+            self.states[scenario[k, None], rows] = segment.transpose(0, 2, 1)
+
+
 def integrate(scenario: Scenario) -> Trajectory:
     """Integrate the moment system over [0, t_max].
 
@@ -211,6 +261,9 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     pass).  A scenario's stage sums, matrix products and error norm are
     separate BLAS calls on its own slice, and its controller runs in Python
     floats, so its trajectory has the same bits in any batch as alone.  A
+    step that passes samples is kept as a span, and the quartic interpolants
+    of pending spans, from any pass and scenario, are written in stacked
+    chunks (``_DenseOutput``) with the per-step products' bits.  A
     scenario that fails gets its ``IntegrationError`` in its place in the
     result; the others are unaffected.  Scenarios whose ``t_max`` or
     ``sample_count`` differ raise ``ValueError``.
@@ -240,6 +293,7 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     t, done, rejected = [0.0] * len(scenarios), [0] * len(scenarios), [False] * len(scenarios)
     min_step = [10 * math.ulp(0.0)] * len(scenarios)
     h_abs = [max(h, m) for h, m in zip(h_abs, min_step)]
+    dense = _DenseOutput(taus, states)
     live = list(range(len(scenarios)))  # scenarios still stepping, in the row order of Ms, bs, Y, K
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging scenario fails on its own
         while True:
@@ -275,6 +329,7 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
             # and imaginary parts of a scenario's scaled error
             parts = e.view(float).reshape(-1, 27, 2).transpose(0, 2, 1)
             squares = (parts[..., None, :] @ parts[..., None]).reshape(-1, 2).tolist()
+            passed, spans = [], []
             for j, (i, (re2, im2)) in enumerate(zip(live, squares)):
                 error = math.sqrt(re2 + im2) / 27 ** 0.5
                 if not error < 1:
@@ -284,22 +339,19 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
                     continue
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)
                 h_abs[i] *= min(1, factor) if rejected[i] else factor
-                end = bisect.bisect_right(grid, t_new[j])
-                if end > done[i]:  # the quartic interpolant at the samples this step passed
-                    x = (taus[done[i]:end] - t[i]) / hs[j]
-                    powers = np.empty((4, x.size))
-                    powers[0] = x
-                    for k in range(1, 4):  # x, x^2, x^3, x^4 in the order of cumprod
-                        np.multiply(powers[k - 1], x, out=powers[k])
-                    segment = hs[j] * np.dot(K[:, j].T.dot(_P), powers)
-                    segment += Y[j][:, None]
-                    states[i, done[i]:end] = segment.T
+                end = bisect.bisect_right(grid, t_new[j], done[i])
+                if end > done[i]:  # this step's interpolant gives the samples it passed
+                    passed.append(j)
+                    spans.append((i, done[i], end, t[i], hs[j]))
                     done[i] = end
                 t[i] = t_new[j]
                 min_step[i] = 10 * abs(math.nextafter(t[i], math.inf) - t[i])
                 h_abs[i] = max(h_abs[i], min_step[i])
                 rejected[i] = False
+            if passed:
+                dense.add(K[:, passed], Y[passed], spans)
             Y, K[0] = Y_new, K[6]
+        dense.flush()
     finite = np.isfinite(states).all(axis=2)
     for i, result in enumerate(results):
         if result is not None:

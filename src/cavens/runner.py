@@ -76,23 +76,19 @@ def _witness_tables(scenarios) -> list:
 
     Entry ``i`` is scenario ``i``'s ``(n, 42)`` witness table, or the
     ``IntegrationError`` or ``InternalConsistencyError`` it failed on.  The
-    integrated scenarios are evaluated as one stack; when that raises, each
-    is evaluated alone, so every error is its own scenario's.
+    integrated scenarios are evaluated as one stack, which gives every
+    scenario its own table or error even when some fail.
     """
     results = integrate_batch(scenarios)
     integrated = [i for i, result in enumerate(results) if isinstance(result, Trajectory)]
     if not integrated:
         return results
     try:
-        stack = np.stack([results[i].states for i in integrated])
-        for i, table in zip(integrated, witness_table(stack)):
-            results[i] = table
-    except InternalConsistencyError:
-        for i in integrated:
-            try:
-                results[i] = witness_table(results[i].states)
-            except InternalConsistencyError as exc:
-                results[i] = exc
+        tables = witness_table(np.stack([results[i].states for i in integrated]))
+    except InternalConsistencyError as exc:
+        tables = exc.members
+    for i, table in zip(integrated, tables):
+        results[i] = table
     return results
 
 

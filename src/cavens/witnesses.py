@@ -74,7 +74,14 @@ _NUMBER_TRIPLE = (creator("A"), annihilator("A"), creator("B"), annihilator("B")
 
 
 class InternalConsistencyError(RuntimeError):
-    """A nominally real witness value carried a large imaginary residue."""
+    """A nominally real witness value carried a large imaginary residue.
+
+    When ``witness_table`` raises it, ``members`` has one entry per
+    trajectory of the evaluated stack (one for a single trajectory or
+    state): that trajectory's table, or the error it raises evaluated alone.
+    """
+
+    members: list | None = None
 
 
 class Correlators:
@@ -90,6 +97,9 @@ class Correlators:
     def __init__(self, correlate):
         self._correlate = correlate
         self._words = {}
+        # None: a failed check raises at once; in witness_table, the first
+        # failed check of each trajectory, by its index in the stack
+        self._failures = None
 
     def word(self, *factors):
         if factors not in self._words:
@@ -115,16 +125,31 @@ def _source(state) -> Correlators:
     return state if isinstance(state, Correlators) else decoupled(state)
 
 
-def _real(value, what: str):
+def _by_trajectory(a: np.ndarray) -> np.ndarray:
+    """One row per trajectory: a stack's last axis is the sample axis, and a state is one sample."""
+    return np.reshape(a, (-1, np.shape(a)[-1] if np.ndim(a) else 1))
+
+
+def _real(src: Correlators, value, what: str):
+    """The real part, once each sample's imaginary residue is below ``IMAG_TOL``.
+
+    A trajectory with a larger residue fails at its first such sample.  The
+    error raises at once, or, inside ``witness_table``, is recorded in
+    ``src._failures`` when it is that trajectory's first.
+    """
     residue = np.imag(value)
-    bad = np.flatnonzero(np.abs(residue) >= IMAG_TOL)
-    if bad.size:
-        # a stack's last axis is the sample axis: name the sample within its trajectory
-        sample = bad[0] % np.shape(residue)[-1] if np.ndim(residue) else 0
-        raise InternalConsistencyError(
-            f"{what} has imaginary residue {np.ravel(residue)[bad[0]]:.3e} "
-            f"at sample {sample} (state inconsistent)"
-        )
+    bad = np.abs(residue) >= IMAG_TOL
+    if bad.any():
+        residue, bad = _by_trajectory(residue), _by_trajectory(bad)
+        for m in np.flatnonzero(bad.any(axis=1)).tolist():
+            sample = int(np.argmax(bad[m]))
+            error = InternalConsistencyError(
+                f"{what} has imaginary residue {residue[m, sample]:.3e} "
+                f"at sample {sample} (state inconsistent)"
+            )
+            if src._failures is None:
+                raise error
+            src._failures.setdefault(m, error)
     return np.real(value)
 
 
@@ -141,7 +166,7 @@ def mandel_q(state, mode: str):
     """
     src = _source(state)
     a, ad = _ops(mode)
-    occ = _real(src.word(ad, a), f"<n_{mode}>")
+    occ = _real(src, src.word(ad, a), f"<n_{mode}>")
     antibunch = antibunch_single(src, mode)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(occ < OCCUPATION_FLOOR, math.nan, antibunch / occ)[()]
@@ -152,7 +177,7 @@ def antibunch_single(state, mode: str):
     src = _source(state)
     a, ad = _ops(mode)
     occ = src.word(ad, a)
-    return _real(src.word(ad, ad, a, a) - cprod(occ, occ), f"antibunch_{mode}")
+    return _real(src, src.word(ad, ad, a, a) - cprod(occ, occ), f"antibunch_{mode}")
 
 
 def antibunch_inter(state, pair: tuple[str, str]):
@@ -160,7 +185,7 @@ def antibunch_inter(state, pair: tuple[str, str]):
     src = _source(state)
     (a, ad), (b, bd) = _ops(pair[0]), _ops(pair[1])
     value = src.word(ad, bd, b, a) - cprod(src.word(ad, a), src.word(bd, b))
-    return _real(value, f"antibunch_{pair[0]}{pair[1]}")
+    return _real(src, value, f"antibunch_{pair[0]}{pair[1]}")
 
 
 def quadrature_variances(state, mode: str):
@@ -171,7 +196,7 @@ def quadrature_variances(state, mode: str):
     m, md = src.word(a), src.word(ad)
     vx = cquot(sq + sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m + md, 2.0))
     vy = cquot(-sq - sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m - md, 2j))
-    return _real(vx, f"var_x_{mode}"), _real(vy, f"var_y_{mode}")
+    return _real(src, vx, f"var_x_{mode}"), _real(src, vy, f"var_y_{mode}")
 
 
 def intermodal_quadrature_variances(state, pair: tuple[str, str]):
@@ -195,7 +220,8 @@ def intermodal_quadrature_variances(state, pair: tuple[str, str]):
         - cprod(2.0, ab - abd - adb + adbd),
         8.0,
     ) - csquare(cquot(ma - mad + mb - mbd, 2j * math.sqrt(2.0)))
-    return _real(vx, f"var_x_{pair[0]}{pair[1]}"), _real(vy, f"var_y_{pair[0]}{pair[1]}")
+    key = f"{pair[0]}{pair[1]}"
+    return _real(src, vx, f"var_x_{key}"), _real(src, vy, f"var_y_{key}")
 
 
 def duan(state, pair: tuple[str, str]):
@@ -213,8 +239,10 @@ def hz_pair(state, pair: tuple[str, str]):
     src = _source(state)
     (a, ad), (b, bd) = _ops(pair[0]), _ops(pair[1])
     key = f"{pair[0]}{pair[1]}"
-    e = _real(src.word(ad, a, bd, b) - cprod(src.word(a, bd), src.word(ad, b)), f"hz_e_{key}")
+    e = _real(src, src.word(ad, a, bd, b) - cprod(src.word(a, bd), src.word(ad, b)),
+              f"hz_e_{key}")
     etilde = _real(
+        src,
         cprod(src.word(ad, a), src.word(bd, b)) - cprod(src.word(a, b), src.word(ad, bd)),
         f"hz_etilde_{key}",
     )
@@ -232,7 +260,7 @@ def steering(state, ordered_pair: tuple[str, str]):
     src = _source(state)
     x, xd = _ops(ordered_pair[0])
     e, _ = hz_pair(src, ordered_pair)
-    return e + _real(src.word(xd, x), f"<n_{ordered_pair[0]}>") / 2.0
+    return e + _real(src, src.word(xd, x), f"<n_{ordered_pair[0]}>") / 2.0
 
 
 def bisep(state, partition: tuple[str, str, str]):
@@ -248,8 +276,10 @@ def bisep(state, partition: tuple[str, str, str]):
     (a, ad), (b, bd), (c, cd) = (_ops(m) for m in partition)
     key = f"{partition[0]}{partition[1]}|{partition[2]}"
     abc_dag, abc = src.word(a, b, cd), src.word(a, b, c)
-    e = _real(src.word(*_NUMBER_TRIPLE) - cprod(abc_dag, np.conj(abc_dag)), f"bisep_e_{key}")
+    e = _real(src, src.word(*_NUMBER_TRIPLE) - cprod(abc_dag, np.conj(abc_dag)),
+              f"bisep_e_{key}")
     eprime = _real(
+        src,
         cprod(src.word(ad, a, bd, b), src.word(cd, c)) - cprod(abc, np.conj(abc)),
         f"bisep_eprime_{key}",
     )
@@ -275,9 +305,15 @@ def witness_table(state) -> np.ndarray:
     ``state`` is a ``MomentState``, a ``(..., 27)`` moment array (correlators
     ``decoupled``) or a ``Correlators`` source.  Every sample is checked: an
     imaginary residue, or a non-finite value outside the Mandel columns,
-    raises ``InternalConsistencyError``.
+    raises ``InternalConsistencyError``.  A stack of trajectories is evaluated
+    once, to the end, even when some fail: each trajectory's first failed check
+    gives the error it raises alone, and the raised error names the earliest
+    check that failed, in its first failing trajectory, and lists every
+    trajectory's table or error in ``members``.
     """
-    src = _source(state)
+    source = _source(state)
+    src = Correlators(lambda word: source.word(*word))  # shares the words of ``state``
+    src._failures = {}
     v = {}
     for m in MODE_KEYS:
         v[f"mandel_{m}"] = mandel_q(src, m)
@@ -295,10 +331,15 @@ def witness_table(state) -> np.ndarray:
         name = key.replace("|", "_")
         v[f"bisep_e_{name}"], v[f"bisep_eprime_{name}"] = bisep(src, tuple(key.replace("|", "")))
     table = np.stack([v[name] for name in WITNESS_NAMES], axis=-1)
-    bad = ~(np.isfinite(table) | _MAY_BE_NAN)
-    if bad.any():
-        where = tuple(np.argwhere(bad)[0])
-        raise InternalConsistencyError(
-            f"non-finite witness value {WITNESS_NAMES[where[-1]]}={table[where]}"
-        )
+    tables = table.reshape((-1,) + table.shape[max(table.ndim - 2, 0):])  # one per trajectory
+    bad = ~(np.isfinite(tables) | _MAY_BE_NAN)
+    for m in np.flatnonzero(bad.reshape(len(tables), -1).any(axis=1)).tolist():
+        where = tuple(np.argwhere(bad[m])[0])
+        src._failures.setdefault(m, InternalConsistencyError(
+            f"non-finite witness value {WITNESS_NAMES[where[-1]]}={tables[m][where]}"
+        ))
+    if src._failures:  # in the order found: the earliest check, then the first trajectory
+        error = InternalConsistencyError(*next(iter(src._failures.values())).args)
+        error.members = [src._failures.get(m, t) for m, t in enumerate(tables)]
+        raise error
     return table

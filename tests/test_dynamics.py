@@ -240,7 +240,7 @@ def _solve_ivp_states(scenario: Scenario) -> np.ndarray:
     return np.ascontiguousarray(sol.y.T)
 
 
-@pytest.mark.parametrize("t_max, samples", [(10.0, 101), (200.0, 21)])
+@pytest.mark.parametrize("t_max, samples", [(10.0, 101), (200.0, 21), (10.0, 1001)])
 @pytest.mark.parametrize("chi", [0.0, 0.2])
 @pytest.mark.parametrize("cfg", ["AA", "AN", "NA", "NN"])
 def test_integrate_is_bitwise_solve_ivp(cfg, chi, t_max, samples):
@@ -263,7 +263,7 @@ _member = st.tuples(_presets, st.floats(0.0, 0.4), _occupation, _occupation, _oc
 
 @settings(deadline=None, max_examples=30)
 @given(st.lists(_member, min_size=1, max_size=9),
-       st.sampled_from([(5.0, 51), (10.0, 101), (40.0, 21)]))
+       st.sampled_from([(5.0, 51), (10.0, 101), (40.0, 21), (10.0, 501)]))
 def test_batch_members_are_bitwise_alone(members, grid):
     t_max, samples = grid
     scenarios = [Scenario(params=preset_params(cfg, chi), initial=initial_state(na, nb, nc),
@@ -274,27 +274,30 @@ def test_batch_members_are_bitwise_alone(members, grid):
 
 
 def test_poisoned_batch_member_fails_alone_without_warnings(monkeypatch):
-    grid = dict(t_max=10.0, sample_count=101)
-    healthy = [Scenario(params=preset_params(cfg, 0.2), **grid) for cfg in ("AA", "NA", "NN")]
-    expected = [integrate(sc).states for sc in healthy]
-    target = Scenario(params=preset_params("AN", 0.0), **grid)
     system = dynamics._cached_system
-    for poison, last_tau in _POISONS:
-        def poisoned(p, poison=poison):
-            return poison(*system(p)) if p == target.params else system(p)
+    # at 1001 samples the growing member fails with interpolants still waiting to be written
+    for samples, last_taus in ((101, [tau for _, tau in _POISONS]), (1001, [0.0, 7.03])):
+        grid = dict(t_max=10.0, sample_count=samples)
+        healthy = [Scenario(params=preset_params(cfg, 0.2), **grid) for cfg in ("AA", "NA", "NN")]
+        expected = [integrate(sc).states for sc in healthy]
+        target = Scenario(params=preset_params("AN", 0.0), **grid)
+        for (poison, _), last_tau in zip(_POISONS, last_taus):
+            def poisoned(p, poison=poison, target=target):
+                return poison(*system(p)) if p == target.params else system(p)
 
-        monkeypatch.setattr(dynamics, "_cached_system", poisoned)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as alone:
-            integrate(target)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            results = integrate_batch([healthy[0], target, *healthy[1:]])
-        failed = results.pop(1)
-        assert isinstance(failed, IntegrationError)
-        assert str(failed) == str(alone.value)
-        assert failed.last_tau == alone.value.last_tau == last_tau
-        for traj, states in zip(results, expected):
-            np.testing.assert_array_equal(traj.states.view(np.uint64), states.view(np.uint64))
+            monkeypatch.setattr(dynamics, "_cached_system", poisoned)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(IntegrationError) as alone:
+                integrate(target)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results = integrate_batch([healthy[0], target, *healthy[1:]])
+            failed = results.pop(1)
+            assert isinstance(failed, IntegrationError)
+            assert str(failed) == str(alone.value)
+            assert failed.last_tau == alone.value.last_tau == last_tau
+            for traj, states in zip(results, expected):
+                np.testing.assert_array_equal(traj.states.view(np.uint64), states.view(np.uint64))
 
 
 def test_batch_rejects_mixed_grids():

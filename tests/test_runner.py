@@ -5,7 +5,7 @@ import cavens.runner as runner_mod
 from cavens.dynamics import IntegrationError, Trajectory
 from cavens.model import Moment, Scenario, SystemParams, preset_params
 from cavens.runner import CELLS, SIGN_ROWS, chi_sweep, run_scenario, table_matrix
-from cavens.witnesses import WITNESS_NAMES
+from cavens.witnesses import WITNESS_NAMES, InternalConsistencyError, witness_table
 
 
 def test_zero_parameter_scenario_constant_witnesses():
@@ -189,3 +189,44 @@ def test_sweep_row_with_inconsistent_sample_fails_alone(monkeypatch):
     assert "imaginary residue" in surface.status[1]
     assert np.all(np.isnan(surface.values[1]))
     assert np.all(np.isfinite(surface.values[[0, 2]]))
+
+
+def _broken(traj, sample, slot):
+    states = traj.states.copy()
+    states[sample, slot] += 1e-6j  # the slot no longer conjugate to its partner there
+    return Trajectory(traj.taus, states)
+
+
+def test_failing_members_get_their_own_errors_from_one_stacked_evaluation(monkeypatch):
+    scenarios = [Scenario(params=preset_params("AN", chi), t_max=2.0, sample_count=21)
+                 for chi in (0.0, 0.1, 0.2, 0.3, 0.4)]
+    breaks = {1: (7, Moment.ABd), 3: (4, Moment.AA)}
+    trajectories = [_broken(traj, *breaks[i]) if i in breaks else traj
+                    for i, traj in enumerate(runner_mod.integrate_batch(scenarios))]
+    alone = []
+    for traj in trajectories:
+        try:
+            alone.append(witness_table(traj.states))
+        except InternalConsistencyError as exc:
+            alone.append(str(exc))
+    assert [isinstance(a, str) for a in alone] == [False, True, False, True, False]
+    # different witnesses and samples, each the first check that fails alone
+    assert alone[1].startswith("antibunch_AB has") and "at sample 7 " in alone[1]
+    assert alone[3].startswith("antibunch_A has") and "at sample 4 " in alone[3]
+
+    calls = []
+
+    def spy(states):
+        calls.append(states.shape)
+        return witness_table(states)
+
+    monkeypatch.setattr(runner_mod, "integrate_batch", lambda _: list(trajectories))
+    monkeypatch.setattr(runner_mod, "witness_table", spy)
+    results = runner_mod._witness_tables(scenarios)
+    assert calls == [(5, 21, 27)]
+    for result, expected in zip(results, alone):
+        if isinstance(expected, str):
+            assert isinstance(result, InternalConsistencyError)
+            assert str(result) == expected
+        else:
+            np.testing.assert_array_equal(result.view(np.uint64), expected.view(np.uint64))
