@@ -12,23 +12,28 @@ number correlator <AdA BdB CdC> is built by applying the three-factor rule
 to the composite number factors, with each composite pair expanded by the
 four-factor rule.
 
-The rules read a ``MomentState`` or a ``(..., 27)`` array of states, so one
-call decouples a whole trajectory.  Complex products go through ``cprod``
-(and ``cquot``, ``csquare``), which round exactly as Python's ``complex``
-does; numpy's complex multiply may use FMA.  A stack of states thus gives
-the same bits as its states taken one at a time.
+A ``Closure`` compiles a list of words once into slot-index arrays; a call
+reads a ``MomentState`` or a ``(..., 27)`` stack of states, gathers every
+ordered pair word at once and runs each rule once on the stack of all the
+words it closes.  ``decouple3``, ``decouple4``, ``number_triple_product``,
+``pair_moment`` and ``single_moment`` are the one-word case.  Complex
+products go through ``cprod`` (and ``cquot``, ``csquare``), which round
+exactly as Python's ``complex`` does; numpy's complex multiply may use FMA.
+A stack of words or states thus gives the same bits as each taken alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import MOMENT_NAMES, Moment, MomentState
+from .model import MODES, MOMENT_NAMES, Moment, MomentState
 
 __all__ = [
     "OperatorFactor",
+    "Closure",
     "SLOT_WORDS",
     "word_for_name",
     "annihilator",
@@ -36,6 +41,7 @@ __all__ = [
     "cprod",
     "cquot",
     "csquare",
+    "decoupled",
     "single_moment",
     "pair_moment",
     "decouple3",
@@ -100,7 +106,12 @@ def cprod(*factors):
     """
     re, im = factors[0].real, factors[0].imag
     for f in factors[1:]:
-        re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+        fr, fi = f.real, f.imag
+        # subtract and add in place on fresh products: fewer temporaries, same bits
+        new_re, new_im = re * fr, re * fi
+        new_re -= im * fi
+        new_im += im * fr
+        re, im = new_re, new_im
     return _complex(re, im)
 
 
@@ -121,59 +132,130 @@ def csquare(a):
     return cprod(1.0, cprod(a, a))
 
 
-def _slot(states: MomentState | np.ndarray, *factors: OperatorFactor):
-    """The stored moment of a word of one or two factors given in slot order."""
-    values = states.values if isinstance(states, MomentState) else states
-    return values[..., Moment["".join(f.mode + "d" * f.daggered for f in factors)]][()]
+# the six mode operators in the order of their stored single moments A, B, C, Ad, Bd, Cd
+_OPERATORS = tuple(OperatorFactor(mode, dagger) for dagger in (False, True) for mode in MODES)
 
 
-def single_moment(states: MomentState | np.ndarray, x: OperatorFactor):
-    return _slot(states, x)
-
-
-def pair_moment(states: MomentState | np.ndarray, x: OperatorFactor, y: OperatorFactor):
-    """Expectation of the ordered product xy, resolved to stored slots.
+def _pair_slot(x: OperatorFactor, y: OperatorFactor) -> tuple[int, bool]:
+    """Stored slot of the ordered product xy, and whether it is anti-normal.
 
     Same-mode anti-normal pairs pick up the commutator: <a ad> = <ad a> + 1.
     Cross-mode factors commute and are stored in A < B < C order.
     """
-    if x.mode == y.mode and not x.daggered and y.daggered:
-        return _slot(states, y, x) + 1.0
-    if x.mode > y.mode:
+    anti = x.mode == y.mode and not x.daggered and y.daggered
+    if anti or x.mode > y.mode:
         x, y = y, x
-    return _slot(states, x, y)
+    return Moment["".join(f.mode + "d" * f.daggered for f in (x, y))], anti
 
 
-def decouple3(
-    states: MomentState | np.ndarray,
-    x: OperatorFactor,
-    y: OperatorFactor,
-    z: OperatorFactor,
-):
-    """Three-factor decoupling <xyz> ~ <xy><z> + <x><yz> + <xz><y> - 2<x><y><z>."""
-    sx, sy, sz = (single_moment(states, f) for f in (x, y, z))
+# the ordered pair of operators x, y sits at 6 x + y: its slot, and the anti-normal pairs
+_PAIRS = [(x, y) for x in range(6) for y in range(6)]
+_PAIR_SLOTS, _ANTI_NORMAL = map(np.array, zip(*(
+    _pair_slot(_OPERATORS[x], _OPERATORS[y]) for x, y in _PAIRS)))
+# <AdA BdB CdC>, its composite pairs AB, BC, AC, and the pairs of the number operators
+_NUMBER_TRIPLE = (3, 0, 4, 1, 5, 2)
+_NUMBER_PAIRS = ((3, 0, 4, 1), (4, 1, 5, 2), (3, 0, 5, 2))
+_NUMBERS = [18, 25, 32]
+
+
+class Closure:
+    """A list of operator words compiled to slot indices.
+
+    ``layout`` lays the words out in five stacks: the six single operators,
+    all 36 ordered pairs, then the distinct triples and quadruples the list
+    asks for, and <AdA BdB CdC> if it does.  ``stacks(states)`` evaluates
+    them at a ``MomentState`` or a ``(..., 27)`` stack, each ``(words, ...)``:
+    the pairs in one gather, then each decoupling rule once, on the stack of
+    all the words it closes.  ``np.split(table, cuts)`` cuts a table of the
+    layout's words the same way, and ``rows[i]`` places ``words[i]`` as
+    (stack, row).  ``ValueError`` names a word no rule closes.
+    """
+
+    def __init__(self, words):
+        ops = [tuple(map(_OPERATORS.index, word)) for word in words]
+        for word, w in zip(words, ops):
+            if not 1 <= len(w) <= 4 and w != _NUMBER_TRIPLE:
+                raise ValueError(f"no decoupling rule for the word {word}")
+        triples = list(dict.fromkeys(w for w in ops if len(w) == 3))
+        quads = list(dict.fromkeys(w for w in ops if len(w) == 4))
+        sextic = [_NUMBER_TRIPLE] if _NUMBER_TRIPLE in ops else []
+        quads += [w for w in _NUMBER_PAIRS if sextic and w not in quads]
+        self._number_pairs = [quads.index(w) for w in _NUMBER_PAIRS] if sextic else None
+        self._triples = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+        self._quads = np.array(quads, dtype=np.intp).reshape(-1, 4).T
+        groups = [[(i,) for i in range(6)], _PAIRS, triples, quads, sextic]
+        self.rows = [next((g, group.index(w)) for g, group in enumerate(groups) if w in group)
+                     for w in ops]
+        self.layout = tuple(tuple(_OPERATORS[i] for i in w) for group in groups for w in group)
+        self.cuts = np.cumsum([len(group) for group in groups[:-1]])
+
+    def stacks(self, states: MomentState | np.ndarray) -> list:
+        s = np.moveaxis(states.values if isinstance(states, MomentState) else states, -1, 0)
+        p = s[_PAIR_SLOTS]
+        p[_ANTI_NORMAL] += 1.0
+        triples = _decouple3(p, s, *self._triples) if self._triples.size else None
+        quads = _decouple4(p, s, *self._quads) if self._quads.size else None
+        sextic = None if self._number_pairs is None else \
+            _number_triple(p, *quads[self._number_pairs])[None]
+        return [s[:6], p, triples, quads, sextic]
+
+
+def _decouple3(p, s, x, y, z):
+    """<xyz> ~ <xy><z> + <x><yz> + <xz><y> - 2<x><y><z> for index arrays x, y, z."""
+    sx, sy, sz = s[x], s[y], s[z]
     return (
-        cprod(pair_moment(states, x, y), sz)
-        + cprod(sx, pair_moment(states, y, z))
-        + cprod(pair_moment(states, x, z), sy)
+        cprod(p[6 * x + y], sz)
+        + cprod(sx, p[6 * y + z])
+        + cprod(p[6 * x + z], sy)
         - cprod(2.0, sx, sy, sz)
     )
 
 
-def decouple4(
-    states: MomentState | np.ndarray,
-    w: OperatorFactor,
-    x: OperatorFactor,
-    y: OperatorFactor,
-    z: OperatorFactor,
-):
-    """Four-factor decoupling: all three pair pairings minus twice the mean product."""
+def _decouple4(p, s, w, x, y, z):
+    """All three pair pairings minus twice the mean product, for index arrays w, x, y, z."""
     return (
-        cprod(pair_moment(states, w, x), pair_moment(states, y, z))
-        + cprod(pair_moment(states, w, y), pair_moment(states, x, z))
-        + cprod(pair_moment(states, w, z), pair_moment(states, x, y))
-        - cprod(2.0, *(single_moment(states, f) for f in (w, x, y, z)))
+        cprod(p[6 * w + x], p[6 * y + z])
+        + cprod(p[6 * w + y], p[6 * x + z])
+        + cprod(p[6 * w + z], p[6 * x + y])
+        - cprod(2.0, s[w], s[x], s[y], s[z])
     )
+
+
+def _number_triple(p, nab, nbc, nac):
+    """The three-factor rule on the number operators, given their decoupled pairs."""
+    na, nb, nc = p[_NUMBERS]
+    return cprod(nab, nc) + cprod(na, nbc) + cprod(nac, nb) - cprod(2.0, na, nb, nc)
+
+
+@lru_cache(maxsize=256)
+def _compiled(words: tuple) -> Closure:
+    return Closure(words)
+
+
+def decoupled(states: MomentState | np.ndarray, words) -> np.ndarray:
+    """Stored or decoupled expectation of each word, shape ``(len(words), ...)``."""
+    closure = _compiled(tuple(words))
+    stacks = closure.stacks(states)
+    return np.stack([stacks[g][row] for g, row in closure.rows])
+
+
+def single_moment(states: MomentState | np.ndarray, x: OperatorFactor):
+    return decoupled(states, [(x,)])[0]
+
+
+def pair_moment(states: MomentState | np.ndarray, x: OperatorFactor, y: OperatorFactor):
+    """Expectation of the ordered product xy, resolved to stored slots (see ``_pair_slot``)."""
+    return decoupled(states, [(x, y)])[0]
+
+
+def decouple3(states: MomentState | np.ndarray, x, y, z):
+    """Three-factor decoupling <xyz> ~ <xy><z> + <x><yz> + <xz><y> - 2<x><y><z>."""
+    return decoupled(states, [(x, y, z)])[0]
+
+
+def decouple4(states: MomentState | np.ndarray, w, x, y, z):
+    """Four-factor decoupling: all three pair pairings minus twice the mean product."""
+    return decoupled(states, [(w, x, y, z)])[0]
 
 
 def number_triple_product(states: MomentState | np.ndarray):
@@ -183,10 +265,4 @@ def number_triple_product(states: MomentState | np.ndarray):
     three-factor rule; each composite pair <XY> is a four-factor decoupling
     and each composite single <X> is a stored occupation.
     """
-    na, nb, nc = (pair_moment(states, creator(m), annihilator(m)) for m in "ABC")
-    nab = decouple4(states, creator("A"), annihilator("A"), creator("B"), annihilator("B"))
-    nbc = decouple4(states, creator("B"), annihilator("B"), creator("C"), annihilator("C"))
-    nac = decouple4(states, creator("A"), annihilator("A"), creator("C"), annihilator("C"))
-    return (
-        cprod(nab, nc) + cprod(na, nbc) + cprod(nac, nb) - cprod(2.0, na, nb, nc)
-    )
+    return decoupled(states, [tuple(_OPERATORS[i] for i in _NUMBER_TRIPLE)])[0]

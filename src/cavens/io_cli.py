@@ -32,6 +32,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -277,6 +278,7 @@ def _add_common(sub, preset: bool = True):
     sub.add_argument("--out", type=Path, help="output CSV path (default stdout)")
 
 
+@cache  # parsing keeps no state in the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cavens", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)

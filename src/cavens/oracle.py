@@ -36,10 +36,10 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .closure import SLOT_WORDS, OperatorFactor, word_for_name as _word_for_name
+from .closure import SLOT_WORDS, OperatorFactor, decoupled, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
 from .model import Scenario, SystemParams, occupations
-from .witnesses import WITNESS_NAMES, Correlators, decoupled, witness_table
+from .witnesses import WITNESS_NAMES, Correlators, witness_table
 
 __all__ = [
     "FockBasisSpec",
@@ -483,10 +483,9 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
     L = build_generator(scenario.params, basis)
     rhos = evolve_path(rho0, L, traj.taus)
 
-    closed_source = decoupled(traj.states)
     exact_source = exact_correlators(rhos, basis)
-    closed = np.stack([closed_source.word(*word) for word in _REPORT_WORDS.values()], axis=1)
-    exact = np.stack([exact_source.word(*word) for word in _REPORT_WORDS.values()], axis=1)
+    closed = decoupled(traj.states, _REPORT_WORDS.values()).T
+    exact = exact_source.words(_REPORT_WORDS.values()).T
     d = basis.local_dim
     pops = np.diagonal(rhos, axis1=1, axis2=2).real.reshape(-1, d, d, d)
     leakage = max(float(top.sum(axis=(1, 2)).max())
@@ -499,7 +498,7 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
         exact=exact,
         closed=closed,
         witness_exact=witness_table(exact_source),
-        witness_closed=witness_table(closed_source),
+        witness_closed=witness_table(traj.states),
         max_abs_error=max_err,
         truncation_leakage=leakage,
     )

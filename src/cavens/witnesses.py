@@ -2,12 +2,16 @@
 
 Sign conventions: a witness fires (detects a nonclassical feature) when its
 value drops below zero, except the quadrature variances, whose classical
-boundary is the coherent-state value 1/4.  Each formula is written once, on
-the operator words of a ``Correlators`` source: stored moments, plus higher
-correlators decoupled by the rules of ``closure`` or supplied exactly by the
-oracle.  Every helper takes a ``MomentState``, a ``(..., 27)`` stack of
-states or a ``Correlators`` source, so ``witness_table`` evaluates a whole
-trajectory at once into a table with columns ``WITNESS_NAMES``.
+boundary is the coherent-state value 1/4.
+
+Each witness family's formula is written once, on ``(keys, ...)`` columns
+of the operator words it reads, one column per key (a mode, a pair, an
+ordered pair or a partition); the public helpers (``mandel_q(state, "A")``,
+``bisep``, ...) are its one-key case.  ``witness_table`` expands the catalog
+once into a plan: its distinct words, compiled by ``closure.Closure``, and
+each family's columns of them.  A call evaluates every word in one pass
+(decoupled from moments, or read from a ``Correlators`` source such as the
+oracle's) and each formula once on all its keys.
 
 Every witness is a real quantity on a conjugate-consistent state.  Values
 are computed in complex arithmetic and the real part is returned only after
@@ -19,22 +23,11 @@ raises ``InternalConsistencyError`` instead of being silently discarded.
 from __future__ import annotations
 
 import math
+from functools import cache, partial
 
 import numpy as np
 
-from .closure import (
-    annihilator,
-    cprod,
-    cquot,
-    creator,
-    csquare,
-    decouple3,
-    decouple4,
-    number_triple_product,
-    pair_moment,
-    single_moment,
-)
-from .model import MomentState
+from .closure import Closure, cprod, cquot, csquare, decoupled, word_for_name
 
 __all__ = [
     "IMAG_TOL",
@@ -46,7 +39,6 @@ __all__ = [
     "WITNESS_NAMES",
     "InternalConsistencyError",
     "Correlators",
-    "decoupled",
     "mandel_q",
     "antibunch_single",
     "antibunch_inter",
@@ -69,8 +61,8 @@ ORDERED_PAIR_KEYS = ("AB", "BA", "BC", "CB", "AC", "CA")
 # partition key "AB|C" means the compound mode AB against the single mode C
 PARTITION_KEYS = ("AB|C", "BC|A", "AC|B")
 
-_NUMBER_TRIPLE = (creator("A"), annihilator("A"), creator("B"), annihilator("B"),
-                  creator("C"), annihilator("C"))
+# the Hillery-Zubairy keys: the pairs, then the reversed pairs whose E steering reads
+_HZ_KEYS = PAIR_KEYS + ("BA", "CB", "CA")
 
 
 class InternalConsistencyError(RuntimeError):
@@ -85,44 +77,20 @@ class InternalConsistencyError(RuntimeError):
 
 
 class Correlators:
-    """Expectations of operator words for one state or a stack of states.
-
-    ``correlate(word)`` returns the expectation of a word (a tuple of
-    ``OperatorFactor``) with the states' leading shape: ``decoupled`` reads
-    stored moments and decouples longer words, the oracle's
-    ``exact_correlators`` takes them from density matrices.  Each word is
-    computed once, since several witnesses share it.
+    """Expectations of operator words, from a function of one word (a tuple of
+    ``OperatorFactor``) that returns it with the states' leading shape, as the
+    oracle's ``exact_correlators`` does.  ``words(words)`` stacks several,
+    shape ``(len(words), ...)``.
     """
 
     def __init__(self, correlate):
         self._correlate = correlate
-        self._words = {}
-        # None: a failed check raises at once; in witness_table, the first
-        # failed check of each trajectory, by its index in the stack
-        self._failures = None
 
     def word(self, *factors):
-        if factors not in self._words:
-            self._words[factors] = self._correlate(factors)
-        return self._words[factors]
+        return self._correlate(factors)
 
-
-def decoupled(states: MomentState | np.ndarray) -> Correlators:
-    """Stored moments and decoupled correlators of a state or a ``(..., 27)`` stack."""
-    rules = {1: single_moment, 2: pair_moment, 3: decouple3, 4: decouple4}
-
-    def correlate(word):
-        if word == _NUMBER_TRIPLE:
-            return number_triple_product(states)
-        if len(word) not in rules:
-            raise ValueError(f"no decoupling rule for the word {word}")
-        return rules[len(word)](states, *word)
-
-    return Correlators(correlate)
-
-
-def _source(state) -> Correlators:
-    return state if isinstance(state, Correlators) else decoupled(state)
+    def words(self, words) -> np.ndarray:
+        return np.stack([self._correlate(word) for word in words])
 
 
 def _by_trajectory(a: np.ndarray) -> np.ndarray:
@@ -130,84 +98,73 @@ def _by_trajectory(a: np.ndarray) -> np.ndarray:
     return np.reshape(a, (-1, np.shape(a)[-1] if np.ndim(a) else 1))
 
 
-def _real(src: Correlators, value, what: str):
-    """The real part, once each sample's imaginary residue is below ``IMAG_TOL``.
+def _real(value, name: str, keys, failures: list | None = None):
+    """The real part of ``value``, once each sample's imaginary residue is below ``IMAG_TOL``.
 
-    A trajectory with a larger residue fails at its first such sample.  The
-    error raises at once, or, inside ``witness_table``, is recorded in
-    ``src._failures`` when it is that trajectory's first.
+    ``value[j]`` is checked as ``name.format(keys[j])``.  A check with a
+    larger residue fails a trajectory at its first such sample.  Without
+    ``failures`` the first failure, by key and then trajectory, raises at
+    once; with it, every failure is appended as (check, trajectory, error).
     """
     residue = np.imag(value)
     bad = np.abs(residue) >= IMAG_TOL
     if bad.any():
-        residue, bad = _by_trajectory(residue), _by_trajectory(bad)
-        for m in np.flatnonzero(bad.any(axis=1)).tolist():
-            sample = int(np.argmax(bad[m]))
-            error = InternalConsistencyError(
-                f"{what} has imaginary residue {residue[m, sample]:.3e} "
-                f"at sample {sample} (state inconsistent)"
-            )
-            if src._failures is None:
-                raise error
-            src._failures.setdefault(m, error)
+        for key, res, b in zip(keys, residue, bad):
+            res, b = _by_trajectory(res), _by_trajectory(b)
+            for m in np.flatnonzero(b.any(axis=1)).tolist():
+                sample = int(np.argmax(b[m]))
+                error = InternalConsistencyError(
+                    f"{name.format(key)} has imaginary residue {res[m, sample]:.3e} "
+                    f"at sample {sample} (state inconsistent)"
+                )
+                if failures is None:
+                    raise error
+                failures.append((name.format(key), m, error))
     return np.real(value)
 
 
-def _ops(mode: str):
-    return annihilator(mode), creator(mode)
+# Each family's formula takes ``real`` (``_real`` bound to its keys) and one
+# ``(keys, ...)`` column per operator word it ``_reads``.  A word is named
+# by a template in which a, b, c stand for a key's modes and d daggers the
+# factor before it; upper-case modes are fixed.
+
+def _reads(*templates):
+    def mark(formula):
+        formula.templates = templates
+        return formula
+    return mark
 
 
-def mandel_q(state, mode: str):
-    """Normalized occupation-variance parameter; negative means sub-Poissonian.
-
-    Closed form after decoupling the fourth moment:
-    (<ad2><a2> + <ada>^2 - 2<ad>^2<a>^2) / <ada>, undefined (NaN) at
-    negligible occupation where the normalization is singular.
-    """
-    src = _source(state)
-    a, ad = _ops(mode)
-    occ = _real(src, src.word(ad, a), f"<n_{mode}>")
-    antibunch = antibunch_single(src, mode)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(occ < OCCUPATION_FLOOR, math.nan, antibunch / occ)[()]
+def _words_of(formula, key: str) -> tuple:
+    modes = key.replace("|", "")
+    table = str.maketrans("abc"[:len(modes)], modes)
+    return tuple(word_for_name(t.translate(table)) for t in formula.templates)
 
 
-def antibunch_single(state, mode: str):
-    """Single-mode antibunching witness <ad ad a a> - <ad a>^2 (decoupled)."""
-    src = _source(state)
-    a, ad = _ops(mode)
-    occ = src.word(ad, a)
-    return _real(src, src.word(ad, ad, a, a) - cprod(occ, occ), f"antibunch_{mode}")
+@_reads("ada")
+def _occupations(real, occ):
+    return real(occ, "<n_{}>")
 
 
-def antibunch_inter(state, pair: tuple[str, str]):
-    """Intermodal antibunching witness <ad bd b a> - <ad a><bd b> (decoupled)."""
-    src = _source(state)
-    (a, ad), (b, bd) = _ops(pair[0]), _ops(pair[1])
-    value = src.word(ad, bd, b, a) - cprod(src.word(ad, a), src.word(bd, b))
-    return _real(src, value, f"antibunch_{pair[0]}{pair[1]}")
+@_reads("ada", "adadaa")
+def _antibunch_single(real, occ, quartic):
+    return real(quartic - cprod(occ, occ), "antibunch_{}")
 
 
-def quadrature_variances(state, mode: str):
-    """Variances of X = (a + ad)/2 and Y = (a - ad)/2i; squeezed below 1/4."""
-    src = _source(state)
-    a, ad = _ops(mode)
-    sq, sqd, occ = src.word(a, a), src.word(ad, ad), src.word(ad, a)
-    m, md = src.word(a), src.word(ad)
+@_reads("adbdba", "ada", "bdb")
+def _antibunch_inter(real, quartic, na, nb):
+    return real(quartic - cprod(na, nb), "antibunch_{}")
+
+
+@_reads("aa", "adad", "ada", "a", "ad")
+def _quadrature_variances(real, sq, sqd, occ, m, md):
     vx = cquot(sq + sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m + md, 2.0))
     vy = cquot(-sq - sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m - md, 2j))
-    return _real(src, vx, f"var_x_{mode}"), _real(src, vy, f"var_y_{mode}")
+    return real(vx, "var_x_{}"), real(vy, "var_y_{}")
 
 
-def intermodal_quadrature_variances(state, pair: tuple[str, str]):
-    """Variances of X_ab = (a+ad+b+bd)/2sqrt2 and the matching Y quadrature."""
-    src = _source(state)
-    (a, ad), (b, bd) = _ops(pair[0]), _ops(pair[1])
-    sqa, sqad, na = src.word(a, a), src.word(ad, ad), src.word(ad, a)
-    sqb, sqbd, nb = src.word(b, b), src.word(bd, bd), src.word(bd, b)
-    ma, mad, mb, mbd = src.word(a), src.word(ad), src.word(b), src.word(bd)
-    ab, abd, adb, adbd = src.word(a, b), src.word(a, bd), src.word(ad, b), src.word(ad, bd)
-
+@_reads("aa", "adad", "ada", "bb", "bdbd", "bdb", "a", "ad", "b", "bd", "ab", "abd", "adb", "adbd")
+def _intermodal_variances(real, sqa, sqad, na, sqb, sqbd, nb, ma, mad, mb, mbd, ab, abd, adb, adbd):
     vx = cquot(
         sqa + sqad + cprod(2.0, na) + 1.0
         + sqb + sqbd + cprod(2.0, nb) + 1.0
@@ -220,14 +177,75 @@ def intermodal_quadrature_variances(state, pair: tuple[str, str]):
         - cprod(2.0, ab - abd - adb + adbd),
         8.0,
     ) - csquare(cquot(ma - mad + mb - mbd, 2j * math.sqrt(2.0)))
-    key = f"{pair[0]}{pair[1]}"
-    return _real(src, vx, f"var_x_{key}"), _real(src, vy, f"var_y_{key}")
+    return real(vx, "var_x_{}"), real(vy, "var_y_{}")
+
+
+@_reads("adabdb", "abd", "adb", "ada", "bdb", "ab", "adbd")
+def _hz(real, quartic, abd, adb, na, nb, ab, adbd):
+    return (real(quartic - cprod(abd, adb), "hz_e_{}"),
+            real(cprod(na, nb) - cprod(ab, adbd), "hz_etilde_{}"))
+
+
+@_reads("AdABdBCdC", "abcd", "abc", "adabdb", "cdc")
+def _bisep(real, nnn, abc_dag, abc, nab, nc):
+    return (real(nnn - cprod(abc_dag, np.conj(abc_dag)), "bisep_e_{}"),
+            real(cprod(nab, nc) - cprod(abc, np.conj(abc)), "bisep_eprime_{}"))
+
+
+def _mandel(occ, antibunch):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(occ < OCCUPATION_FLOOR, math.nan, antibunch / occ)[()]
+
+
+def _duan(vx, vy):
+    return 4.0 * vx + 4.0 * vy - 2.0
+
+
+def _steering(e, occ):
+    return e + occ / 2.0
+
+
+def _one(formula, state, key: str):
+    """A family's formula at one key: its values, or a tuple of them."""
+    words = _words_of(formula, key)
+    values = state.words(words) if isinstance(state, Correlators) else decoupled(state, words)
+    out = formula(partial(_real, keys=(key,)), *values[:, None])
+    return tuple(v[0] for v in out) if isinstance(out, tuple) else out[0]
+
+
+def mandel_q(state, mode: str):
+    """Normalized occupation-variance parameter; negative means sub-Poissonian.
+
+    Closed form after decoupling the fourth moment:
+    (<ad2><a2> + <ada>^2 - 2<ad>^2<a>^2) / <ada>, undefined (NaN) at
+    negligible occupation where the normalization is singular.
+    """
+    return _mandel(_one(_occupations, state, mode), _one(_antibunch_single, state, mode))
+
+
+def antibunch_single(state, mode: str):
+    """Single-mode antibunching witness <ad ad a a> - <ad a>^2 (decoupled)."""
+    return _one(_antibunch_single, state, mode)
+
+
+def antibunch_inter(state, pair: tuple[str, str]):
+    """Intermodal antibunching witness <ad bd b a> - <ad a><bd b> (decoupled)."""
+    return _one(_antibunch_inter, state, "".join(pair))
+
+
+def quadrature_variances(state, mode: str):
+    """Variances of X = (a + ad)/2 and Y = (a - ad)/2i; squeezed below 1/4."""
+    return _one(_quadrature_variances, state, mode)
+
+
+def intermodal_quadrature_variances(state, pair: tuple[str, str]):
+    """Variances of X_ab = (a+ad+b+bd)/2sqrt2 and the matching Y quadrature."""
+    return _one(_intermodal_variances, state, "".join(pair))
 
 
 def duan(state, pair: tuple[str, str]):
     """Inseparability witness 4(dX_ab)^2 + 4(dY_ab)^2 - 2; entangled if < 0."""
-    vx, vy = intermodal_quadrature_variances(state, pair)
-    return 4.0 * vx + 4.0 * vy - 2.0
+    return _duan(*intermodal_quadrature_variances(state, pair))
 
 
 def hz_pair(state, pair: tuple[str, str]):
@@ -236,17 +254,7 @@ def hz_pair(state, pair: tuple[str, str]):
     E  = <ad a bd b> - |<a bd>|^2   (fourth moment decoupled)
     E~ = <ad a><bd b> - |<a b>|^2
     """
-    src = _source(state)
-    (a, ad), (b, bd) = _ops(pair[0]), _ops(pair[1])
-    key = f"{pair[0]}{pair[1]}"
-    e = _real(src, src.word(ad, a, bd, b) - cprod(src.word(a, bd), src.word(ad, b)),
-              f"hz_e_{key}")
-    etilde = _real(
-        src,
-        cprod(src.word(ad, a), src.word(bd, b)) - cprod(src.word(a, b), src.word(ad, bd)),
-        f"hz_etilde_{key}",
-    )
-    return e, etilde
+    return _one(_hz, state, "".join(pair))
 
 
 def steering(state, ordered_pair: tuple[str, str]):
@@ -257,10 +265,8 @@ def steering(state, ordered_pair: tuple[str, str]):
     of a two-sided condition; the lower branch is never the binding one for
     detection and plays no role in tick/cross scoring.
     """
-    src = _source(state)
-    x, xd = _ops(ordered_pair[0])
-    e, _ = hz_pair(src, ordered_pair)
-    return e + _real(src, src.word(xd, x), f"<n_{ordered_pair[0]}>") / 2.0
+    e, _ = hz_pair(state, ordered_pair)
+    return _steering(e, _one(_occupations, state, ordered_pair[0]))
 
 
 def bisep(state, partition: tuple[str, str, str]):
@@ -272,18 +278,7 @@ def bisep(state, partition: tuple[str, str, str]):
     """
     if set(partition) != {"A", "B", "C"}:
         raise ValueError(f"partition must cover all three modes, got {partition}")
-    src = _source(state)
-    (a, ad), (b, bd), (c, cd) = (_ops(m) for m in partition)
-    key = f"{partition[0]}{partition[1]}|{partition[2]}"
-    abc_dag, abc = src.word(a, b, cd), src.word(a, b, c)
-    e = _real(src, src.word(*_NUMBER_TRIPLE) - cprod(abc_dag, np.conj(abc_dag)),
-              f"bisep_e_{key}")
-    eprime = _real(
-        src,
-        cprod(src.word(ad, a, bd, b), src.word(cd, c)) - cprod(abc, np.conj(abc)),
-        f"bisep_eprime_{key}",
-    )
-    return e, eprime
+    return _one(_bisep, state, f"{partition[0]}{partition[1]}|{partition[2]}")
 
 
 # column order of every witness table; a partition "AB|C" is named "AB_C"
@@ -298,12 +293,50 @@ WITNESS_NAMES = (
 )
 _MAY_BE_NAN = np.array([name.startswith("mandel_") for name in WITNESS_NAMES])
 
+# every residue check, in the order the witnesses run them one key at a
+# time: a trajectory of a stack reports its first failure in this order
+_CHECK_RANK = {name: rank for rank, name in enumerate(
+    [n for m in MODE_KEYS for n in (f"<n_{m}>", f"antibunch_{m}", f"var_x_{m}", f"var_y_{m}")]
+    + [n for k in PAIR_KEYS
+       for n in (f"antibunch_{k}", f"var_x_{k}", f"var_y_{k}", f"hz_e_{k}", f"hz_etilde_{k}")]
+    + [n for k in _HZ_KEYS[len(PAIR_KEYS):] for n in (f"hz_e_{k}", f"hz_etilde_{k}")]
+    + [n for k in PARTITION_KEYS for n in (f"bisep_e_{k}", f"bisep_eprime_{k}")]
+)}
+# the keys of each family in the table
+_FAMILIES = {_occupations: MODE_KEYS, _antibunch_single: MODE_KEYS,
+             _quadrature_variances: MODE_KEYS, _antibunch_inter: PAIR_KEYS,
+             _intermodal_variances: PAIR_KEYS, _hz: _HZ_KEYS, _bisep: PARTITION_KEYS}
+# steering's E and occupation: rows of the hz and occupation families
+_STEER_HZ = [_HZ_KEYS.index(k) for k in ORDERED_PAIR_KEYS]
+_STEER_OCC = [MODE_KEYS.index(k[0]) for k in ORDERED_PAIR_KEYS]
+
+
+@cache
+def _plan():
+    """The catalog expanded once: its distinct words compiled, and each family's columns.
+
+    A family's columns are one (stack, rows) pair per word: the rows of its
+    keys' words in one of the closure's stacks.
+    """
+    columns = {f: list(zip(*(_words_of(f, key) for key in keys))) for f, keys in _FAMILIES.items()}
+    words = tuple(dict.fromkeys(w for column in columns.values() for ws in column for w in ws))
+    closure = Closure(words)
+    place = dict(zip(words, closure.rows))
+    return closure, {f: [(place[ws[0]][0], np.array([place[w][1] for w in ws])) for ws in column]
+                     for f, column in columns.items()}
+
+
+@cache
+def _rows(prefix: str, keys: tuple) -> np.ndarray:
+    """Table columns of a witness for each key."""
+    return np.array([WITNESS_NAMES.index(f"{prefix}_{k.replace('|', '_')}") for k in keys])
+
 
 def witness_table(state) -> np.ndarray:
     """Every witness at every state, shape ``(..., 42)``, columns ``WITNESS_NAMES``.
 
     ``state`` is a ``MomentState``, a ``(..., 27)`` moment array (correlators
-    ``decoupled``) or a ``Correlators`` source.  Every sample is checked: an
+    decoupled) or a ``Correlators`` source.  Every sample is checked: an
     imaginary residue, or a non-finite value outside the Mandel columns,
     raises ``InternalConsistencyError``.  A stack of trajectories is evaluated
     once, to the end, even when some fail: each trajectory's first failed check
@@ -311,35 +344,57 @@ def witness_table(state) -> np.ndarray:
     check that failed, in its first failing trajectory, and lists every
     trajectory's table or error in ``members``.
     """
-    source = _source(state)
-    src = Correlators(lambda word: source.word(*word))  # shares the words of ``state``
-    src._failures = {}
-    v = {}
-    for m in MODE_KEYS:
-        v[f"mandel_{m}"] = mandel_q(src, m)
-        v[f"antibunch_{m}"] = antibunch_single(src, m)
-        v[f"var_x_{m}"], v[f"var_y_{m}"] = quadrature_variances(src, m)
-    for key in PAIR_KEYS:
-        pair = tuple(key)
-        v[f"antibunch_{key}"] = antibunch_inter(src, pair)
-        v[f"var_x_{key}"], v[f"var_y_{key}"] = intermodal_quadrature_variances(src, pair)
-        v[f"duan_{key}"] = duan(src, pair)
-        v[f"hz_e_{key}"], v[f"hz_etilde_{key}"] = hz_pair(src, pair)
-    for key in ORDERED_PAIR_KEYS:
-        v[f"steering_{key}"] = steering(src, tuple(key))
-    for key in PARTITION_KEYS:
-        name = key.replace("|", "_")
-        v[f"bisep_e_{name}"], v[f"bisep_eprime_{name}"] = bisep(src, tuple(key.replace("|", "")))
-    table = np.stack([v[name] for name in WITNESS_NAMES], axis=-1)
+    closure, columns = _plan()
+    if isinstance(state, Correlators):
+        stacks = np.split(state.words(closure.layout), closure.cuts)
+    else:
+        stacks = closure.stacks(state)
+    failures = []
+
+    def family(formula):
+        real = partial(_real, keys=_FAMILIES[formula], failures=failures)
+        return formula(real, *(stacks[g][rows] for g, rows in columns[formula]))
+
+    occ, antibunch = family(_occupations), family(_antibunch_single)
+    var_x, var_y = family(_quadrature_variances)
+    antibunch_pair = family(_antibunch_inter)
+    pair_x, pair_y = family(_intermodal_variances)
+    hz_e, hz_etilde = family(_hz)
+    bisep_e, bisep_eprime = family(_bisep)
+    table = np.empty(stacks[1].shape[1:] + (len(WITNESS_NAMES),))
+    by_column = np.moveaxis(table, -1, 0)
+    for prefix, keys, values in (
+        ("mandel", MODE_KEYS, _mandel(occ, antibunch)),
+        ("antibunch", MODE_KEYS, antibunch),
+        ("antibunch", PAIR_KEYS, antibunch_pair),
+        ("var_x", MODE_KEYS, var_x),
+        ("var_y", MODE_KEYS, var_y),
+        ("var_x", PAIR_KEYS, pair_x),
+        ("var_y", PAIR_KEYS, pair_y),
+        ("duan", PAIR_KEYS, _duan(pair_x, pair_y)),
+        ("hz_e", PAIR_KEYS, hz_e[:len(PAIR_KEYS)]),
+        ("hz_etilde", PAIR_KEYS, hz_etilde[:len(PAIR_KEYS)]),
+        ("steering", ORDERED_PAIR_KEYS, _steering(hz_e[_STEER_HZ], occ[_STEER_OCC])),
+        ("bisep_e", PARTITION_KEYS, bisep_e),
+        ("bisep_eprime", PARTITION_KEYS, bisep_eprime),
+    ):
+        by_column[_rows(prefix, keys)] = values
+
     tables = table.reshape((-1,) + table.shape[max(table.ndim - 2, 0):])  # one per trajectory
+    first = {}  # trajectory -> (rank, error) of its first failed check
+    for name, m, error in failures:
+        if m not in first or _CHECK_RANK[name] < first[m][0]:
+            first[m] = _CHECK_RANK[name], error
     bad = ~(np.isfinite(tables) | _MAY_BE_NAN)
     for m in np.flatnonzero(bad.reshape(len(tables), -1).any(axis=1)).tolist():
-        where = tuple(np.argwhere(bad[m])[0])
-        src._failures.setdefault(m, InternalConsistencyError(
-            f"non-finite witness value {WITNESS_NAMES[where[-1]]}={tables[m][where]}"
-        ))
-    if src._failures:  # in the order found: the earliest check, then the first trajectory
-        error = InternalConsistencyError(*next(iter(src._failures.values())).args)
-        error.members = [src._failures.get(m, t) for m, t in enumerate(tables)]
+        if m not in first:
+            where = tuple(np.argwhere(bad[m])[0])
+            first[m] = len(_CHECK_RANK), InternalConsistencyError(
+                f"non-finite witness value {WITNESS_NAMES[where[-1]]}={tables[m][where]}"
+            )
+    if first:  # the earliest check, then the first trajectory
+        _, m = min((rank, m) for m, (rank, _) in first.items())
+        error = InternalConsistencyError(*first[m][1].args)
+        error.members = [first[m][1] if m in first else t for m, t in enumerate(tables)]
         raise error
     return table

@@ -524,3 +524,33 @@ def test_cli_numeric_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(io_cli, "run_scenario", boom)
     assert main(["simulate", "--preset", "AN", "--tmax", "1", "--samples", "3"]) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_one_parser_serves_commands_in_turn_like_each_alone(capsys):
+    runs = (
+        ["table", "--chi-grid", "0.1", "--tmax", "1", "--samples", "11"],
+        ["sweep", "--preset", "AN", "--chi-grid", "0,0.1", "--witness", "var_x_A",
+         "--tmax", "1", "--samples", "5"],
+        ["simulate", "--preset", "AA", "--witnesses", "mandel_A", "--moments"],  # exclusive
+        ["table", "--tmax", "1", "--samples", "11"],  # the default --chi-grid 0,0.2
+        ["simulate", "--preset", "AA", "--moments", "--tmax", "1", "--samples", "3"],
+        ["oracle-check", "--preset", "AN", "--nmax", "2", "--tmax", "0.5", "--samples", "3"],
+    )
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in runs:
+        io_cli._build_parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(run(argv))
+    io_cli._build_parser.cache_clear()
+    assert [run(argv) for argv in runs] == alone
+    assert [code for code, _, _ in alone] == [0, 0, 1, 0, 0, 0]
+    assert io_cli._build_parser.cache_info().misses == 1
+    parser = io_cli._build_parser()
+    parser.parse_args(["oracle-check", "--preset", "AN", "--nmax", "2"])
+    assert parser.parse_args(["oracle-check", "--preset", "AN"]).nmax == 6
+    assert parser.parse_args(["table"]).chi_grid == "0,0.2"

@@ -230,3 +230,14 @@ def test_failing_members_get_their_own_errors_from_one_stacked_evaluation(monkey
             assert str(result) == expected
         else:
             np.testing.assert_array_equal(result.view(np.uint64), expected.view(np.uint64))
+
+
+def test_known_defect_an_sweep_rows_keep_their_first_failure():
+    # RK45 conjugate drift at t_max 200; each row reports its earliest check by the catalog's order
+    surface = chi_sweep(Scenario(params=preset_params("AN"), t_max=200.0, sample_count=21),
+                        [0.075, 0.1, 0.175, 0.2, 0.3, 0.4], "mandel_C")
+    assert surface.status == tuple(
+        f"error: var_x_A has imaginary residue {residue} at sample {sample} (state inconsistent)"
+        for residue, sample in (("1.373e-10", 13), ("1.615e-10", 19), ("-1.219e-10", 16),
+                                ("1.094e-10", 14), ("1.076e-10", 15), ("1.399e-10", 18))
+    )

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cavens.witnesses as witnesses_mod
+from cavens.closure import decouple3, decouple4, number_triple_product, pair_moment
 from cavens.model import Moment, MomentState, Scenario, initial_state, preset_params
 from cavens.runner import run_scenario
 from cavens.witnesses import (
+    MODE_KEYS,
     WITNESS_NAMES,
     InternalConsistencyError,
     antibunch_inter,
@@ -204,3 +207,72 @@ def test_stacked_trajectories_name_the_sample_within_its_trajectory():
         witness_table(states)
     with pytest.raises(InternalConsistencyError, match="at sample 3 "):
         witness_table(states[2])
+
+
+def test_first_failure_follows_the_check_order_not_the_sample():
+    rng = np.random.default_rng(16)
+    states = np.stack([[make_random_state(rng).values for _ in range(7)] for _ in range(3)])
+    witness_table(states)
+    # purely imaginary <AA>, <AdAd>: var_x_A fails while antibunch_A stays real
+    states[0, 5, Moment.AA], states[0, 5, Moment.AdAd] = 0.3j, 0.5j
+    states[0, 2, Moment.BdB] += 1e-6j  # <n_B>: a later check, at an earlier sample
+    states[2, 1, Moment.CdC] += 1e-6j  # <n_C>: a later check, at the earliest sample
+    var_x_a = "var_x_A has imaginary residue 2.000e-01 at sample 5 (state inconsistent)"
+    n_c = "<n_C> has imaginary residue 1.000e-06 at sample 1 (state inconsistent)"
+    with pytest.raises(InternalConsistencyError) as info:
+        witness_table(states)
+    assert info.value.args == (var_x_a,)
+    first, second, third = info.value.members
+    assert (first.args, third.args) == ((var_x_a,), (n_c,))
+    assert np.array_equal(second.view(np.uint64), witness_table(states[1]).view(np.uint64))
+    for alone, message in ((states[0], var_x_a), (states[2], n_c)):
+        with pytest.raises(InternalConsistencyError) as info:
+            witness_table(alone)
+        assert info.value.args == (message,)
+
+
+def _helper_value(state, name):
+    """Witness column ``name`` at one state, from its public helper."""
+    if name.startswith("bisep"):
+        family, ab, c = name.rsplit("_", 2)  # "bisep_e_AB_C"
+        return bisep(state, (ab[0], ab[1], c))[family == "bisep_eprime"]
+    family, key = name.rsplit("_", 1)
+    single, pair = key in MODE_KEYS, tuple(key)
+    if family == "mandel":
+        return mandel_q(state, key)
+    if family == "antibunch":
+        return antibunch_single(state, key) if single else antibunch_inter(state, pair)
+    if family in ("var_x", "var_y"):
+        vx, vy = quadrature_variances(state, key) if single else intermodal_quadrature_variances(state, pair)
+        return vy if family == "var_y" else vx
+    if family == "duan":
+        return duan(state, pair)
+    if family in ("hz_e", "hz_etilde"):
+        return hz_pair(state, pair)[family == "hz_etilde"]
+    return steering(state, pair)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (3,), (2, 2)]),
+       empty=st.sets(st.sampled_from((Moment.AdA, Moment.BdB, Moment.CdC))))
+def test_table_columns_are_the_public_helpers_bit_for_bit(seed, shape, empty):
+    rng = np.random.default_rng(seed)
+    states = np.stack([make_random_state(rng).values for _ in range(int(np.prod(shape)))])
+    states[:, list(empty)] = 0.0  # an empty mode: its Mandel parameter is NaN
+    states = states.reshape(shape + (27,))
+    table = witness_table(states)
+    assert table.shape == shape + (len(WITNESS_NAMES),)
+    for index in np.ndindex(shape):
+        for j, name in enumerate(WITNESS_NAMES):
+            helper = np.float64(_helper_value(states[index], name))
+            assert helper.view(np.uint64) == table[index][j].view(np.uint64), (index, name)
+    closure, _ = witnesses_mod._plan()
+    stacks = closure.stacks(states)
+    groups = np.split(np.arange(len(closure.layout)), closure.cuts)
+    assert [len(g) for g in groups] == [6, 36, 6, 12, 1]
+    bits = lambda x: np.atleast_1d(x).view(np.uint64)  # noqa: E731
+    for g, rule in ((1, pair_moment), (2, decouple3), (3, decouple4)):
+        for row, i in enumerate(groups[g]):
+            word = closure.layout[i]
+            assert np.array_equal(bits(rule(states, *word)), bits(stacks[g][row])), word
+    assert np.array_equal(bits(number_triple_product(states)), bits(stacks[4][0]))
