@@ -182,11 +182,6 @@ def _initial_step(M, b, y, f, t_max: float) -> float:
     return min(100 * h0, h1, t_max)
 
 
-def _affine(Ms, V, bs):
-    """``M @ v + b`` for every scenario: a stack of matrix products is one gemv per slice."""
-    return (Ms @ V[..., None])[..., 0] + bs
-
-
 # pending spans that trigger a write: a bound on the stages held back, where
 # deferring a whole run would hold every step's stages at once
 _CHUNK = 64
@@ -261,6 +256,8 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     pass).  A scenario's stage sums, matrix products and error norm are
     separate BLAS calls on its own slice, and its controller runs in Python
     floats, so its trajectory has the same bits in any batch as alone.  A
+    pass writes into work buffers made once per set of unfinished scenarios
+    (``out=``), with the same calls in the same order as fresh arrays.  A
     step that passes samples is kept as a span, and the quartic interpolants
     of pending spans, from any pass and scenario, are written in stacked
     chunks (``_DenseOutput``) with the per-step products' bits.  A
@@ -283,8 +280,7 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     Y = np.array([sc.initial.values for sc in scenarios])
     # the stages of every scenario's step; K[0] is f at the step's start
     K = np.empty((7, len(scenarios), 27), dtype=complex)
-    Kt = K.transpose(1, 2, 0)  # a slice of Kt is one scenario's (27, 7) K.T
-    K[0] = _affine(Ms, Y, bs)
+    K[0] = (Ms @ Y[..., None])[..., 0] + bs  # a stack of matrix products: one gemv per slice
     states = np.empty((len(scenarios), n, 27), dtype=complex)
     results: list = [None] * len(scenarios)
     # each scenario's step controller, in Python floats (np.power, unlike the C pow
@@ -295,14 +291,18 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     h_abs = [max(h, m) for h, m in zip(h_abs, min_step)]
     dense = _DenseOutput(taus, states)
     live = list(range(len(scenarios)))  # scenarios still stepping, in the row order of Ms, bs, Y, K
+    width = 0  # rows of the work buffers below
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging scenario fails on its own
         while True:
-            keep = []
+            keep, t_new, hs = [], [], []
             for j, i in enumerate(live):
                 if t[i] >= t_max:
                     continue
                 if h_abs[i] >= min_step[i]:  # also stops a NaN step, which would loop forever
                     keep.append(j)
+                    t_new.append(min(t[i] + h_abs[i], t_max))
+                    hs.append(t_new[-1] - t[i])
+                    h_abs[i] = abs(hs[-1])
                 else:
                     results[i] = IntegrationError(
                         "integration failed: Required step size is less than spacing between "
@@ -312,25 +312,41 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
                 if not live:
                     break
                 Ms, bs, Y, K = Ms[keep], bs[keep], Y[keep], K[:, keep]
-                Kt = K.transpose(1, 2, 0)
-            t_new = [min(t[i] + h_abs[i], t_max) for i in live]
-            hs = [tn - t[i] for tn, i in zip(t_new, live)]
-            for i, step in zip(live, hs):
-                h_abs[i] = abs(step)
+            if len(live) != width:  # the pass's work buffers and the views its calls read
+                width = len(live)
+                Kt = K.transpose(1, 2, 0)  # a slice of Kt is one scenario's (27, 7) K.T
+                stages = [(Kt[..., :s], _A[s, :s], K[s]) for s in range(1, 6)]
+                Y_new, e = np.empty_like(Y), np.empty_like(Y)
+                V, W = np.empty((2, width, 27, 1), dtype=complex)
+                v, w = V[..., 0], W[..., 0]
+                high, scale = np.empty((2, width, 27))
+                squares = np.empty((width, 2, 1, 1))
+                # np.linalg.norm's sum of squares: one dot product each of the strided real
+                # and imaginary parts of a scenario's scaled error
+                parts = e.view(float).reshape(-1, 27, 2).transpose(0, 2, 1)
+                rows, columns = parts[..., None, :], parts[..., None]
             # complex: numpy casts a float step so for a product with a complex array
             h = np.array(hs, dtype=complex)[:, None]
-            for s in range(1, 6):
-                K[s] = _affine(Ms, Y + (Kt[..., :s] @ _A[s, :s]) * h, bs)
-            Y_new = Y + h * (Kt[..., :6] @ _B)
-            K[6] = _affine(Ms, Y_new, bs)
-            scale = _ATOL + np.maximum(np.abs(Y), np.abs(Y_new)) * _RTOL
-            e = (Kt @ _E) * h / scale
-            # np.linalg.norm's sum of squares: one dot product each of the strided real
-            # and imaginary parts of a scenario's scaled error
-            parts = e.view(float).reshape(-1, 27, 2).transpose(0, 2, 1)
-            squares = (parts[..., None, :] @ parts[..., None]).reshape(-1, 2).tolist()
+            for stage, a, k in stages:
+                np.matmul(stage, a, out=v)
+                np.multiply(v, h, out=v)
+                np.add(Y, v, out=v)
+                np.matmul(Ms, V, out=W)
+                np.add(w, bs, out=k)
+            np.matmul(Kt[..., :6], _B, out=Y_new)
+            np.multiply(h, Y_new, out=Y_new)
+            np.add(Y, Y_new, out=Y_new)
+            np.matmul(Ms, Y_new[..., None], out=W)
+            np.add(w, bs, out=K[6])
+            np.maximum(np.abs(Y, out=high), np.abs(Y_new, out=scale), out=scale)
+            scale *= _RTOL
+            scale += _ATOL
+            np.matmul(Kt, _E, out=e)
+            e *= h
+            e /= scale
+            np.matmul(rows, columns, out=squares)
             passed, spans = [], []
-            for j, (i, (re2, im2)) in enumerate(zip(live, squares)):
+            for j, (i, (re2, im2)) in enumerate(zip(live, squares.reshape(-1, 2).tolist())):
                 error = math.sqrt(re2 + im2) / 27 ** 0.5
                 if not error < 1:
                     h_abs[i] *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
@@ -345,12 +361,12 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
                     spans.append((i, done[i], end, t[i], hs[j]))
                     done[i] = end
                 t[i] = t_new[j]
-                min_step[i] = 10 * abs(math.nextafter(t[i], math.inf) - t[i])
+                min_step[i] = 10 * math.ulp(t[i])  # = 10 * (nextafter(t, inf) - t) for t >= 0
                 h_abs[i] = max(h_abs[i], min_step[i])
                 rejected[i] = False
             if passed:
                 dense.add(K[:, passed], Y[passed], spans)
-            Y, K[0] = Y_new, K[6]
+            Y, Y_new, K[0] = Y_new, Y, K[6]  # a rejected row of Y_new holds its old state
         dense.flush()
     finite = np.isfinite(states).all(axis=2)
     for i, result in enumerate(results):

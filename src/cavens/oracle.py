@@ -219,11 +219,14 @@ def _coordinates(rho: np.ndarray) -> np.ndarray:
 
 
 def _write_hermitian(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the exactly Hermitian matrices of coordinates ``x`` (m, d, d) into ``out``."""
+    """Write the exactly Hermitian matrices of coordinates ``x`` (..., d, d) into ``out``."""
     upper, strict = _triangles(x.shape[-1])
-    xt = x.swapaxes(-1, -2)
-    out.real = np.where(upper, x, xt)
-    out.imag = np.where(strict, xt, np.where(upper, 0.0, -x))
+    xt, real, imag = x.swapaxes(-1, -2), out.real, out.imag
+    np.copyto(real, x, where=upper)
+    np.copyto(real, xt, where=strict.T)
+    np.copyto(imag, xt, where=strict)
+    np.negative(x, out=imag, where=strict.T)
+    imag[(..., *np.diag_indices(x.shape[-1]))] = 0.0
 
 
 class Liouvillian:

@@ -263,7 +263,7 @@ _member = st.tuples(_presets, st.floats(0.0, 0.4), _occupation, _occupation, _oc
 
 @settings(deadline=None, max_examples=30)
 @given(st.lists(_member, min_size=1, max_size=9),
-       st.sampled_from([(5.0, 51), (10.0, 101), (40.0, 21), (10.0, 501)]))
+       st.sampled_from([(5.0, 51), (10.0, 101), (40.0, 21), (10.0, 501), (200.0, 21)]))
 def test_batch_members_are_bitwise_alone(members, grid):
     t_max, samples = grid
     scenarios = [Scenario(params=preset_params(cfg, chi), initial=initial_state(na, nb, nc),

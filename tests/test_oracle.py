@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -13,6 +14,7 @@ from cavens.oracle import (
     DensityMatrix,
     FockBasisSpec,
     PositivityError,
+    _write_hermitian,
     build_generator,
     closure_report,
     coherent_state,
@@ -126,6 +128,21 @@ def _complex_generator(p, n_max):
 # the bound is set by the RK45 reference below (atol 1e-12, rtol 1e-9), whose
 # own error is of order 1e-10; the Taylor path is exact to rounding
 PATH_BOUND = 1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.tuples(st.sampled_from([(), (1,), (3,)]), st.integers(1, 6)).flatmap(lambda shape: arrays(
+    np.float64, shape[0] + (shape[1],) * 2, elements=st.floats() | st.sampled_from([0.0, -0.0]))))
+def test_write_hermitian_is_the_where_formula_bit_for_bit(x):
+    d = x.shape[-1]
+    upper, strict = np.triu(np.ones((d, d), dtype=bool)), np.triu(np.ones((d, d), dtype=bool), 1)
+    xt = x.swapaxes(-1, -2)
+    expected = np.empty(x.shape, dtype=complex)
+    expected.real = np.where(upper, x, xt)
+    expected.imag = np.where(strict, xt, np.where(upper, 0.0, -x))
+    out = np.full(x.shape, 1.5 + 2.5j)
+    _write_hermitian(x, out)
+    np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 def test_evolve_path_matches_solve_ivp():
