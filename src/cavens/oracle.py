@@ -20,10 +20,14 @@ with ``scipy.sparse`` alone; every sampled rho is exactly Hermitian.  The
 basis dimension is capped (at 512 = three modes at eight levels each,
 n_max 7, where the generator holds 3.6e6 nonzeros).
 
-Every expectation Tr[rho O] comes from ``exact_correlators``, batched over a
-``(..., d, d)`` density stack: ``moments_from_density`` reads the 27 stored
-moments from it, and ``witness_table(exact_correlators(rhos, spec))`` is the
-witness catalog on exact instead of decoupled correlators.
+Every expectation Tr[rho O] is one real-linear functional of the Hermitian
+coordinates, one sparse product for a whole word list.
+``exact_correlators`` applies it to a ``(..., d, d)`` density stack:
+``moments_from_density`` reads the 27 stored moments from it, and
+``witness_table(exact_correlators(rhos, spec))`` is the witness catalog on
+exact instead of decoupled correlators.  ``closure_report`` applies the
+same functional to each Taylor step's samples as they are formed, so it
+never holds the ``(n, d, d)`` path that ``evolve_path`` returns.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from scipy import sparse
 from .closure import SLOT_WORDS, OperatorFactor, decoupled, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
 from .model import Scenario, SystemParams, occupations
-from .witnesses import WITNESS_NAMES, Correlators, witness_table
+from .witnesses import WITNESS_NAMES, Correlators, catalog_words, witness_table
 
 __all__ = [
     "FockBasisSpec",
@@ -333,35 +337,57 @@ def evolve(rho0: DensityMatrix, L: Liouvillian, t: float) -> DensityMatrix:
 
 
 def evolve_path(rho0: DensityMatrix, L: Liouvillian, taus: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian exp(tau L) rho0 on a grid from 0, summed as Taylor series.
+    """Exactly Hermitian exp(tau L) rho0 on a grid from 0, shape ``(len(taus), d, d)``.
 
-    A step h from coordinates x forms v_0 = x, v_j = (h/j) superop v_(j-1)
-    until two in a row are below unit roundoff times |x|, and sums them
-    into its end value and, with weights theta^j, theta = (tau - t)/h, into
-    each sample tau it covers; one matrix product per ``_BLOCK`` terms does
-    both (Al-Mohy & Higham, *SIAM J. Sci. Comput.* 33, 488, 2011).  A step
-    with a non-finite term or result, no convergence in ``_TERM_CAP`` terms,
-    or a term above ``_CANCELLATION`` times the result (cancellation) is
-    halved; one of at most ``_FEW_TERMS`` terms doubles the next.  The first
-    step has h |superop|_1 = 8: its terms stay below 8^8/8! |x|_1.
+    The samples of ``_taylor_rows``, written out as matrices; raises what it
+    raises.
+    """
+    d = rho0.spec.dim
+    path = np.empty((len(taus), d, d), dtype=complex)
+    filled = 0
+    for rows in _taylor_rows(rho0, L, taus):
+        _write_hermitian(rows.reshape(-1, d, d), path[filled:filled + len(rows)])
+        filled += len(rows)
+    return path
 
-    Raises ``ValueError`` for a non-Hermitian initial matrix (defect above
-    1e-10), which the coordinates cannot hold, and ``IntegrationError`` at
-    the last good tau when a halved step no longer advances tau.
+
+def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus):
+    """Hermitian coordinates of exp(tau L) rho0 on a grid from 0, summed as Taylor series.
+
+    Yields the samples in order, one ``(k, d^2)`` block per accepted step
+    that covers any (the first block holds the samples at 0).  A step h from
+    coordinates x forms v_0 = x, v_j = (h/j) superop v_(j-1) until two in a
+    row are below unit roundoff times |x|, and sums them into its end value
+    and, with weights theta^j, theta = (tau - t)/h, into each sample tau it
+    covers; one matrix product per ``_BLOCK`` terms does both (Al-Mohy &
+    Higham, *SIAM J. Sci. Comput.* 33, 488, 2011).  A step with a non-finite term or result, no
+    convergence in ``_TERM_CAP`` terms, or a term above ``_CANCELLATION``
+    times the result (cancellation) is halved; one of at most
+    ``_FEW_TERMS`` terms doubles the next.  The first step has
+    h |superop|_1 = 8: its terms stay below 8^8/8! |x|_1.
+
+    Raises ``ValueError`` for a grid that is not finite, does not start at 0
+    or decreases (repeated samples are allowed), or a non-Hermitian initial
+    matrix (defect above 1e-10), which the coordinates cannot hold; and
+    ``IntegrationError`` at the last good tau when a halved step no longer
+    advances tau.
     """
     taus = np.asarray(taus, dtype=float)
-    if taus[0] != 0.0:
+    if not np.isfinite(taus).all():
+        raise ValueError("sample grid must be finite")
+    if taus.size == 0 or taus[0] != 0.0:
         raise ValueError("sample grid must start at 0")
+    if (np.diff(taus) < 0).any():
+        raise ValueError("sample grid must not decrease")
     defect = np.abs(rho0.matrix - rho0.matrix.conj().T).max()
     if defect > 1e-10:
         raise ValueError(f"initial state has hermiticity defect {defect:.3e} above 1e-10")
     d = rho0.spec.dim
     superop = L.superop
-    path = np.empty((len(taus), d, d), dtype=complex)
     x = _coordinates(rho0.matrix)
     # the samples at 0, which are all of them on a grid of zeros
     filled, t, t_end = int(np.searchsorted(taus, 0.0, side="right")), 0.0, float(taus[-1])
-    _write_hermitian(x.reshape(1, d, d), path[:filled])
+    yield np.tile(x, (filled, 1))
     norm = np.bincount(superop.indices, np.abs(superop.data), minlength=d * d).max()
     h = 8.0 / norm if norm else t_end
     block = np.empty((_BLOCK, d * d))
@@ -388,7 +414,8 @@ def evolve_path(rho0: DensityMatrix, L: Liouvillian, taus: np.ndarray) -> np.nda
                 break
         result = np.abs(sums[-1]).max()
         if small == 2 and np.isfinite(result) and peak <= _CANCELLATION * result:
-            _write_hermitian(sums[:-1].reshape(-1, d, d), path[filled:stop])
+            if stop > filled:
+                yield sums[:-1]
             filled, x, t = stop, sums[-1], t_next
             if j <= _FEW_TERMS:
                 h *= 2
@@ -396,7 +423,6 @@ def evolve_path(rho0: DensityMatrix, L: Liouvillian, taus: np.ndarray) -> np.nda
             h /= 2
             if t + h == t:
                 raise IntegrationError("density-matrix integration failed: step size underflow", t)
-    return path
 
 
 @lru_cache(maxsize=4096)
@@ -409,30 +435,79 @@ def _word_op_entries(spec: FockBasisSpec, word: tuple):
     return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
 
+@lru_cache(maxsize=64)
+def _functional(spec: FockBasisSpec, words: tuple):
+    """Tr[rho O] of each word as one real-linear map of rho's Hermitian coordinates.
+
+    Returns ``(coords, F)``: the coordinate indices the words read, and a
+    real CSR matrix of shape ``(2 W, len(coords))`` for W words whose row w
+    gives Re Tr[rho O_w] and row W + w its Im.  Each entry O[r, c] meets
+    rho[c, r] = x[min d + max] + i sigma x[max d + min], sigma = sign(r - c),
+    so it adds Re(O) and -sigma Im(O) on those two coordinates to row w, and
+    Im(O) and sigma Re(O) to row W + w; zero entries are dropped, and the
+    entries of (r, c) and (c, r) are summed.  Cached per basis and word tuple.
+    """
+    d, n = spec.dim, len(words)
+    rows, cols, vals = [], [], []
+    for w, word in enumerate(words):
+        r, c, o = _word_op_entries(spec, word)
+        lo, hi, sigma = np.minimum(r, c), np.maximum(r, c), np.sign(r - c)
+        for row, col, val in ((w, lo * d + hi, o.real), (w, hi * d + lo, -sigma * o.imag),
+                              (n + w, lo * d + hi, o.imag), (n + w, hi * d + lo, sigma * o.real)):
+            keep = val != 0.0
+            rows.append(np.full(np.count_nonzero(keep), row))
+            cols.append(col[keep])
+            vals.append(val[keep])
+    coords, cols = np.unique(np.concatenate(cols), return_inverse=True)
+    F = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
+                          shape=(2 * n, len(coords))).tocsr()
+    return coords, F
+
+
+def _expectations(F: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """The words of ``F`` at coordinate rows ``x`` (m, len(coords)), shape ``(W, m)``."""
+    values = np.empty((F.shape[0] // 2, len(x)), dtype=complex)
+    values.real, values.imag = np.split(F @ x.T, 2)
+    return values
+
+
 def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:
     """Exact expectations of operator words for a ``(..., d, d)`` density stack.
 
-    ``exact_correlators(rhos, spec).word(*word)`` is Tr[rho word] with the
-    stack's leading shape, summed as O[r, c] rho[c, r] over the stored
-    entries of the word operator.  Values are taken on the Hermitian part
-    (rho + rho^dagger)/2.  Paths from ``evolve_path`` are already exactly
-    Hermitian; for any other input this drops the antisymmetric part, so
-    the moments are conjugate-consistent at machine precision.
+    ``exact_correlators(rhos, spec).words(words)`` is Tr[rho word] for each
+    word, shape ``(len(words), ...)`` over the stack's leading shape: one
+    real-linear functional (``_functional``) of the Hermitian coordinates of
+    (rho + rho^dagger)/2, so the values are taken on the Hermitian part.
+    Paths from ``evolve_path`` are already exactly Hermitian; for any other
+    input this drops the antisymmetric part, so the moments are
+    conjugate-consistent at machine precision.  Only the coordinates the
+    words read are gathered.
     """
     rhos = np.asarray(rhos)
+    d = spec.dim
+    flat = rhos.reshape(-1, d, d)
 
-    def correlate(word):
-        rows, cols, data = _word_op_entries(spec, tuple(word))
-        entries = (rhos[..., cols, rows] + rhos[..., rows, cols].conj()) / 2.0
-        return entries @ data
+    def evaluate(words):
+        coords, F = _functional(spec, words)
+        p, q = np.divmod(coords, d)
+        a, b = flat[:, p, q], flat[:, q, p]
+        # on and above the diagonal Re of the Hermitian part, below it Im of its transpose
+        x = np.where(p <= q, a.real + b.real, b.imag - a.imag) / 2.0
+        return _expectations(F, x).reshape((len(words),) + rhos.shape[:-2])
 
-    return Correlators(correlate)
+    return Correlators(evaluate)
 
 
 def moments_from_density(rhos: np.ndarray, spec: FockBasisSpec) -> np.ndarray:
     """All 27 stored moments of a ``(..., d, d)`` density stack, shape ``(..., 27)``."""
-    exact = exact_correlators(rhos, spec)
-    return np.stack([exact.word(*word) for word in SLOT_WORDS], axis=-1)
+    return np.moveaxis(exact_correlators(rhos, spec).words(SLOT_WORDS), 0, -1)
+
+
+def _top_population(x: np.ndarray, spec: FockBasisSpec) -> float:
+    """Largest population of any mode's top Fock level over coordinate rows ``x`` (k, d^2)."""
+    n = spec.local_dim
+    pops = x[:, ::spec.dim + 1].reshape(-1, n, n, n)
+    return max(float(top.sum(axis=(1, 2)).max()) for top in (pops[:, -1], pops[:, :, -1], pops[..., -1]))
 
 
 @dataclass(frozen=True)
@@ -478,22 +553,31 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
     same scenario (which must have phase-insensitive initial data, i.e.
     occupations only, so the oracle can start from the matching thermal
     product) and tabulates the pipeline's decoupled fourth/sixth-order
-    correlators and witnesses against exact oracle values.
+    correlators and witnesses against exact oracle values.  The density
+    path is never held: each Taylor step's samples are folded, as
+    coordinates, into a table of the words the witness catalog reads (which
+    include the report words) at every sample, and into the top-level
+    populations, so memory is O(samples x words + one step's samples), not
+    O(samples x d^2).
     """
     occs = occupations(scenario.initial)
     traj = integrate(scenario)
     rho0 = thermal_state(basis, occs)
     L = build_generator(scenario.params, basis)
-    rhos = evolve_path(rho0, L, traj.taus)
 
-    exact_source = exact_correlators(rhos, basis)
+    words = catalog_words()
+    coords, F = _functional(basis, words)
+    table = np.empty((len(words), len(traj.taus)), dtype=complex)
+    filled, leakage = 0, -np.inf
+    for rows in _taylor_rows(rho0, L, traj.taus):
+        table[:, filled:filled + len(rows)] = _expectations(F, rows[:, coords])
+        leakage = max(leakage, _top_population(rows, basis))
+        filled += len(rows)
+    column = {word: i for i, word in enumerate(words)}
+    exact_source = Correlators(lambda ws: table[[column[w] for w in ws]])
+
     closed = decoupled(traj.states, _REPORT_WORDS.values()).T
     exact = exact_source.words(_REPORT_WORDS.values()).T
-    d = basis.local_dim
-    pops = np.diagonal(rhos, axis1=1, axis2=2).real.reshape(-1, d, d, d)
-    leakage = max(float(top.sum(axis=(1, 2)).max())
-                  for top in (pops[:, -1], pops[:, :, -1], pops[..., -1]))
-
     max_err = dict(zip(_REPORT_WORDS, np.abs(exact - closed).max(axis=0).tolist()))
     return ClosureReport(
         taus=traj.taus,

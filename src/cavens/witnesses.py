@@ -39,6 +39,7 @@ __all__ = [
     "WITNESS_NAMES",
     "InternalConsistencyError",
     "Correlators",
+    "catalog_words",
     "mandel_q",
     "antibunch_single",
     "antibunch_inter",
@@ -77,20 +78,20 @@ class InternalConsistencyError(RuntimeError):
 
 
 class Correlators:
-    """Expectations of operator words, from a function of one word (a tuple of
-    ``OperatorFactor``) that returns it with the states' leading shape, as the
-    oracle's ``exact_correlators`` does.  ``words(words)`` stacks several,
-    shape ``(len(words), ...)``.
+    """Expectations of operator words (tuples of ``OperatorFactor``), from a
+    function of a word tuple that returns them stacked, shape
+    ``(len(words), ...)`` over the states' leading shape, as the oracle's
+    ``exact_correlators`` does.  ``word(*factors)`` is the one-word case.
     """
 
-    def __init__(self, correlate):
-        self._correlate = correlate
+    def __init__(self, evaluate):
+        self._evaluate = evaluate
 
     def word(self, *factors):
-        return self._correlate(factors)
+        return self._evaluate((factors,))[0]
 
     def words(self, words) -> np.ndarray:
-        return np.stack([self._correlate(word) for word in words])
+        return self._evaluate(tuple(map(tuple, words)))
 
 
 def _by_trajectory(a: np.ndarray) -> np.ndarray:
@@ -324,6 +325,11 @@ def _plan():
     place = dict(zip(words, closure.rows))
     return closure, {f: [(place[ws[0]][0], np.array([place[w][1] for w in ws])) for ws in column]
                      for f, column in columns.items()}
+
+
+def catalog_words() -> tuple:
+    """The operator words ``witness_table`` reads from a ``Correlators`` source, in its order."""
+    return _plan()[0].layout
 
 
 @cache

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from cavens.closure import annihilator, creator
 from cavens.dynamics import IntegrationError, integrate
 from cavens.model import Moment, Scenario, SystemParams, initial_state, preset_params
 from cavens.oracle import (
+    _REPORT_WORDS,
     DensityMatrix,
     FockBasisSpec,
     PositivityError,
@@ -25,7 +28,7 @@ from cavens.oracle import (
     moments_from_density,
     thermal_state,
 )
-from cavens.witnesses import WITNESS_NAMES, witness_table
+from cavens.witnesses import WITNESS_NAMES, Correlators, catalog_words, witness_table
 from conftest import system_params
 
 
@@ -266,6 +269,19 @@ def test_evolve_validates_input():
     assert evolve(rho0, L, 0.0) is rho0
 
 
+def test_evolve_path_rejects_decreasing_or_non_finite_grid():
+    spec = FockBasisSpec(1)
+    L = build_generator(preset_params("AN", 0.2), spec)
+    rho0 = thermal_state(spec, (0.2, 0.1, 0.3))
+    for taus in ([0.0, 2.0, 1.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="sample grid"):
+            evolve_path(rho0, L, taus)
+    # repeated samples stay allowed, and repeat their sample
+    rhos = evolve_path(rho0, L, [0.0, 0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(rhos[:2], [rho0.matrix] * 2)
+    np.testing.assert_array_equal(rhos[2], rhos[3])
+
+
 def test_evolve_keeps_state_physical():
     spec = FockBasisSpec(5)
     p = preset_params("AN", 0.2)
@@ -321,6 +337,37 @@ def test_exact_correlator_examples():
     assert got.shape == (3, 1)
     np.testing.assert_array_equal(
         got[:, 0], [_expect(rho, creator("A"), annihilator("A")) for rho in (one, vac, coh)])
+
+
+def _dense_words(words, n_max):
+    """Dense matrices of operator words on the n_max basis."""
+    one, eye = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1), np.eye(n_max + 1)
+    lowering = {mode: np.kron(np.kron(x, y), z) for mode, (x, y, z)
+                in zip("ABC", ((one, eye, eye), (eye, one, eye), (eye, eye, one)))}
+    ops = []
+    for word in words:
+        op = np.eye((n_max + 1) ** 3)
+        for f in word:
+            op = op @ (lowering[f.mode].T if f.daggered else lowering[f.mode])
+        ops.append(op)
+    return ops
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.sampled_from([(), (2,), (2, 3)]), st.integers(0, 2**32 - 1))
+def test_exact_correlators_read_the_hermitian_part(n_max, shape, seed):
+    """On non-Hermitian complex stacks each catalog word is Tr[((rho + rho^dagger)/2) O]."""
+    spec = FockBasisSpec(n_max)
+    rng = np.random.default_rng(seed)
+    size = shape + (spec.dim, spec.dim)
+    rhos = (rng.normal(size=size) + 1j * rng.normal(size=size)) / spec.dim
+    words = catalog_words()
+    got = exact_correlators(rhos, spec).words(words)
+    herm = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
+    expected = np.stack([np.trace(herm @ op, axis1=-2, axis2=-1)
+                         for op in _dense_words(words, n_max)])
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() < 1e-13
 
 
 def test_moments_from_density_thermal():
@@ -400,3 +447,52 @@ def test_closure_report_rejects_coherences():
     sc = Scenario(params=preset_params("AN", 0.0), initial=init, t_max=1.0, sample_count=5)
     with pytest.raises(ValueError, match="phase-insensitive"):
         closure_report(sc, FockBasisSpec(3))
+
+
+def _path_correlators(rhos, spec):
+    """Each word gathered from a density path, entry by entry: the reference
+    formula for the functional ``closure_report`` streams."""
+    def evaluate(words):
+        values = []
+        for op in _dense_words(words, spec.n_max):
+            rows, cols = np.nonzero(op)
+            values.append((rhos[..., cols, rows] + rhos[..., rows, cols].conj()) / 2.0 @ op[rows, cols])
+        return np.stack(values)
+    return Correlators(evaluate)
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.2])
+@pytest.mark.parametrize("config", ["AN", "NA"])
+def test_closure_report_matches_the_density_path(config, chi):
+    """The streamed report equals the values read from the whole path: to
+    1e-12 (word sums change order), with the same NaN cells and the same
+    truncation leakage."""
+    spec = FockBasisSpec(3)
+    sc = Scenario(params=preset_params(config, chi), initial=initial_state(0.2, 0.2, 0.2),
+                  t_max=5.0, sample_count=51)
+    report = closure_report(sc, spec)
+    rhos = evolve_path(thermal_state(spec, (0.2, 0.2, 0.2)), build_generator(sc.params, spec),
+                       report.taus)
+    path = _path_correlators(rhos, spec)
+    np.testing.assert_allclose(report.exact, path.words(_REPORT_WORDS.values()).T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.witness_exact, witness_table(path), rtol=0, atol=1e-12)
+    n = spec.local_dim
+    pops = np.diagonal(rhos, axis1=1, axis2=2).real.reshape(-1, n, n, n)
+    leakage = max(float(top.sum(axis=(1, 2)).max())
+                  for top in (pops[:, -1], pops[:, :, -1], pops[..., -1]))
+    assert report.truncation_leakage == leakage
+
+
+def test_closure_report_never_holds_the_density_path():
+    """Its allocation peak stays below one complex (n, d, d) path."""
+    spec = FockBasisSpec(3)
+    params, init = preset_params("NA", 0.2), initial_state(0.2, 0.2, 0.2)
+    closure_report(Scenario(params=params, initial=init, t_max=5.0, sample_count=5), spec)
+    sc = Scenario(params=params, initial=init, t_max=5.0, sample_count=401)
+    tracemalloc.start()
+    try:
+        closure_report(sc, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sc.sample_count * spec.dim ** 2 * 16
