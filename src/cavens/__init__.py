@@ -24,18 +24,9 @@ from .dynamics import (
     Trajectory,
     integrate,
     integrate_batch,
-    rhs,
     steady_state_first_moments,
 )
-from .closure import (
-    OperatorFactor,
-    annihilator,
-    creator,
-    decouple3,
-    decouple4,
-    number_triple_product,
-    pair_moment,
-)
+from .closure import OperatorFactor
 from .witnesses import WITNESS_NAMES, InternalConsistencyError, witness_table
 from .runner import SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
 from .io_cli import ConfigError, emit_csv, parse_config

@@ -1,25 +1,27 @@
 """Decoupling of higher-order correlators into stored first/second moments.
 
-Third- and fourth-order normal-ordered correlators are approximated by the
-linearized-correction (Bogoliubov-style) rules
+Third- and fourth-order normal-ordered correlators are closed by the rules
 
-    <xyz>  ~ <xy><z> + <x><yz> + <xz><y> - 2<x><y><z>
-    <wxyz> ~ <wx><yz> + <wy><xz> + <wz><xy> - 2<w><x><y><z>
+    <xyz>  = <xy><z> + <x><yz> + <xz><y> - 2<x><y><z>
+    <wxyz> = <wx><yz> + <wy><xz> + <wz><xy> - 2<w><x><y><z>
 
-evaluated on the stored moments.  For zero-mean data the four-factor rule
-reduces to the exact Gaussian (Isserlis) pair expansion.  The sixth-order
-number correlator <AdA BdB CdC> is built by applying the three-factor rule
-to the composite number factors, with each composite pair expanded by the
-four-factor rule.
+evaluated on the stored moments, each pair in its word order.  They are the
+Gaussian cumulant expansion with means (Isserlis 1918): they drop only the
+third and fourth cumulants, so they are exact on every Gaussian state, not
+only on zero-mean data, and the quadratic dynamics keeps a thermal initial
+state Gaussian.  The one approximation is the sixth-order number correlator
+<AdA BdB CdC>: the three-factor rule applied to the composite number
+factors, with each composite pair expanded by the four-factor rule, which is
+not the Gaussian expansion of that word.
 
 A ``Closure`` compiles a list of words once into slot-index arrays; a call
 reads a ``MomentState`` or a ``(..., 27)`` stack of states, gathers every
 ordered pair word at once and runs each rule once on the stack of all the
-words it closes.  ``decouple3``, ``decouple4``, ``number_triple_product``,
-``pair_moment`` and ``single_moment`` are the one-word case.  Complex
-products go through ``cprod`` (and ``cquot``, ``csquare``), which round
-exactly as Python's ``complex`` does; numpy's complex multiply may use FMA.
-A stack of words or states thus gives the same bits as each taken alone.
+words it closes.  ``decoupled(states, words)`` is the one way to evaluate a
+list of words.  Complex products go through ``cprod`` (and ``cquot``,
+``csquare``), which round exactly as Python's ``complex`` does; numpy's
+complex multiply may use FMA.  A stack of words or states thus gives the
+same bits as each taken alone.
 """
 
 from __future__ import annotations
@@ -36,17 +38,10 @@ __all__ = [
     "Closure",
     "SLOT_WORDS",
     "word_for_name",
-    "annihilator",
-    "creator",
     "cprod",
     "cquot",
     "csquare",
     "decoupled",
-    "single_moment",
-    "pair_moment",
-    "decouple3",
-    "decouple4",
-    "number_triple_product",
 ]
 
 
@@ -81,14 +76,6 @@ def word_for_name(name: str) -> tuple[OperatorFactor, ...]:
 
 # operator word of every stored moment, indexed by ``Moment``
 SLOT_WORDS = tuple(word_for_name(name) for name in MOMENT_NAMES)
-
-
-def annihilator(mode: str) -> OperatorFactor:
-    return OperatorFactor(mode, False)
-
-
-def creator(mode: str) -> OperatorFactor:
-    return OperatorFactor(mode, True)
 
 
 def _complex(re, im):
@@ -237,32 +224,3 @@ def decoupled(states: MomentState | np.ndarray, words) -> np.ndarray:
     closure = _compiled(tuple(words))
     stacks = closure.stacks(states)
     return np.stack([stacks[g][row] for g, row in closure.rows])
-
-
-def single_moment(states: MomentState | np.ndarray, x: OperatorFactor):
-    return decoupled(states, [(x,)])[0]
-
-
-def pair_moment(states: MomentState | np.ndarray, x: OperatorFactor, y: OperatorFactor):
-    """Expectation of the ordered product xy, resolved to stored slots (see ``_pair_slot``)."""
-    return decoupled(states, [(x, y)])[0]
-
-
-def decouple3(states: MomentState | np.ndarray, x, y, z):
-    """Three-factor decoupling <xyz> ~ <xy><z> + <x><yz> + <xz><y> - 2<x><y><z>."""
-    return decoupled(states, [(x, y, z)])[0]
-
-
-def decouple4(states: MomentState | np.ndarray, w, x, y, z):
-    """Four-factor decoupling: all three pair pairings minus twice the mean product."""
-    return decoupled(states, [(w, x, y, z)])[0]
-
-
-def number_triple_product(states: MomentState | np.ndarray):
-    """Closed form for the sixth-order correlator <AdA BdB CdC>.
-
-    Treats the three number operators as composite factors in the
-    three-factor rule; each composite pair <XY> is a four-factor decoupling
-    and each composite single <X> is a stored occupation.
-    """
-    return decoupled(states, [tuple(_OPERATORS[i] for i in _NUMBER_TRIPLE)])[0]

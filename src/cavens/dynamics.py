@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closure import SLOT_WORDS, OperatorFactor
-from .model import CONJUGATE_PAIRS, MODES, OCCUPATIONS, Moment, MomentState, Scenario, SystemParams
+from .model import CONJUGATE_PAIRS, MODES, OCCUPATIONS, Moment, Scenario, SystemParams
 
 __all__ = [
     "Trajectory",
@@ -42,7 +42,6 @@ __all__ = [
     "NoSteadyStateError",
     "coefficient_matrix",
     "conjugate_closure_defect",
-    "rhs",
     "integrate",
     "integrate_batch",
     "steady_state_first_moments",
@@ -97,8 +96,8 @@ def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 
     and an occupation <xd x> also the thermal feed gamma_x nbar_x.  Each word
     on the right is read as its stored slot: cross-mode factors commute, and
-    as K never turns an annihilator into a creator, the anti-normal words
-    (<C Cd> and <A Ad> in the <A Cd> row) carry constants K[A,C] + K[Cd,Ad] = 0.
+    as K never turns a lowering operator into a raising one, the anti-normal
+    words (<C Cd> and <A Ad> in the <A Cd> row) carry K[A,C] + K[Cd,Ad] = 0.
     Only nonzero K entries are added, so untouched entries of M stay +0.0.
     """
     h = np.array([[p.delta_a, 0.0, p.g_a], [0.0, p.delta_b, p.g_b], [p.g_a, p.g_b, p.delta_c]])
@@ -127,12 +126,6 @@ def _cached_system(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     M.flags.writeable = False
     b.flags.writeable = False
     return M, b
-
-
-def rhs(state: MomentState, p: SystemParams) -> np.ndarray:
-    """Time derivative of all 27 moments (same slot layout as the state)."""
-    M, b = _cached_system(p)
-    return M @ state.values + b
 
 
 # Dormand & Prince (1980), J. Comput. Appl. Math. 6, 19: the 5(4) tableau,

@@ -15,9 +15,10 @@ flag is a usage error: ``table`` scores every preset and takes no
 and only ``table`` takes ``--threshold``.  A config key that a subcommand
 would not honour is an error too: ``table`` rejects a config that sets model
 parameters, ``sweep`` one that sets ``chi``, and every other subcommand one
-that sets ``threshold``.  So are an empty ``--chi-grid`` and an empty or
-repeating ``--witnesses`` list.  ``oracle-check`` warns on stderr when its
-Fock truncation leaks enough to blur the closure errors it reports.
+that sets ``threshold``.  So are an empty entry in a ``--chi-grid`` or
+``--witnesses`` list and a repeating ``--witnesses`` list.  ``oracle-check``
+warns on stderr when its Fock truncation leaks enough to blur the closure
+errors it reports.
 
 All CSV output is UTF-8 with a header row and a deterministic byte stream
 for identical inputs; complex moments are split into ``re_<name>`` /
@@ -324,9 +325,17 @@ def _resolve_scenario(args) -> Scenario:
     return replace(scenario, **{k: v for k, v in flags.items() if v is not None})
 
 
+def _entries(text: str, what: str) -> list[str]:
+    """The comma-separated entries of ``text``; an empty one is rejected, not dropped."""
+    parts = [part.strip() for part in text.split(",")]
+    if "" in parts:
+        raise _UsageError(f"empty entry in {what} {text!r}")
+    return parts
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [float(part) for part in _entries(text, "chi grid")]
     except ValueError:
         raise _UsageError(f"malformed chi grid {text!r}") from None
 
@@ -350,10 +359,8 @@ def main(argv=None) -> int:
             if args.moments:
                 emit_csv(integrate(scenario), dest)
             else:
+                columns = None if args.witnesses is None else _entries(args.witnesses, "witness list")
                 _, series = run_scenario(scenario)
-                columns = None
-                if args.witnesses is not None:
-                    columns = [c.strip() for c in args.witnesses.split(",") if c.strip()]
                 write_witness_series(series, dest, columns)
         elif args.command == "table":
             if scenario.params != SystemParams():

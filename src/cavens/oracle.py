@@ -10,8 +10,10 @@ couplings to the cavity, classical drive on mode A) and
 D[L]rho = L rho Ld - {Ld L, rho}/2.  Because the Hamiltonian is quadratic,
 the moment equations integrated by ``dynamics`` are exact consequences of
 this generator; the oracle therefore validates them up to truncation
-leakage, and quantifies the error of the higher-order decoupling rules
-which are *not* exact.
+leakage.  It keeps a thermal state Gaussian, on which the three- and
+four-factor decoupling rules are exact too, so their oracle error is
+truncation; only the composite number-triple rule behind ``bisep_e``
+approximates.
 
 The generator is one real sparse matrix on the d^2 real Hermitian
 coordinates of rho, built once per run.  It is constant, so rho is carried

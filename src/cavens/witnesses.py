@@ -6,12 +6,12 @@ boundary is the coherent-state value 1/4.
 
 Each witness family's formula is written once, on ``(keys, ...)`` columns
 of the operator words it reads, one column per key (a mode, a pair, an
-ordered pair or a partition); the public helpers (``mandel_q(state, "A")``,
-``bisep``, ...) are its one-key case.  ``witness_table`` expands the catalog
-once into a plan: its distinct words, compiled by ``closure.Closure``, and
-each family's columns of them.  A call evaluates every word in one pass
-(decoupled from moments, or read from a ``Correlators`` source such as the
-oracle's) and each formula once on all its keys.
+ordered pair or a partition).  ``witness_table`` is the one way to evaluate
+a witness, read as its named column: it expands the catalog once into a
+plan, its distinct words compiled by ``closure.Closure`` and each family's
+columns of them.  A call evaluates every word in one pass (decoupled from
+moments, or read from a ``Correlators`` source such as the oracle's) and
+each formula once on all its keys.
 
 Every witness is a real quantity on a conjugate-consistent state.  Values
 are computed in complex arithmetic and the real part is returned only after
@@ -27,7 +27,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .closure import Closure, cprod, cquot, csquare, decoupled, word_for_name
+from .closure import Closure, cprod, cquot, csquare, word_for_name
 
 __all__ = [
     "IMAG_TOL",
@@ -40,15 +40,6 @@ __all__ = [
     "InternalConsistencyError",
     "Correlators",
     "catalog_words",
-    "mandel_q",
-    "antibunch_single",
-    "antibunch_inter",
-    "quadrature_variances",
-    "intermodal_quadrature_variances",
-    "duan",
-    "hz_pair",
-    "steering",
-    "bisep",
     "witness_table",
 ]
 
@@ -81,14 +72,11 @@ class Correlators:
     """Expectations of operator words (tuples of ``OperatorFactor``), from a
     function of a word tuple that returns them stacked, shape
     ``(len(words), ...)`` over the states' leading shape, as the oracle's
-    ``exact_correlators`` does.  ``word(*factors)`` is the one-word case.
+    ``exact_correlators`` does.
     """
 
     def __init__(self, evaluate):
         self._evaluate = evaluate
-
-    def word(self, *factors):
-        return self._evaluate((factors,))[0]
 
     def words(self, words) -> np.ndarray:
         return self._evaluate(tuple(map(tuple, words)))
@@ -149,16 +137,19 @@ def _occupations(real, occ):
 
 @_reads("ada", "adadaa")
 def _antibunch_single(real, occ, quartic):
+    """Single-mode antibunching <ad ad a a> - <ad a>^2."""
     return real(quartic - cprod(occ, occ), "antibunch_{}")
 
 
 @_reads("adbdba", "ada", "bdb")
 def _antibunch_inter(real, quartic, na, nb):
+    """Intermodal antibunching <ad bd b a> - <ad a><bd b>."""
     return real(quartic - cprod(na, nb), "antibunch_{}")
 
 
 @_reads("aa", "adad", "ada", "a", "ad")
 def _quadrature_variances(real, sq, sqd, occ, m, md):
+    """Variances of X = (a + ad)/2 and Y = (a - ad)/2i; squeezed below 1/4."""
     vx = cquot(sq + sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m + md, 2.0))
     vy = cquot(-sq - sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m - md, 2j))
     return real(vx, "var_x_{}"), real(vy, "var_y_{}")
@@ -166,6 +157,7 @@ def _quadrature_variances(real, sq, sqd, occ, m, md):
 
 @_reads("aa", "adad", "ada", "bb", "bdbd", "bdb", "a", "ad", "b", "bd", "ab", "abd", "adb", "adbd")
 def _intermodal_variances(real, sqa, sqad, na, sqb, sqbd, nb, ma, mad, mb, mbd, ab, abd, adb, adbd):
+    """Variances of X_ab = (a + ad + b + bd)/2sqrt2 and the matching Y quadrature."""
     vx = cquot(
         sqa + sqad + cprod(2.0, na) + 1.0
         + sqb + sqbd + cprod(2.0, nb) + 1.0
@@ -183,103 +175,53 @@ def _intermodal_variances(real, sqa, sqad, na, sqb, sqbd, nb, ma, mad, mb, mbd, 
 
 @_reads("adabdb", "abd", "adb", "ada", "bdb", "ab", "adbd")
 def _hz(real, quartic, abd, adb, na, nb, ab, adbd):
+    """The two Hillery-Zubairy inseparability witnesses of a mode pair:
+
+    E  = <ad a bd b> - |<a bd>|^2
+    E~ = <ad a><bd b> - |<a b>|^2
+    """
     return (real(quartic - cprod(abd, adb), "hz_e_{}"),
             real(cprod(na, nb) - cprod(ab, adbd), "hz_etilde_{}"))
 
 
 @_reads("AdABdBCdC", "abcd", "abc", "adabdb", "cdc")
 def _bisep(real, nnn, abc_dag, abc, nab, nc):
+    """The two biseparability witnesses of the partition ab|c:
+
+    E  = <ad a bd b cd c> - |<a b cd>|^2
+    E' = <ad a bd b><cd c> - |<a b c>|^2
+
+    Decoupled, E's sixth moment comes from the composite number-triple rule.
+    """
     return (real(nnn - cprod(abc_dag, np.conj(abc_dag)), "bisep_e_{}"),
             real(cprod(nab, nc) - cprod(abc, np.conj(abc)), "bisep_eprime_{}"))
 
 
 def _mandel(occ, antibunch):
+    """Mandel parameter (<ad ad a a> - <ad a>^2) / <ad a>; negative means sub-Poissonian.
+
+    With the fourth moment decoupled it is
+    (<ad2><a2> + <ada>^2 - 2<ad>^2<a>^2) / <ada>; it is undefined (NaN) at
+    negligible occupation, where the normalization is singular.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(occ < OCCUPATION_FLOOR, math.nan, antibunch / occ)[()]
 
 
 def _duan(vx, vy):
+    """Inseparability witness 4(dX_ab)^2 + 4(dY_ab)^2 - 2; entangled if < 0."""
     return 4.0 * vx + 4.0 * vy - 2.0
 
 
 def _steering(e, occ):
-    return e + occ / 2.0
-
-
-def _one(formula, state, key: str):
-    """A family's formula at one key: its values, or a tuple of them."""
-    words = _words_of(formula, key)
-    values = state.words(words) if isinstance(state, Correlators) else decoupled(state, words)
-    out = formula(partial(_real, keys=(key,)), *values[:, None])
-    return tuple(v[0] for v in out) if isinstance(out, tuple) else out[0]
-
-
-def mandel_q(state, mode: str):
-    """Normalized occupation-variance parameter; negative means sub-Poissonian.
-
-    Closed form after decoupling the fourth moment:
-    (<ad2><a2> + <ada>^2 - 2<ad>^2<a>^2) / <ada>, undefined (NaN) at
-    negligible occupation where the normalization is singular.
-    """
-    return _mandel(_one(_occupations, state, mode), _one(_antibunch_single, state, mode))
-
-
-def antibunch_single(state, mode: str):
-    """Single-mode antibunching witness <ad ad a a> - <ad a>^2 (decoupled)."""
-    return _one(_antibunch_single, state, mode)
-
-
-def antibunch_inter(state, pair: tuple[str, str]):
-    """Intermodal antibunching witness <ad bd b a> - <ad a><bd b> (decoupled)."""
-    return _one(_antibunch_inter, state, "".join(pair))
-
-
-def quadrature_variances(state, mode: str):
-    """Variances of X = (a + ad)/2 and Y = (a - ad)/2i; squeezed below 1/4."""
-    return _one(_quadrature_variances, state, mode)
-
-
-def intermodal_quadrature_variances(state, pair: tuple[str, str]):
-    """Variances of X_ab = (a+ad+b+bd)/2sqrt2 and the matching Y quadrature."""
-    return _one(_intermodal_variances, state, "".join(pair))
-
-
-def duan(state, pair: tuple[str, str]):
-    """Inseparability witness 4(dX_ab)^2 + 4(dY_ab)^2 - 2; entangled if < 0."""
-    return _duan(*intermodal_quadrature_variances(state, pair))
-
-
-def hz_pair(state, pair: tuple[str, str]):
-    """The two moment inseparability witnesses for a mode pair.
-
-    E  = <ad a bd b> - |<a bd>|^2   (fourth moment decoupled)
-    E~ = <ad a><bd b> - |<a b>|^2
-    """
-    return _one(_hz, state, "".join(pair))
-
-
-def steering(state, ordered_pair: tuple[str, str]):
-    """Steering witness for the ordered pair (x, y): E_xy + <xd x>/2 < 0.
+    """Steering witness of the ordered pair (x, y): E_xy + <xd x>/2 < 0.
 
     The occupation offset comes from the first (steered-by) mode, so the
     witness is asymmetric under swapping the pair.  This is the upper branch
     of a two-sided condition; the lower branch is never the binding one for
     detection and plays no role in tick/cross scoring.
     """
-    e, _ = hz_pair(state, ordered_pair)
-    return _steering(e, _one(_occupations, state, ordered_pair[0]))
-
-
-def bisep(state, partition: tuple[str, str, str]):
-    """Biseparability witnesses for the partition ab|c.
-
-    E  = <ad a bd b cd c> - |<a b cd>|^2   (sixth moment via the recursive
-         number-product closure, third moment via the three-factor rule)
-    E' = <ad a bd b><cd c> - |<a b c>|^2
-    """
-    if set(partition) != {"A", "B", "C"}:
-        raise ValueError(f"partition must cover all three modes, got {partition}")
-    return _one(_bisep, state, f"{partition[0]}{partition[1]}|{partition[2]}")
+    return e + occ / 2.0
 
 
 # column order of every witness table; a partition "AB|C" is named "AB_C"
@@ -294,8 +236,8 @@ WITNESS_NAMES = (
 )
 _MAY_BE_NAN = np.array([name.startswith("mandel_") for name in WITNESS_NAMES])
 
-# every residue check, in the order the witnesses run them one key at a
-# time: a trajectory of a stack reports its first failure in this order
+# every residue check, key by key in catalog order: a trajectory of a stack
+# reports its first failure in this order
 _CHECK_RANK = {name: rank for rank, name in enumerate(
     [n for m in MODE_KEYS for n in (f"<n_{m}>", f"antibunch_{m}", f"var_x_{m}", f"var_y_{m}")]
     + [n for k in PAIR_KEYS

@@ -449,6 +449,8 @@ def test_cli_sweep_with_config(tmp_path):
     ["table", "--chi-grid", ","],
     ["simulate", "--preset", "AN", "--witnesses", ","],
     ["simulate", "--preset", "AN", "--witnesses", "var_x_A,mandel_A,mandel_A"],
+    ["table", "--chi-grid", "0,,0.2"],
+    ["simulate", "--preset", "AN", "--witnesses", "mandel_A,"],
 ])
 def test_cli_rejects_inputs_it_would_not_honour(argv, tmp_path, capsys):
     configs = {"an": "preset = AN\n", "explicit": "g_a = 0.2\n",

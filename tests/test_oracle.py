@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from cavens.closure import annihilator, creator
+from cavens.closure import word_for_name
 from cavens.dynamics import IntegrationError, integrate
 from cavens.model import Moment, Scenario, SystemParams, initial_state, preset_params
 from cavens.oracle import (
@@ -32,9 +32,9 @@ from cavens.witnesses import WITNESS_NAMES, Correlators, catalog_words, witness_
 from conftest import system_params
 
 
-def _expect(rho: DensityMatrix, *word):
-    """Tr[rho word] of one density matrix."""
-    return exact_correlators(rho.matrix, rho.spec).word(*word)
+def _expect(rho: DensityMatrix, name: str):
+    """Tr[rho word] of one density matrix, the word named like ``"AdA"``."""
+    return exact_correlators(rho.matrix, rho.spec).words([word_for_name(name)])[0]
 
 
 def test_basis_spec_enforces_cap():
@@ -50,7 +50,7 @@ def test_single_mode_decay():
     p = SystemParams(delta_a=0, delta_b=0, delta_c=0, gamma_a=1.0)
     L = build_generator(p, spec)
     rho = evolve(fock_state(spec, (1, 0, 0)), L, 1.0)
-    n = _expect(rho, creator("A"), annihilator("A"))
+    n = _expect(rho, "AdA")
     assert abs(n.real - np.exp(-1.0)) < 1e-7
 
 
@@ -60,7 +60,7 @@ def test_beam_splitter_rabi_exchange():
     L = build_generator(p, spec)
     for t in (0.7, 1.9):
         rho = evolve(fock_state(spec, (1, 0, 0)), L, t)
-        n = _expect(rho, creator("A"), annihilator("A")).real
+        n = _expect(rho, "AdA").real
         assert abs(n - np.cos(0.5 * t) ** 2) < 1e-7
 
 
@@ -70,7 +70,7 @@ def test_oracle_conserves_excitation_without_damping():
     L = build_generator(p, spec)
     rho = evolve(fock_state(spec, (1, 1, 0)), L, 3.0)
     total = sum(
-        _expect(rho, creator(m), annihilator(m)).real for m in ("A", "B", "C")
+        _expect(rho, f"{m}d{m}").real for m in ("A", "B", "C")
     )
     assert abs(total - 2.0) < 1e-7
 
@@ -325,18 +325,18 @@ def test_witness_cross_check_against_oracle_at_small_occupations():
 def test_exact_correlator_examples():
     spec = FockBasisSpec(6)
     one = fock_state(spec, (1, 0, 0))
-    assert _expect(one, creator("A"), annihilator("A")) == pytest.approx(1.0)
+    assert _expect(one, "AdA") == pytest.approx(1.0)
     vac = fock_state(spec, (0, 0, 0))
-    assert _expect(vac, annihilator("B")) == 0.0
-    assert _expect(vac, creator("A"), annihilator("A"), annihilator("C")) == 0.0
+    assert _expect(vac, "B") == 0.0
+    assert _expect(vac, "AdAC") == 0.0
     coh = coherent_state(spec, (0.3, 0.0, 0.0))
-    assert abs(_expect(coh, annihilator("A")) - 0.3) < 1e-6
+    assert abs(_expect(coh, "A") - 0.3) < 1e-6
     # a stack gives each matrix's value, in the stack's shape
     stack = np.stack([one.matrix, vac.matrix, coh.matrix]).reshape(3, 1, spec.dim, spec.dim)
-    got = exact_correlators(stack, spec).word(creator("A"), annihilator("A"))
+    got = exact_correlators(stack, spec).words([word_for_name("AdA")])[0]
     assert got.shape == (3, 1)
     np.testing.assert_array_equal(
-        got[:, 0], [_expect(rho, creator("A"), annihilator("A")) for rho in (one, vac, coh)])
+        got[:, 0], [_expect(rho, "AdA") for rho in (one, vac, coh)])
 
 
 def _dense_words(words, n_max):

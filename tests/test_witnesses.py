@@ -6,106 +6,133 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavens.witnesses as witnesses_mod
-from cavens.closure import decouple3, decouple4, number_triple_product, pair_moment
+from cavens.closure import SLOT_WORDS, OperatorFactor, decoupled
 from cavens.model import Moment, MomentState, Scenario, initial_state, preset_params
 from cavens.runner import run_scenario
-from cavens.witnesses import (
-    MODE_KEYS,
-    WITNESS_NAMES,
-    InternalConsistencyError,
-    antibunch_inter,
-    antibunch_single,
-    bisep,
-    duan,
-    hz_pair,
-    intermodal_quadrature_variances,
-    mandel_q,
-    quadrature_variances,
-    steering,
-    witness_table,
-)
+from cavens.witnesses import WITNESS_NAMES, InternalConsistencyError, witness_table
 from conftest import make_coherent_state, make_random_state, rotate_mode_a
 
 VACUUM = initial_state(0, 0, 0)
 UNIT = initial_state(1, 1, 1)
 
 
+def _column(state, name: str):
+    """The witness ``name`` at ``state``: its column of the table."""
+    return witness_table(state)[..., WITNESS_NAMES.index(name)]
+
+
 def test_mandel_values():
-    assert mandel_q(make_coherent_state(0.7 - 0.2j, 0, 0), "A") == pytest.approx(0.0, abs=1e-12)
-    assert mandel_q(UNIT, "A") == pytest.approx(1.0, abs=1e-14)
-    assert math.isnan(mandel_q(VACUUM, "B"))
+    assert _column(make_coherent_state(0.7 - 0.2j, 0, 0), "mandel_A") == pytest.approx(0.0, abs=1e-12)
+    assert _column(UNIT, "mandel_A") == pytest.approx(1.0, abs=1e-14)
+    assert math.isnan(_column(VACUUM, "mandel_B"))
 
 
 def test_antibunch_single_values():
-    assert antibunch_single(make_coherent_state(1.0, 0, 0), "A") == pytest.approx(0.0, abs=1e-14)
-    assert antibunch_single(UNIT, "C") == pytest.approx(1.0, abs=1e-14)
+    assert _column(make_coherent_state(1.0, 0, 0), "antibunch_A") == pytest.approx(0.0, abs=1e-14)
+    assert _column(UNIT, "antibunch_C") == pytest.approx(1.0, abs=1e-14)
 
 
 def test_antibunch_identity_with_mandel(rng):
     for _ in range(20):
         s = make_random_state(rng)
-        q = mandel_q(s, "A")
+        q = _column(s, "mandel_A")
         occ = s[Moment.AdA].real
-        assert abs(antibunch_single(s, "A") - q * occ) < 1e-12
+        assert abs(_column(s, "antibunch_A") - q * occ) < 1e-12
 
 
 def test_antibunch_inter_values():
-    assert antibunch_inter(UNIT, ("A", "B")) == pytest.approx(0.0, abs=1e-14)
+    assert _column(UNIT, "antibunch_AB") == pytest.approx(0.0, abs=1e-14)
     coh = make_coherent_state(1.0, 1.0, 0.0)
-    assert antibunch_inter(coh, ("A", "B")) == pytest.approx(0.0, abs=1e-13)
+    assert _column(coh, "antibunch_AB") == pytest.approx(0.0, abs=1e-13)
 
 
 def test_quadrature_variances_values():
-    assert quadrature_variances(VACUUM, "A") == (pytest.approx(0.25), pytest.approx(0.25))
-    assert quadrature_variances(UNIT, "B") == (pytest.approx(0.75), pytest.approx(0.75))
+    assert _column(VACUUM, "var_x_A") == pytest.approx(0.25)
+    assert _column(VACUUM, "var_y_A") == pytest.approx(0.25)
+    assert _column(UNIT, "var_x_B") == pytest.approx(0.75)
+    assert _column(UNIT, "var_y_B") == pytest.approx(0.75)
 
 
 def test_intermodal_quadrature_values():
-    vx, vy = intermodal_quadrature_variances(VACUUM, ("A", "C"))
-    assert (vx, vy) == (pytest.approx(0.25), pytest.approx(0.25))
-    vx, vy = intermodal_quadrature_variances(UNIT, ("A", "C"))
-    assert (vx, vy) == (pytest.approx(0.75), pytest.approx(0.75))
+    for state, value in ((VACUUM, 0.25), (UNIT, 0.75)):
+        assert _column(state, "var_x_AC") == pytest.approx(value)
+        assert _column(state, "var_y_AC") == pytest.approx(value)
 
 
 def test_duan_values():
-    assert duan(VACUUM, ("A", "B")) == pytest.approx(0.0, abs=1e-14)
-    assert duan(UNIT, ("B", "C")) == pytest.approx(4.0, abs=1e-14)
+    assert _column(VACUUM, "duan_AB") == pytest.approx(0.0, abs=1e-14)
+    assert _column(UNIT, "duan_BC") == pytest.approx(4.0, abs=1e-14)
 
 
 def test_hz_values():
     coh = make_coherent_state(1.0, 1.0, 1.0)
-    e, et = hz_pair(coh, ("A", "B"))
-    assert e == pytest.approx(0.0, abs=1e-13)
-    assert et == pytest.approx(0.0, abs=1e-13)
-    e, et = hz_pair(UNIT, ("A", "B"))
-    assert (e, et) == (pytest.approx(1.0), pytest.approx(1.0))
+    assert _column(coh, "hz_e_AB") == pytest.approx(0.0, abs=1e-13)
+    assert _column(coh, "hz_etilde_AB") == pytest.approx(0.0, abs=1e-13)
+    assert _column(UNIT, "hz_e_AB") == pytest.approx(1.0)
+    assert _column(UNIT, "hz_etilde_AB") == pytest.approx(1.0)
 
 
 def test_steering_values_and_asymmetry(rng):
     coh = make_coherent_state(1.0, 1.0, 0.0)
-    assert steering(coh, ("A", "B")) == pytest.approx(0.5, abs=1e-13)
-    assert steering(UNIT, ("B", "A")) == pytest.approx(1.5, abs=1e-14)
+    assert _column(coh, "steering_AB") == pytest.approx(0.5, abs=1e-13)
+    assert _column(UNIT, "steering_BA") == pytest.approx(1.5, abs=1e-14)
     for _ in range(20):
         s = make_random_state(rng)
-        lhs = steering(s, ("A", "C")) - steering(s, ("C", "A"))
+        lhs = _column(s, "steering_AC") - _column(s, "steering_CA")
         rhs = (s[Moment.AdA].real - s[Moment.CdC].real) / 2
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_bisep_values():
-    assert bisep(VACUUM, ("A", "B", "C")) == (pytest.approx(0.0), pytest.approx(0.0))
-    e, ep = bisep(UNIT, ("A", "B", "C"))
-    assert (e, ep) == (pytest.approx(1.0), pytest.approx(1.0))
-    with pytest.raises(ValueError):
-        bisep(UNIT, ("A", "B", "B"))
+    assert _column(VACUUM, "bisep_e_AB_C") == pytest.approx(0.0)
+    assert _column(VACUUM, "bisep_eprime_AB_C") == pytest.approx(0.0)
+    assert _column(UNIT, "bisep_e_AB_C") == pytest.approx(1.0)
+    assert _column(UNIT, "bisep_eprime_AB_C") == pytest.approx(1.0)
 
 
-def test_pair_swap_symmetry(rng):
-    s = make_random_state(rng)
-    assert antibunch_inter(s, ("A", "B")) == pytest.approx(antibunch_inter(s, ("B", "A")), abs=1e-12)
-    assert duan(s, ("B", "C")) == pytest.approx(duan(s, ("C", "B")), abs=1e-12)
-    assert hz_pair(s, ("A", "C"))[0] == pytest.approx(hz_pair(s, ("C", "A"))[0], abs=1e-12)
-    assert hz_pair(s, ("A", "C"))[1] == pytest.approx(hz_pair(s, ("C", "A"))[1], abs=1e-12)
+def _relabelled_slots(relabel: dict) -> np.ndarray:
+    """Slot of each stored moment's word after renaming its modes by ``relabel``."""
+    def canonical(word):  # modes in A < B < C order, daggered first within a mode
+        return tuple(sorted(word, key=lambda f: (f.mode, not f.daggered)))
+    slot = {canonical(word): j for j, word in enumerate(SLOT_WORDS)}
+    return np.array([slot[canonical(OperatorFactor(relabel.get(f.mode, f.mode), f.daggered)
+                                    for f in word)] for word in SLOT_WORDS])
+
+
+def _relabelled_name(name: str, relabel: dict) -> str:
+    """The column ``name`` reads after renaming its modes by ``relabel``."""
+    i = next(i for i, ch in enumerate(name) if ch.isupper())
+    family, key = name[:i], name[i:].translate(str.maketrans(relabel))
+    if family != "steering_":  # a pair, or a partition's pair, is unordered
+        pair, *rest = key.split("_")
+        key = "_".join(["".join(sorted(pair))] + rest)
+    return family + key
+
+
+SWAP_AC = {"A": "C", "C": "A"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (3,), (2, 2)]),
+       relabel=st.sampled_from([SWAP_AC, {"A": "B", "B": "C", "C": "A"}]))
+def test_mode_relabelling_permutes_the_columns(seed, shape, relabel):
+    """Renaming the modes moves every witness to its relabelled column.
+
+    Under A <-> C, pair AB becomes BC, steering AB becomes CB and partition
+    AB|C becomes BC|A; reversed pairs (CB, BA, CA) read the same as their
+    pairs, so this checks each key's words and the symmetric pair witnesses.
+    """
+    assert _relabelled_name("steering_AB", SWAP_AC) == "steering_CB"
+    assert _relabelled_name("bisep_e_AB_C", SWAP_AC) == "bisep_e_BC_A"
+    rng = np.random.default_rng(seed)
+    states = np.stack([make_random_state(rng).values for _ in range(int(np.prod(shape)))])
+    states = states.reshape(shape + (27,))
+    relabelled = np.empty_like(states)
+    relabelled[..., _relabelled_slots(relabel)] = states
+    table, moved = witness_table(states), witness_table(relabelled)
+    for j, name in enumerate(WITNESS_NAMES):
+        k = WITNESS_NAMES.index(_relabelled_name(name, relabel))
+        np.testing.assert_allclose(moved[..., k], table[..., j], rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_coherent_boundary_full_catalog(rng):
@@ -153,8 +180,8 @@ def test_inconsistent_state_raises():
     v[Moment.AA] = 0.5j     # break <A2> / <Ad2> conjugacy by a large margin
     v[Moment.AdAd] = 0.5j
     broken = MomentState(v)
-    with pytest.raises(InternalConsistencyError):
-        quadrature_variances(broken, "A")
+    with pytest.raises(InternalConsistencyError, match="var_x_A"):
+        witness_table(broken)
 
 
 def test_duan_bc_nonnegative_in_an_preset():
@@ -178,15 +205,27 @@ def test_witness_row_is_finite_except_mandel():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6))
-def test_stacked_states_evaluate_bitwise_like_single_states(seed, count):
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.one_of(st.sampled_from([(), (2, 2)]), st.tuples(st.integers(1, 6))),
+       empty=st.sets(st.sampled_from((Moment.AdA, Moment.BdB, Moment.CdC))))
+def test_stacked_states_evaluate_bitwise_like_single_states(seed, shape, empty):
     rng = np.random.default_rng(seed)
-    states = [make_random_state(rng) for _ in range(count)]
-    table = witness_table(np.stack([s.values for s in states]))
-    assert table.shape == (count, len(WITNESS_NAMES))
-    for row, state in zip(table, states):
-        single = witness_table(state)
-        assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+    states = np.stack([make_random_state(rng).values for _ in range(int(np.prod(shape)))])
+    states[:, list(empty)] = 0.0  # an empty mode: its Mandel parameter is NaN
+    states = states.reshape(shape + (27,))
+    table = witness_table(states)
+    assert table.shape == shape + (len(WITNESS_NAMES),)
+    for index in np.ndindex(shape):
+        single = witness_table(MomentState(states[index]))
+        assert np.array_equal(table[index].view(np.uint64), single.view(np.uint64)), index
+    # each closure rule gives a word the same bits in the plan's stacks as alone
+    closure, _ = witnesses_mod._plan()
+    stacks = closure.stacks(states)
+    assert [len(stack) for stack in stacks] == [6, 36, 6, 12, 1]
+    bits = lambda x: np.ascontiguousarray(x).view(np.uint64)  # noqa: E731
+    places = [(g, row) for g, stack in enumerate(stacks) for row in range(len(stack))]
+    for word, (g, row) in zip(closure.layout, places):
+        assert np.array_equal(bits(decoupled(states, [word])[0]), bits(stacks[g][row])), word
 
 
 def test_trajectory_with_one_inconsistent_sample_raises():
@@ -229,50 +268,3 @@ def test_first_failure_follows_the_check_order_not_the_sample():
         with pytest.raises(InternalConsistencyError) as info:
             witness_table(alone)
         assert info.value.args == (message,)
-
-
-def _helper_value(state, name):
-    """Witness column ``name`` at one state, from its public helper."""
-    if name.startswith("bisep"):
-        family, ab, c = name.rsplit("_", 2)  # "bisep_e_AB_C"
-        return bisep(state, (ab[0], ab[1], c))[family == "bisep_eprime"]
-    family, key = name.rsplit("_", 1)
-    single, pair = key in MODE_KEYS, tuple(key)
-    if family == "mandel":
-        return mandel_q(state, key)
-    if family == "antibunch":
-        return antibunch_single(state, key) if single else antibunch_inter(state, pair)
-    if family in ("var_x", "var_y"):
-        vx, vy = quadrature_variances(state, key) if single else intermodal_quadrature_variances(state, pair)
-        return vy if family == "var_y" else vx
-    if family == "duan":
-        return duan(state, pair)
-    if family in ("hz_e", "hz_etilde"):
-        return hz_pair(state, pair)[family == "hz_etilde"]
-    return steering(state, pair)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (3,), (2, 2)]),
-       empty=st.sets(st.sampled_from((Moment.AdA, Moment.BdB, Moment.CdC))))
-def test_table_columns_are_the_public_helpers_bit_for_bit(seed, shape, empty):
-    rng = np.random.default_rng(seed)
-    states = np.stack([make_random_state(rng).values for _ in range(int(np.prod(shape)))])
-    states[:, list(empty)] = 0.0  # an empty mode: its Mandel parameter is NaN
-    states = states.reshape(shape + (27,))
-    table = witness_table(states)
-    assert table.shape == shape + (len(WITNESS_NAMES),)
-    for index in np.ndindex(shape):
-        for j, name in enumerate(WITNESS_NAMES):
-            helper = np.float64(_helper_value(states[index], name))
-            assert helper.view(np.uint64) == table[index][j].view(np.uint64), (index, name)
-    closure, _ = witnesses_mod._plan()
-    stacks = closure.stacks(states)
-    groups = np.split(np.arange(len(closure.layout)), closure.cuts)
-    assert [len(g) for g in groups] == [6, 36, 6, 12, 1]
-    bits = lambda x: np.atleast_1d(x).view(np.uint64)  # noqa: E731
-    for g, rule in ((1, pair_moment), (2, decouple3), (3, decouple4)):
-        for row, i in enumerate(groups[g]):
-            word = closure.layout[i]
-            assert np.array_equal(bits(rule(states, *word)), bits(stacks[g][row])), word
-    assert np.array_equal(bits(number_triple_product(states)), bits(stacks[4][0]))
