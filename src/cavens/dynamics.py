@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closure import SLOT_WORDS, OperatorFactor
-from .model import CONJUGATE_PAIRS, MODES, OCCUPATIONS, Moment, Scenario, SystemParams
+from .closure import _OPERATORS, SLOT_WORDS
+from .model import CONJUGATE_PAIRS, OCCUPATIONS, Moment, Scenario, SystemParams
 
 __all__ = [
     "Trajectory",
@@ -47,9 +47,8 @@ __all__ = [
     "steady_state_first_moments",
 ]
 
-# the mode operators in the row order of K, each slot's word as indices into
-# them, and the slot of every sorted word; the empty word <1> is column 27, b
-_OPERATORS = tuple(OperatorFactor(mode, dagger) for dagger in (False, True) for mode in MODES)
+# each slot's word as indices into the mode operators (in the row order of K),
+# and the slot of every sorted word; the empty word <1> is column 27, b
 _WORDS = tuple(tuple(_OPERATORS.index(f) for f in word) for word in SLOT_WORDS)
 _SLOT_OF = {tuple(sorted(word)): slot for slot, word in enumerate(_WORDS)} | {(): 27}
 
@@ -271,21 +270,21 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     Ms = np.array([M for M, _ in systems])
     bs = np.array([b for _, b in systems])
     Y = np.array([sc.initial.values for sc in scenarios])
-    # the stages of every scenario's step; K[0] is f at the step's start
-    K = np.empty((7, len(scenarios), 27), dtype=complex)
-    K[0] = (Ms @ Y[..., None])[..., 0] + bs  # a stack of matrix products: one gemv per slice
-    states = np.empty((len(scenarios), n, 27), dtype=complex)
-    results: list = [None] * len(scenarios)
-    # each scenario's step controller, in Python floats (np.power, unlike the C pow
-    # behind Python's **, rounds some powers differently); done: samples written so far
-    h_abs = [float(_initial_step(*system, y, f, t_max)) for system, y, f in zip(systems, Y, K[0])]
-    t, done, rejected = [0.0] * len(scenarios), [0] * len(scenarios), [False] * len(scenarios)
-    min_step = [10 * math.ulp(0.0)] * len(scenarios)
-    h_abs = [max(h, m) for h, m in zip(h_abs, min_step)]
-    dense = _DenseOutput(taus, states)
-    live = list(range(len(scenarios)))  # scenarios still stepping, in the row order of Ms, bs, Y, K
-    width = 0  # rows of the work buffers below
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging scenario fails on its own
+        # the stages of every scenario's step; K[0] is f at the step's start
+        K = np.empty((7, len(scenarios), 27), dtype=complex)
+        K[0] = (Ms @ Y[..., None])[..., 0] + bs  # a stack of matrix products: one gemv per slice
+        states = np.empty((len(scenarios), n, 27), dtype=complex)
+        results: list = [None] * len(scenarios)
+        # each scenario's step controller, in Python floats (np.power, unlike the C pow
+        # behind Python's **, rounds some powers differently); done: samples written so far
+        h_abs = [float(_initial_step(*system, y, f, t_max)) for system, y, f in zip(systems, Y, K[0])]
+        t, done, rejected = [0.0] * len(scenarios), [0] * len(scenarios), [False] * len(scenarios)
+        min_step = [10 * math.ulp(0.0)] * len(scenarios)
+        h_abs = [max(h, m) for h, m in zip(h_abs, min_step)]
+        dense = _DenseOutput(taus, states)
+        live = list(range(len(scenarios)))  # scenarios still stepping, in the row order of Ms, bs, Y, K
+        width = 0  # rows of the work buffers below
         while True:
             keep, t_new, hs = [], [], []
             for j, i in enumerate(live):

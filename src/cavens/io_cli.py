@@ -12,13 +12,13 @@ Every command resolves one base ``Scenario`` from ``--config`` or
 runner.  Each subcommand registers only the flags it honours, so any other
 flag is a usage error: ``table`` scores every preset and takes no
 ``--preset``/``--chi``, ``sweep`` varies chi itself and takes no ``--chi``,
-and only ``table`` takes ``--threshold``.  A config key that a subcommand
-would not honour is an error too: ``table`` rejects a config that sets model
-parameters, ``sweep`` one that sets ``chi``, and every other subcommand one
-that sets ``threshold``.  So are an empty entry in a ``--chi-grid`` or
-``--witnesses`` list and a repeating ``--witnesses`` list.  ``oracle-check``
-warns on stderr when its Fock truncation leaks enough to blur the closure
-errors it reports.
+and only ``table`` takes ``--threshold``.  A config that sets a key the
+command does not read is rejected with its line number, whatever its value:
+``table`` reads only the run keys (no ``preset`` or model parameters),
+``sweep`` reads no ``chi``, and only ``table`` reads ``threshold``.  So are
+an empty entry in a ``--chi-grid`` or ``--witnesses`` list and a repeating
+``--witnesses`` list.  ``oracle-check`` warns on stderr when its Fock
+truncation leaks enough to blur the closure errors it reports.
 
 All CSV output is UTF-8 with a header row and a deterministic byte stream
 for identical inputs; complex moments are split into ``re_<name>`` /
@@ -59,6 +59,9 @@ __all__ = ["ConfigError", "parse_config", "format_config", "emit_csv", "main"]
 _PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 _RUN_KEYS = ("init_na", "init_nb", "init_nc", "t_max", "samples", "threshold")
 _ALL_KEYS = ("preset",) + _PARAM_KEYS + _RUN_KEYS
+# the config keys each command reads: only table scores ticks, and it runs every preset
+_READS = {"table": _RUN_KEYS, "sweep": tuple(k for k in _ALL_KEYS[:-1] if k != "chi")}
+_READS["simulate"] = _READS["oracle-check"] = _ALL_KEYS[:-1]  # all but threshold
 # oracle-check warns when the truncated commutator defect reaches this
 LEAKAGE_DEFECT_TOL = 1e-4
 
@@ -99,9 +102,7 @@ def parse_config(text: str) -> Scenario:
     if "preset" in seen:
         for key in _PARAM_KEYS:
             if key != "chi" and key in seen:
-                raise ConfigError(
-                    f"explicit {key!r} conflicts with 'preset'", seen[key][0]
-                )
+                raise ConfigError(f"explicit {key!r} conflicts with 'preset'", seen[key][0])
 
     def number(key: str, default, kind=float):
         if key not in seen:
@@ -183,7 +184,8 @@ def write_trajectory(traj: Trajectory, dest) -> None:
     _write_columns(dest, header, [traj.taus, *_re_im(traj.states)])
 
 
-def write_witness_series(series: WitnessSeries, dest, columns: list[str] | None = None) -> None:
+def _selected(columns: list[str] | None) -> list[str]:
+    """The witness columns of ``columns`` (``None``: all) in table order; main checks them before a run."""
     if columns is not None:
         unknown = sorted(set(columns) - set(WITNESS_NAMES))
         if unknown:
@@ -193,7 +195,11 @@ def write_witness_series(series: WitnessSeries, dest, columns: list[str] | None 
         repeated = sorted({c for c in columns if columns.count(c) > 1})
         if repeated:
             raise ValueError(f"duplicate witness column(s): {', '.join(repeated)}")
-    names = [n for n in WITNESS_NAMES if columns is None or n in columns]
+    return [n for n in WITNESS_NAMES if columns is None or n in columns]
+
+
+def write_witness_series(series: WitnessSeries, dest, columns: list[str] | None = None) -> None:
+    names = _selected(columns)
     _write_columns(dest, ["tau"] + names, [series.taus] + [series.column(n) for n in names])
 
 
@@ -313,7 +319,11 @@ def _build_parser() -> _Parser:
 def _resolve_scenario(args) -> Scenario:
     """The command's base scenario: config, preset or defaults, then the flags."""
     if args.config is not None:
-        scenario = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        text = Path(args.config).read_text(encoding="utf-8")
+        scenario = parse_config(text)
+        for lineno, key, _ in _parse_lines(text):
+            if key not in _READS[args.command]:
+                raise ConfigError(f"{args.command} does not read {key!r}", lineno)
     elif getattr(args, "preset", None) is not None:
         scenario = Scenario(params=preset_params(args.preset))
     else:
@@ -353,22 +363,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         scenario = _resolve_scenario(args)
         dest = sys.stdout if args.out is None else args.out
-        if args.command != "table" and scenario.threshold != Scenario.threshold:
-            raise _UsageError(f"{args.command} scores no ticks; its config must not set threshold")
         if args.command == "simulate":
             if args.moments:
                 emit_csv(integrate(scenario), dest)
             else:
-                columns = None if args.witnesses is None else _entries(args.witnesses, "witness list")
+                columns = None if args.witnesses is None else _selected(_entries(args.witnesses, "witness list"))
                 _, series = run_scenario(scenario)
                 write_witness_series(series, dest, columns)
         elif args.command == "table":
-            if scenario.params != SystemParams():
-                raise _UsageError("table runs every preset; its config must not set model parameters")
             emit_csv(table_matrix(scenario, _parse_grid(args.chi_grid)), dest)
         elif args.command == "sweep":
-            if scenario.params.chi != 0.0:
-                raise _UsageError("sweep takes every chi from --chi-grid; its config must not set chi")
             emit_csv(chi_sweep(scenario, _parse_grid(args.chi_grid), args.witness), dest)
         elif args.command == "oracle-check":
             from .oracle import FockBasisSpec

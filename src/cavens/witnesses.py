@@ -87,13 +87,12 @@ def _by_trajectory(a: np.ndarray) -> np.ndarray:
     return np.reshape(a, (-1, np.shape(a)[-1] if np.ndim(a) else 1))
 
 
-def _real(value, name: str, keys, failures: list | None = None):
+def _real(value, name: str, keys, failures: list):
     """The real part of ``value``, once each sample's imaginary residue is below ``IMAG_TOL``.
 
     ``value[j]`` is checked as ``name.format(keys[j])``.  A check with a
-    larger residue fails a trajectory at its first such sample.  Without
-    ``failures`` the first failure, by key and then trajectory, raises at
-    once; with it, every failure is appended as (check, trajectory, error).
+    larger residue fails a trajectory at its first such sample; every
+    failure is appended to ``failures`` as (check, trajectory, error).
     """
     residue = np.imag(value)
     bad = np.abs(residue) >= IMAG_TOL
@@ -106,8 +105,6 @@ def _real(value, name: str, keys, failures: list | None = None):
                     f"{name.format(key)} has imaginary residue {res[m, sample]:.3e} "
                     f"at sample {sample} (state inconsistent)"
                 )
-                if failures is None:
-                    raise error
                 failures.append((name.format(key), m, error))
     return np.real(value)
 

@@ -305,6 +305,18 @@ def test_poisoned_batch_member_fails_alone_without_warnings(monkeypatch):
                 np.testing.assert_array_equal(traj.states.view(np.uint64), states.view(np.uint64))
 
 
+def test_overflowing_batch_member_fails_alone_without_warnings():
+    # chi 1e300 overflows the first derivative's scaled norm before the first step
+    grid = dict(t_max=10.0, sample_count=5)
+    healthy = Scenario(params=preset_params("AN", 0.1), **grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        failed, traj = integrate_batch([Scenario(params=preset_params("AN", 1e300), **grid), healthy])
+    assert isinstance(failed, IntegrationError)
+    assert failed.last_tau == 0.0
+    np.testing.assert_array_equal(traj.states.view(np.uint64), integrate(healthy).states.view(np.uint64))
+
+
 def test_batch_rejects_mixed_grids():
     p = preset_params("AN", 0.2)
     with pytest.raises(ValueError, match="share t_max and sample_count"):

@@ -431,6 +431,22 @@ def test_cli_sweep_with_config(tmp_path):
     assert outs["occ"].read_bytes() != outs["preset"].read_bytes()
 
 
+# every config key set alone at its default value; preset has none, so AN
+_DEFAULTS = {"preset": "AN", **dict(
+    line.split(" = ") for line in format_config(Scenario(SystemParams())).splitlines())}
+# the config keys each command reads, as README's command-line table states them
+_SCENARIO_KEYS = [key for key in _DEFAULTS if key != "threshold"]
+_READS = {
+    "simulate": _SCENARIO_KEYS,
+    "oracle-check": _SCENARIO_KEYS,
+    "sweep": [key for key in _SCENARIO_KEYS if key != "chi"],
+    "table": ["init_na", "init_nb", "init_nc", "t_max", "samples", "threshold"],
+}
+# what each command needs besides --config
+_REST = {"simulate": [], "oracle-check": ["--nmax", "1"],
+         "sweep": ["--chi-grid", "0", "--witness", "var_x_A"], "table": ["--chi-grid", "0"]}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "{an}", "--preset", "AN"],
     ["sweep", "--config", "{explicit}", "--preset", "AN", "--chi-grid", "0", "--witness", "var_x_A"],
@@ -451,16 +467,48 @@ def test_cli_sweep_with_config(tmp_path):
     ["simulate", "--preset", "AN", "--witnesses", "var_x_A,mandel_A,mandel_A"],
     ["table", "--chi-grid", "0,,0.2"],
     ["simulate", "--preset", "AN", "--witnesses", "mandel_A,"],
+] + [
+    # a key the command does not read, set alone at its default value
+    [command, "--config", f"{{default_{key}}}", *_REST[command]]
+    for command, reads in _READS.items() for key in _DEFAULTS if key not in reads
 ])
 def test_cli_rejects_inputs_it_would_not_honour(argv, tmp_path, capsys):
     configs = {"an": "preset = AN\n", "explicit": "g_a = 0.2\n",
                "rel_tol": "preset = AN\nrel_tol = 1e-9\n",
-               "threshold": "preset = AN\nthreshold = 2e-4\n", "chi": "preset = AN\nchi = 0.3\n"}
+               "threshold": "preset = AN\nthreshold = 2e-4\n", "chi": "preset = AN\nchi = 0.3\n",
+               **{f"default_{key}": f"{key} = {value}\n" for key, value in _DEFAULTS.items()}}
+    paths = {name: tmp_path / f"{name}.cfg" for name in configs}
     for name, text in configs.items():
-        (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
-    argv = [arg.format(**{name: tmp_path / f"{name}.cfg" for name in configs}) for arg in argv]
-    assert main(argv + ["--tmax", "1", "--samples", "3"]) == 1
-    assert "error" in capsys.readouterr().err
+        paths[name].write_text(text, encoding="utf-8")
+    assert main([arg.format(**paths) for arg in argv] + ["--tmax", "1", "--samples", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err
+    for key in _DEFAULTS:
+        if f"{{default_{key}}}" in argv:  # rejected by name and line, whatever its value
+            assert err == f"cavens: error: line 1: {argv[0]} does not read {key!r}\n"
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, reads in _READS.items() for key in reads
+])
+def test_cli_accepts_every_key_its_command_reads(command, key, tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {_DEFAULTS[key]}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg), *_REST[command], "--tmax", "1", "--samples", "3"]) == 0
+    assert "cavens: error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("witnesses, message", [
+    ("bogus", "unknown witness column(s): bogus"),
+    ("var_x_A,mandel_A,mandel_A", "duplicate witness column(s): mandel_A"),
+])
+def test_cli_checks_the_witness_list_before_the_run(witnesses, message, monkeypatch, capsys):
+    def run_scenario(scenario):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(io_cli, "run_scenario", run_scenario)
+    assert main(["simulate", "--preset", "AN", "--witnesses", witnesses]) == 1
+    assert capsys.readouterr().err == f"cavens: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, line", [
