@@ -254,8 +254,11 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     of pending spans, from any pass and scenario, are written in stacked
     chunks (``_DenseOutput``) with the per-step products' bits.  A
     scenario that fails gets its ``IntegrationError`` in its place in the
-    result; the others are unaffected.  Scenarios whose ``t_max`` or
-    ``sample_count`` differ raise ``ValueError``.
+    result; the others are unaffected.  A step size that falls below the
+    spacing of floats fails a scenario; when the step rejected last had a
+    non-finite error estimate, the error names the float64 overflow behind
+    it.  Scenarios whose ``t_max`` or ``sample_count`` differ raise
+    ``ValueError``.
     """
     scenarios = list(scenarios)
     grids = {(float(sc.t_max), sc.sample_count) for sc in scenarios}
@@ -280,6 +283,7 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
         # behind Python's **, rounds some powers differently); done: samples written so far
         h_abs = [float(_initial_step(*system, y, f, t_max)) for system, y, f in zip(systems, Y, K[0])]
         t, done, rejected = [0.0] * len(scenarios), [0] * len(scenarios), [False] * len(scenarios)
+        overflowed = [False] * len(scenarios)  # the last rejected step's error was not finite
         min_step = [10 * math.ulp(0.0)] * len(scenarios)
         h_abs = [max(h, m) for h, m in zip(h_abs, min_step)]
         dense = _DenseOutput(taus, states)
@@ -296,9 +300,10 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
                     hs.append(t_new[-1] - t[i])
                     h_abs[i] = abs(hs[-1])
                 else:
-                    results[i] = IntegrationError(
-                        "integration failed: Required step size is less than spacing between "
-                        "numbers.", grid[done[i] - 1] if done[i] else 0.0)
+                    cause = ("float64 overflow in the moments or their derivative" if overflowed[i]
+                             else "Required step size is less than spacing between numbers.")
+                    results[i] = IntegrationError(f"integration failed: {cause}",
+                                                  grid[done[i] - 1] if done[i] else 0.0)
             if len(keep) < len(live):
                 live = [live[j] for j in keep]
                 if not live:
@@ -342,7 +347,7 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
                 error = math.sqrt(re2 + im2) / 27 ** 0.5
                 if not error < 1:
                     h_abs[i] *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
-                    rejected[i] = True
+                    rejected[i], overflowed[i] = True, not math.isfinite(error)
                     Y_new[j], K[6, j] = Y[j], K[0, j]  # the step is retried from the same state
                     continue
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)

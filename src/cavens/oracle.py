@@ -29,7 +29,8 @@ coordinates, one sparse product for a whole word list.
 ``witness_table(exact_correlators(rhos, spec))`` is the witness catalog on
 exact instead of decoupled correlators.  ``closure_report`` applies the
 same functional to each Taylor step's samples as they are formed, so it
-never holds the ``(n, d, d)`` path that ``evolve_path`` returns.
+never holds the ``(n, d, d)`` path that ``evolve_path`` returns; its
+``exact_words`` table serves every word of the catalog at every sample.
 """
 
 from __future__ import annotations
@@ -523,6 +524,10 @@ class ClosureReport:
     quantity over the whole grid.
     ``truncation_leakage`` is the largest population of any mode's top Fock
     level n_max over the grid, the oracle's own measure of truncation error.
+    ``exact_words`` is the oracle's table of every word of ``catalog_words()``
+    (the 27 stored moments among them) at every sample:
+    ``exact_words.words(words)`` has shape ``(len(words), n)``, and a word
+    outside the catalog raises ``KeyError``.
     """
 
     taus: np.ndarray
@@ -533,6 +538,7 @@ class ClosureReport:
     witness_closed: np.ndarray
     max_abs_error: dict
     truncation_leakage: float
+    exact_words: Correlators
 
     def witness_error(self, column: str) -> float:
         i = WITNESS_NAMES.index(column)
@@ -558,9 +564,9 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
     correlators and witnesses against exact oracle values.  The density
     path is never held: each Taylor step's samples are folded, as
     coordinates, into a table of the words the witness catalog reads (which
-    include the report words) at every sample, and into the top-level
-    populations, so memory is O(samples x words + one step's samples), not
-    O(samples x d^2).
+    include the report words) at every sample, kept as ``exact_words``, and
+    into the top-level populations, so memory is O(samples x words + one
+    step's samples), not O(samples x d^2).
     """
     occs = occupations(scenario.initial)
     traj = integrate(scenario)
@@ -576,18 +582,19 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
         leakage = max(leakage, _top_population(rows, basis))
         filled += len(rows)
     column = {word: i for i, word in enumerate(words)}
-    exact_source = Correlators(lambda ws: table[[column[w] for w in ws]])
+    exact_words = Correlators(lambda ws: table[[column[w] for w in ws]])
 
     closed = decoupled(traj.states, _REPORT_WORDS.values()).T
-    exact = exact_source.words(_REPORT_WORDS.values()).T
+    exact = exact_words.words(_REPORT_WORDS.values()).T
     max_err = dict(zip(_REPORT_WORDS, np.abs(exact - closed).max(axis=0).tolist()))
     return ClosureReport(
         taus=traj.taus,
         correlator_names=tuple(_REPORT_WORDS),
         exact=exact,
         closed=closed,
-        witness_exact=witness_table(exact_source),
+        witness_exact=witness_table(exact_words),
         witness_closed=witness_table(traj.states),
         max_abs_error=max_err,
         truncation_leakage=leakage,
+        exact_words=exact_words,
     )

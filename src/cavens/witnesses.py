@@ -206,17 +206,24 @@ def _mandel(occ, antibunch):
 
 
 def _duan(vx, vy):
-    """Inseparability witness 4(dX_ab)^2 + 4(dY_ab)^2 - 2; entangled if < 0."""
+    """4(dX_ab)^2 + 4(dY_ab)^2 - 2 over the two quadratures of the mode (a + b)/sqrt2.
+
+    [X_ab, Y_ab] = i/2, so this is that one mode's uncertainty relation:
+    it is >= 0 for every state and never detects entanglement.  Duan et
+    al., PRL 84, 2722 (2000), pair x_a + x_b with p_a - p_b instead.
+    """
     return 4.0 * vx + 4.0 * vy - 2.0
 
 
 def _steering(e, occ):
     """Steering witness of the ordered pair (x, y): E_xy + <xd x>/2 < 0.
 
-    The occupation offset comes from the first (steered-by) mode, so the
-    witness is asymmetric under swapping the pair.  This is the upper branch
-    of a two-sided condition; the lower branch is never the binding one for
-    detection and plays no role in tick/cross scoring.
+    That is <xd x (yd y + 1/2)> - |<x yd>|^2 < 0, the branch on the <x yd>
+    correlation of the Hillery-Zubairy-type steering criteria (Cavalcanti
+    et al., PRA 84, 032115, 2011).  The occupation offset comes from the
+    first (steered-by) mode, so the witness is asymmetric under swapping
+    the pair.  Their branch on the <x y> correlation is not evaluated, so
+    a two-mode squeezed vacuum, whose <x yd> is 0, ticks no steering cell.
     """
     return e + occ / 2.0
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cavens.closure import decoupled
+from cavens.closure import SLOT_WORDS, decoupled, word_for_name
 from cavens.dynamics import integrate, steady_state_first_moments
 from cavens.model import (
     Moment,
@@ -21,16 +21,8 @@ from cavens.model import (
     initial_state,
     preset_params,
 )
-from cavens.oracle import (
-    FockBasisSpec,
-    build_generator,
-    evolve_path,
-    exact_correlators,
-    moments_from_density,
-    thermal_state,
-    _word_for_name,
-)
-from cavens.runner import run_scenario, table_matrix
+from cavens.oracle import FockBasisSpec, closure_report
+from cavens.runner import CELLS, _score, run_scenario, table_matrix
 from cavens.witnesses import WITNESS_NAMES, catalog_words, witness_table
 from conftest import make_coherent_state, make_random_state, rotate_mode_a
 
@@ -88,6 +80,9 @@ def test_criterion_3_analytic_fixed_points():
     assert ok
 
 
+ORACLE_BASIS = FockBasisSpec(7)
+
+
 @pytest.fixture(scope="module")
 def oracle_cross_data():
     """Dynamics and oracle runs for AN/NA at chi 0 and 0.2, occupations 0.2.
@@ -99,28 +94,22 @@ def oracle_cross_data():
 
 
 def _cross_run(cfg: str, chi: float):
-    """(trajectory, oracle densities, basis) of one preset from occupations 0.2 at n_max 7."""
-    spec = FockBasisSpec(7)
+    """(scenario, trajectory, oracle report) of one preset from occupations 0.2 at n_max 7."""
     sc = Scenario(params=preset_params(cfg, chi), initial=initial_state(0.2, 0.2, 0.2),
                   t_max=5.0, sample_count=51)
-    traj = integrate(sc)
-    L = build_generator(sc.params, spec)
-    return traj, evolve_path(thermal_state(spec, (0.2, 0.2, 0.2)), L, traj.taus), spec
+    return sc, integrate(sc), closure_report(sc, ORACLE_BASIS)
 
 
-def _top_level_population(rho: np.ndarray, spec: FockBasisSpec) -> float:
-    """Largest population of any one mode's top Fock level n_max."""
-    d = spec.local_dim
-    pops = np.diagonal(rho).real.reshape(d, d, d)
-    return float(max(pops[-1].sum(), pops[:, -1].sum(), pops[:, :, -1].sum()))
+def _defect(report) -> float:
+    """The truncated commutator defect (n_max+1) P_top of an oracle report."""
+    return (ORACLE_BASIS.n_max + 1) * report.truncation_leakage
 
 
 def test_criterion_4_oracle_second_moment_equivalence(oracle_cross_data):
     # On a truncated mode [a, ad] = 1 - (n_max+1)|n_max><n_max|, so the
     # reference is exact only up to (n_max+1) P_top; that defect must sit
     # below the tolerance the reference is compared at.
-    defect = max((spec.n_max + 1) * _top_level_population(rho, spec)
-                 for _, rhos, spec in oracle_cross_data.values() for rho in rhos)
+    defect = max(_defect(report) for _, _, report in oracle_cross_data.values())
     resolved = f"reference commutator defect {defect:.3e} (< 1e-4)"
     if defect >= 1e-4:
         _report(4, False, resolved)
@@ -128,16 +117,15 @@ def test_criterion_4_oracle_second_moment_equivalence(oracle_cross_data):
 
     second_slots = [s for s in range(27)
                     if s not in (Moment.A, Moment.B, Moment.C)]
+    second_words = [SLOT_WORDS[s] for s in second_slots]
     worst = 0.0
     worst_where = None
-    for (cfg, chi), (traj, rhos, spec) in oracle_cross_data.items():
-        for i in range(len(traj)):
-            om = moments_from_density(rhos[i], spec)
-            err = np.abs(om[second_slots] - traj.states[i][second_slots])
-            j = int(np.argmax(err))
-            if err[j] > worst:
-                worst = float(err[j])
-                worst_where = (cfg, chi, Moment(second_slots[j]).name, traj.taus[i])
+    for (cfg, chi), (_, traj, report) in oracle_cross_data.items():
+        err = np.abs(report.exact_words.words(second_words).T - traj.states[:, second_slots])
+        i, j = np.unravel_index(np.argmax(err), err.shape)
+        if err[i, j] > worst:
+            worst = float(err[i, j])
+            worst_where = (cfg, chi, Moment(second_slots[j]).name, traj.taus[i])
     ok = worst < 1e-4
     _report(4, ok, f"max |oracle - dynamics| = {worst:.3e} at {worst_where} "
                    f"(< 1e-4), {resolved}")
@@ -145,17 +133,12 @@ def test_criterion_4_oracle_second_moment_equivalence(oracle_cross_data):
 
 
 def test_criterion_5_closure_exact_for_zero_mean_data(oracle_cross_data):
+    words = [word_for_name(f"{a}d{a}{b}d{b}") for a, b in (("A", "B"), ("B", "C"), ("A", "C"))]
     worst = 0.0
-    pairs = (("A", "B"), ("B", "C"), ("A", "C"))
     for cfg in ("AN", "NA"):
-        traj, rhos, spec = oracle_cross_data[(cfg, 0.0)]
-        for i in range(len(traj)):
-            state = traj.states[i]
-            for a, b in pairs:
-                word = _word_for_name(f"{a}d{a}{b}d{b}")
-                dec = decoupled(state, [word])[0]
-                exact = exact_correlators(rhos[i], spec).words([word])[0]
-                worst = max(worst, abs(dec - exact))
+        _, traj, report = oracle_cross_data[(cfg, 0.0)]
+        error = decoupled(traj.states, words) - report.exact_words.words(words)
+        worst = max(worst, float(np.abs(error).max()))
     ok = worst < 1e-3
     _report(5, ok, f"max |decoupled - exact <nd n>| = {worst:.3e} (< 1e-3, zero mean)")
     assert ok
@@ -175,14 +158,23 @@ def test_three_and_four_factor_closure_is_exact_with_means(oracle_cross_data):
     words = [w for w in catalog_words() if len(w) in (3, 4)]
     assert len(words) == 18
     runs = [oracle_cross_data[("AN", 0.2)], oracle_cross_data[("NA", 0.2)], _cross_run("AA", 1.0)]
-    _, rhos, spec = runs[-1]
-    defect = max((spec.n_max + 1) * _top_level_population(rho, spec) for rho in rhos)
+    defect = _defect(runs[-1][2])
     assert defect < 1e-4, f"AA chi 1.0 commutator defect {defect:.3e} (>= 1e-4); raise n_max"
     worst = 0.0
-    for traj, rhos, spec in runs:
-        error = decoupled(traj.states, words) - exact_correlators(rhos, spec).words(words)
+    for _, traj, report in runs:
+        error = decoupled(traj.states, words) - report.exact_words.words(words)
         worst = max(worst, float(np.abs(error).max()))
     assert worst < 1e-4, f"max |decoupled - exact| = {worst:.3e} over the 3- and 4-factor words"
+
+
+def test_oracle_sign_cells_match_the_moment_engine(oracle_cross_data):
+    """Every sign cell of the four oracle runs ticks alike on the exact and
+    on the decoupled witness tables, scored as the sign matrix scores them."""
+    for key, (sc, _, report) in oracle_cross_data.items():
+        exact, closed = (_score(report.taus, table[None], sc.threshold)[0][0]
+                         for table in (report.witness_exact, report.witness_closed))
+        differ = [cell for cell, a, b in zip(CELLS, exact, closed) if a != b]
+        assert not differ, f"{key}: exact and decoupled ticks differ at {differ}"
 
 
 def _reference_tick_pattern():

@@ -216,20 +216,20 @@ def test_steady_state_singular_raises():
 
 _POISONS = (
     # a NaN source: the first step size is NaN, and no step is ever taken
-    (lambda M, b: (M, np.full(27, np.nan)), 0.0),
+    (lambda M, b: (M, np.full(27, np.nan)), 0.0,
+     "Required step size is less than spacing between numbers."),
     # growth at rate 100 overflows after tau 7.09; every later step is rejected
-    (lambda M, b: (100 * np.eye(27), b), 7.0),
+    (lambda M, b: (100 * np.eye(27), b), 7.0, "float64 overflow in the moments or their derivative"),
 )
 
 
 def test_integration_failure_carries_last_time(monkeypatch):
     system = dynamics._cached_system
-    for poison, last_tau in _POISONS:
+    for poison, last_tau, cause in _POISONS:
         monkeypatch.setattr(dynamics, "_cached_system", lambda p, poison=poison: poison(*system(p)))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
             integrate(Scenario(params=preset_params("AN", 0.0), t_max=10.0, sample_count=101))
-        assert str(err.value) == ("integration failed: Required step size is less than spacing "
-                                  f"between numbers. (last good tau = {last_tau:g})")
+        assert str(err.value) == f"integration failed: {cause} (last good tau = {last_tau:g})"
         assert err.value.last_tau == last_tau
 
 
@@ -281,12 +281,12 @@ def test_batch_members_are_bitwise_alone(members, grid):
 def test_poisoned_batch_member_fails_alone_without_warnings(monkeypatch):
     system = dynamics._cached_system
     # at 1001 samples the growing member fails with interpolants still waiting to be written
-    for samples, last_taus in ((101, [tau for _, tau in _POISONS]), (1001, [0.0, 7.03])):
+    for samples, last_taus in ((101, [tau for _, tau, _ in _POISONS]), (1001, [0.0, 7.03])):
         grid = dict(t_max=10.0, sample_count=samples)
         healthy = [Scenario(params=preset_params(cfg, 0.2), **grid) for cfg in ("AA", "NA", "NN")]
         expected = [integrate(sc).states for sc in healthy]
         target = Scenario(params=preset_params("AN", 0.0), **grid)
-        for (poison, _), last_tau in zip(_POISONS, last_taus):
+        for (poison, _, _), last_tau in zip(_POISONS, last_taus):
             def poisoned(p, poison=poison, target=target):
                 return poison(*system(p)) if p == target.params else system(p)
 
@@ -306,15 +306,27 @@ def test_poisoned_batch_member_fails_alone_without_warnings(monkeypatch):
 
 
 def test_overflowing_batch_member_fails_alone_without_warnings():
-    # chi 1e300 overflows the first derivative's scaled norm before the first step
+    # at chi 1e300 the moments' derivative overflows within the first, tiny steps: every
+    # later step is rejected on a non-finite error estimate until the step size underflows
     grid = dict(t_max=10.0, sample_count=5)
     healthy = Scenario(params=preset_params("AN", 0.1), **grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         failed, traj = integrate_batch([Scenario(params=preset_params("AN", 1e300), **grid), healthy])
     assert isinstance(failed, IntegrationError)
+    assert str(failed) == ("integration failed: float64 overflow in the moments or their "
+                           "derivative (last good tau = 0)")
     assert failed.last_tau == 0.0
     np.testing.assert_array_equal(traj.states.view(np.uint64), integrate(healthy).states.view(np.uint64))
+
+
+def test_a_finite_run_whose_starting_norm_overflows_keeps_solve_ivps_bits():
+    # at chi 1e150 the starting step's scaled derivative norm overflows, yet every
+    # state stays finite: the first step is the smallest, and later ones grow
+    sc = Scenario(params=preset_params("AN", 1e150), t_max=10.0, sample_count=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _solve_ivp_states(sc)
+    np.testing.assert_array_equal(integrate(sc).states.view(np.uint64), expected.view(np.uint64))
 
 
 def test_batch_rejects_mixed_grids():

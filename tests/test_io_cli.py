@@ -576,6 +576,21 @@ def test_cli_numeric_failure_exit_code(monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+_OVERFLOW = "integration failed: float64 overflow in the moments or their derivative (last good tau = 0)"
+
+
+def test_cli_names_the_overflow_of_a_drive_too_strong_for_float64(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--preset", "AN", "--chi-grid", "1e300,0.1", "--witness", "mandel_A",
+                 "--samples", "5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [row[3] for row in rows] == [f"error: {_OVERFLOW}"] * 5 + ["ok"] * 5
+    assert main(["simulate", "--preset", "AN", "--chi", "1e200", "--samples", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cavens: numeric failure: {_OVERFLOW}\n"
+
+
 def test_one_parser_serves_commands_in_turn_like_each_alone(capsys):
     runs = (
         ["table", "--chi-grid", "0.1", "--tmax", "1", "--samples", "11"],

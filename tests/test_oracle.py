@@ -466,7 +466,7 @@ def _path_correlators(rhos, spec):
 def test_closure_report_matches_the_density_path(config, chi):
     """The streamed report equals the values read from the whole path: to
     1e-12 (word sums change order), with the same NaN cells and the same
-    truncation leakage."""
+    truncation leakage; its word table serves the catalog's words alone."""
     spec = FockBasisSpec(3)
     sc = Scenario(params=preset_params(config, chi), initial=initial_state(0.2, 0.2, 0.2),
                   t_max=5.0, sample_count=51)
@@ -476,6 +476,10 @@ def test_closure_report_matches_the_density_path(config, chi):
     path = _path_correlators(rhos, spec)
     np.testing.assert_allclose(report.exact, path.words(_REPORT_WORDS.values()).T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(report.witness_exact, witness_table(path), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.exact_words.words(catalog_words()),
+                               path.words(catalog_words()), rtol=0, atol=1e-12)
+    with pytest.raises(KeyError):
+        report.exact_words.words([word_for_name("AAA")])
     n = spec.local_dim
     pops = np.diagonal(rhos, axis1=1, axis2=2).real.reshape(-1, n, n, n)
     leakage = max(float(top.sum(axis=(1, 2)).max())

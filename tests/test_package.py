@@ -70,3 +70,16 @@ def test_oracle_check_imports_only_scipy_sparse(tmp_path):
     assert "scipy.sparse" in loaded
     for name in ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special"):
         assert name not in loaded, name
+
+
+def test_python_m_cavens_runs_the_cli_from_a_checkout(tmp_path):
+    argv = ["table", "--chi-grid", "0.1", "--tmax", "1", "--samples", "11"]
+    src = Path(cavens.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cavens", *argv, "--out", str(tmp_path / "module.csv")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cavens.io_cli.main([*argv, "--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import cavens.witnesses as witnesses_mod
 from cavens.closure import SLOT_WORDS, OperatorFactor, decoupled
 from cavens.model import Moment, MomentState, Scenario, initial_state, preset_params
-from cavens.runner import run_scenario
+from cavens.oracle import FockBasisSpec, exact_correlators
+from cavens.runner import CELLS, SIGN_ROWS, _score, run_scenario
 from cavens.witnesses import WITNESS_NAMES, InternalConsistencyError, witness_table
 from conftest import make_coherent_state, make_random_state, rotate_mode_a
 
@@ -281,3 +283,77 @@ def test_first_failure_follows_the_check_order_not_the_sample():
         with pytest.raises(InternalConsistencyError) as info:
             witness_table(alone)
         assert info.value.args == (message,)
+
+
+# Textbook nonclassical states on the modes A, B, C: amplitudes of |na, nb, nc>,
+# normalised on the basis below.  Every word the catalog reads is normally
+# ordered within each mode, so on a state inside the truncation it is exact.
+_TEXTBOOK_BASIS = FockBasisSpec(4)
+_FOCK_A = {(1, 0, 0): 1.0}
+# S(r)|0> on A and the two-mode squeezed vacuum on AB, at r = 0.5
+_SQUEEZED_A = {(2 * k, 0, 0): (-math.tanh(0.5)) ** k * math.sqrt(math.factorial(2 * k))
+               / (2 ** k * math.factorial(k)) for k in range(3)}
+_TMSV_AB = {(n, n, 0): (-math.tanh(0.5)) ** n for n in range(5)}
+_ONE_PHOTON_AB = {(1, 0, 0): 0.3, (0, 1, 0): 0.95}
+_GHZ_LIKE = {(0, 0, 0): 1.0, (1, 1, 1): 0.3}
+_PAIR_AGAINST_C = {(0, 0, 1): 1.0, (1, 1, 0): 0.5}
+
+# each sign row, the state that ticks it and the key it ticks at there
+_TICKS_ON = {
+    "mandel": (_FOCK_A, "A"),
+    "antibunch": (_FOCK_A, "A"),
+    "squeeze": (_SQUEEZED_A, "A"),
+    "squeeze_pair": (_SQUEEZED_A, "AB"),
+    "hz_etilde": (_TMSV_AB, "AB"),
+    "duan": (_TMSV_AB, "AB"),
+    "hz_e": (_ONE_PHOTON_AB, "AB"),
+    "antibunch_pair": (_ONE_PHOTON_AB, "AB"),
+    "steering": (_ONE_PHOTON_AB, "AB"),
+    "bisep_eprime": (_GHZ_LIKE, "AB|C"),
+    "bisep_e": (_PAIR_AGAINST_C, "AB|C"),
+}
+_DUAN_DEFECT = (
+    "duan_* is 4 Var(X_ab) + 4 Var(Y_ab) - 2 over the two quadratures of the collective "
+    "mode (a + b)/sqrt2, that mode's uncertainty relation: it is >= 0 for every state. "
+    "Duan et al., PRL 84, 2722 (2000), pair x_a + x_b with p_a - p_b instead."
+)
+
+
+def _relabelled(amplitudes: dict, perm) -> np.ndarray:
+    """The density matrix of the state with mode i relabelled ``perm[i]``."""
+    psi = np.zeros((_TEXTBOOK_BASIS.local_dim,) * 3, dtype=complex)
+    for levels, amplitude in amplitudes.items():
+        psi[tuple(levels[perm.index(m)] for m in range(3))] = amplitude
+    psi = psi.ravel() / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def _relabelled_key(key: str, perm, keys) -> str:
+    """The cell of ``keys`` that ``key`` names once mode i is relabelled ``perm[i]``."""
+    moved = key.translate(str.maketrans("ABC", "".join("ABC"[m] for m in perm)))
+    if moved in keys:  # a mode or an ordered pair
+        return moved
+    # an unordered pair or a partition: the same modes on each side of "|"
+    sides = [set(side) for side in moved.split("|")]
+    return next(k for k in keys if [set(side) for side in k.split("|")] == sides)
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, marks=pytest.mark.xfail(strict=True, reason=_DUAN_DEFECT)) if row == "duan"
+    else row for row, *_ in SIGN_ROWS
+])
+def test_every_sign_row_ticks_on_a_textbook_state(row):
+    """Each cell of the row ticks on its textbook state, relabelled to reach the cell's modes."""
+    keys = next(keys for name, keys, *_ in SIGN_ROWS if name == row)
+    amplitudes, key = _TICKS_ON[row]
+    missed = []
+    for perm in permutations(range(3)):
+        table = witness_table(exact_correlators(_relabelled(amplitudes, perm), _TEXTBOOK_BASIS))
+        # _score skips the sample at tau 0, so the table is scored as the second of two
+        ticks = _score(np.array([0.0, 1.0]), np.stack([table, table])[None], Scenario.threshold)[0][0]
+        cell = (row, _relabelled_key(key, perm, keys))
+        if not ticks[CELLS.index(cell)]:
+            missed.append((perm, cell))
+    assert not missed, f"no tick at {missed}"
+    reached = {_relabelled_key(key, perm, keys) for perm in permutations(range(3))}
+    assert reached == set(keys)
