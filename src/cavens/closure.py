@@ -18,10 +18,10 @@ A ``Closure`` compiles a list of words once into slot-index arrays; a call
 reads a ``MomentState`` or a ``(..., 27)`` stack of states, gathers every
 ordered pair word at once and runs each rule once on the stack of all the
 words it closes.  ``decoupled(states, words)`` is the one way to evaluate a
-list of words.  Complex products go through ``cprod`` (and ``cquot``,
-``csquare``), which round exactly as Python's ``complex`` does; numpy's
-complex multiply may use FMA.  A stack of words or states thus gives the
-same bits as each taken alone.
+list of words.  The rules are written in numpy's own complex arithmetic,
+whose kernels round an element the same way whatever the length of the
+contiguous array it sits in, so a stack of words or states gives the same
+bits as each taken alone.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ __all__ = [
     "Closure",
     "SLOT_WORDS",
     "word_for_name",
-    "cprod",
-    "cquot",
-    "csquare",
     "decoupled",
 ]
 
@@ -76,47 +73,6 @@ def word_for_name(name: str) -> tuple[OperatorFactor, ...]:
 
 # operator word of every stored moment, indexed by ``Moment``
 SLOT_WORDS = tuple(word_for_name(name) for name in MOMENT_NAMES)
-
-
-def _complex(re, im):
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out[()]
-
-
-def cprod(*factors):
-    """Left-to-right product of complex arrays or scalars, rounded like ``complex``.
-
-    Each step forms (ar*br - ai*bi) + i(ar*bi + ai*br) from the parts, as
-    CPython does; a real factor counts as ``complex(x, 0.0)``.
-    """
-    re, im = factors[0].real, factors[0].imag
-    for f in factors[1:]:
-        fr, fi = f.real, f.imag
-        # subtract and add in place on fresh products: fewer temporaries, same bits
-        new_re, new_im = re * fr, re * fi
-        new_re -= im * fi
-        new_im += im * fr
-        re, im = new_re, new_im
-    return _complex(re, im)
-
-
-def cquot(a, b: complex):
-    """``a / b`` for a scalar divisor, by CPython's complex division rule."""
-    br, bi = float(b.real), float(b.imag)
-    if abs(br) >= abs(bi):
-        ratio = bi / br
-        denom = br + bi * ratio
-        return _complex((a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom)
-    ratio = br / bi
-    denom = br * ratio + bi
-    return _complex((a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom)
-
-
-def csquare(a):
-    """``a ** 2`` as CPython computes it: (1 + 0j) * (a * a)."""
-    return cprod(1.0, cprod(a, a))
 
 
 # the six mode operators in the order of their stored single moments A, B, C, Ad, Bd, Cd
@@ -190,28 +146,23 @@ class Closure:
 def _decouple3(p, s, x, y, z):
     """<xyz> ~ <xy><z> + <x><yz> + <xz><y> - 2<x><y><z> for index arrays x, y, z."""
     sx, sy, sz = s[x], s[y], s[z]
-    return (
-        cprod(p[6 * x + y], sz)
-        + cprod(sx, p[6 * y + z])
-        + cprod(p[6 * x + z], sy)
-        - cprod(2.0, sx, sy, sz)
-    )
+    return p[6 * x + y] * sz + sx * p[6 * y + z] + p[6 * x + z] * sy - 2.0 * sx * sy * sz
 
 
 def _decouple4(p, s, w, x, y, z):
     """All three pair pairings minus twice the mean product, for index arrays w, x, y, z."""
     return (
-        cprod(p[6 * w + x], p[6 * y + z])
-        + cprod(p[6 * w + y], p[6 * x + z])
-        + cprod(p[6 * w + z], p[6 * x + y])
-        - cprod(2.0, s[w], s[x], s[y], s[z])
+        p[6 * w + x] * p[6 * y + z]
+        + p[6 * w + y] * p[6 * x + z]
+        + p[6 * w + z] * p[6 * x + y]
+        - 2.0 * s[w] * s[x] * s[y] * s[z]
     )
 
 
 def _number_triple(p, nab, nbc, nac):
     """The three-factor rule on the number operators, given their decoupled pairs."""
     na, nb, nc = p[_NUMBERS]
-    return cprod(nab, nc) + cprod(na, nbc) + cprod(nac, nb) - cprod(2.0, na, nb, nc)
+    return nab * nc + na * nbc + nac * nb - 2.0 * na * nb * nc
 
 
 @lru_cache(maxsize=256)

@@ -98,6 +98,8 @@ def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     as K never turns a lowering operator into a raising one, the anti-normal
     words (<C Cd> and <A Ad> in the <A Cd> row) carry K[A,C] + K[Cd,Ad] = 0.
     Only nonzero K entries are added, so untouched entries of M stay +0.0.
+    An entry that overflows float64 (a drive near its limit) is left
+    infinite without a warning, and integration reports the overflow.
     """
     h = np.array([[p.delta_a, 0.0, p.g_a], [0.0, p.delta_b, p.g_b], [p.g_a, p.g_b, p.delta_c]])
     drift = -1j * h - np.diag([p.gamma_a, p.gamma_b, p.gamma_c]) / 2
@@ -106,13 +108,14 @@ def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     f = np.array([-1j * p.chi, 0, 0, 1j * p.chi, 0, 0])
 
     Mb = np.zeros((27, 28), dtype=complex)  # [M | b]
-    for slot, word in enumerate(_WORDS):
-        for i, x in enumerate(word):
-            rest = word[:i] + word[i + 1:]
-            for z in np.flatnonzero(K[x]):
-                Mb[slot, _SLOT_OF[tuple(sorted(rest + (z,)))]] += K[x, z]
-            if f[x] != 0:
-                Mb[slot, _SLOT_OF[rest]] += f[x]
+    with np.errstate(over="ignore"):
+        for slot, word in enumerate(_WORDS):
+            for i, x in enumerate(word):
+                rest = word[:i] + word[i + 1:]
+                for z in np.flatnonzero(K[x]):
+                    Mb[slot, _SLOT_OF[tuple(sorted(rest + (z,)))]] += K[x, z]
+                if f[x] != 0:
+                    Mb[slot, _SLOT_OF[rest]] += f[x]
     feeds = (p.gamma_a * p.n_a, p.gamma_b * p.n_b, p.gamma_c * p.n_c)
     for slot, feed in zip(OCCUPATIONS, feeds):
         Mb[slot, 27] += feed
@@ -256,9 +259,9 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     scenario that fails gets its ``IntegrationError`` in its place in the
     result; the others are unaffected.  A step size that falls below the
     spacing of floats fails a scenario; when the step rejected last had a
-    non-finite error estimate, the error names the float64 overflow behind
-    it.  Scenarios whose ``t_max`` or ``sample_count`` differ raise
-    ``ValueError``.
+    non-finite error estimate, or the scenario's coefficients overflowed,
+    the error names the float64 overflow behind it.  Scenarios whose
+    ``t_max`` or ``sample_count`` differ raise ``ValueError``.
     """
     scenarios = list(scenarios)
     grids = {(float(sc.t_max), sc.sample_count) for sc in scenarios}
@@ -283,7 +286,8 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
         # behind Python's **, rounds some powers differently); done: samples written so far
         h_abs = [float(_initial_step(*system, y, f, t_max)) for system, y, f in zip(systems, Y, K[0])]
         t, done, rejected = [0.0] * len(scenarios), [0] * len(scenarios), [False] * len(scenarios)
-        overflowed = [False] * len(scenarios)  # the last rejected step's error was not finite
+        # the last rejected step's error was not finite, or the system's coefficients are not
+        overflowed = (np.isinf(Ms).any(axis=(1, 2)) | np.isinf(bs).any(axis=1)).tolist()
         min_step = [10 * math.ulp(0.0)] * len(scenarios)
         h_abs = [max(h, m) for h, m in zip(h_abs, min_step)]
         dense = _DenseOutput(taus, states)

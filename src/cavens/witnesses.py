@@ -18,6 +18,9 @@ are computed in complex arithmetic and the real part is returned only after
 checking that the imaginary residue is below ``IMAG_TOL`` at every sample;
 a larger residue signals an inconsistent state (or a transcription bug) and
 raises ``InternalConsistencyError`` instead of being silently discarded.
+The arithmetic runs with numpy's overflow warnings off: a value that
+overflows float64 raises the same error, naming the overflow, ahead of any
+residue check.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .closure import Closure, cprod, cquot, csquare, word_for_name
+from .closure import Closure, word_for_name
 
 __all__ = [
     "IMAG_TOL",
@@ -58,7 +61,8 @@ _HZ_KEYS = PAIR_KEYS + ("BA", "CB", "CA")
 
 
 class InternalConsistencyError(RuntimeError):
-    """A nominally real witness value carried a large imaginary residue.
+    """A nominally real witness value carried a large imaginary residue, or
+    the float64 arithmetic of a witness overflowed.
 
     When ``witness_table`` raises it, ``members`` has one entry per
     trajectory of the evaluated stack (one for a single trajectory or
@@ -87,13 +91,18 @@ def _by_trajectory(a: np.ndarray) -> np.ndarray:
     return np.reshape(a, (-1, np.shape(a)[-1] if np.ndim(a) else 1))
 
 
-def _real(value, name: str, keys, failures: list):
+def _real(value, name: str, keys, failures: list, overflows: list):
     """The real part of ``value``, once each sample's imaginary residue is below ``IMAG_TOL``.
 
     ``value[j]`` is checked as ``name.format(keys[j])``.  A check with a
     larger residue fails a trajectory at its first such sample; every
-    failure is appended to ``failures`` as (check, trajectory, error).
+    failure is appended to ``failures`` as (check, trajectory, error).  Where
+    any part of a value is not finite, a ``(trajectories, samples)`` mask of
+    those samples is appended to ``overflows``.
     """
+    finite = np.isfinite(value)
+    if not finite.all():
+        overflows.append(_by_trajectory(~finite.all(axis=0)))
     residue = np.imag(value)
     bad = np.abs(residue) >= IMAG_TOL
     if bad.any():
@@ -135,38 +144,39 @@ def _occupations(real, occ):
 @_reads("ada", "adadaa")
 def _antibunch_single(real, occ, quartic):
     """Single-mode antibunching <ad ad a a> - <ad a>^2."""
-    return real(quartic - cprod(occ, occ), "antibunch_{}")
+    return real(quartic - occ * occ, "antibunch_{}")
 
 
 @_reads("adbdba", "ada", "bdb")
 def _antibunch_inter(real, quartic, na, nb):
     """Intermodal antibunching <ad bd b a> - <ad a><bd b>."""
-    return real(quartic - cprod(na, nb), "antibunch_{}")
+    return real(quartic - na * nb, "antibunch_{}")
 
 
 @_reads("aa", "adad", "ada", "a", "ad")
 def _quadrature_variances(real, sq, sqd, occ, m, md):
     """Variances of X = (a + ad)/2 and Y = (a - ad)/2i; squeezed below 1/4."""
-    vx = cquot(sq + sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m + md, 2.0))
-    vy = cquot(-sq - sqd + cprod(2.0, occ) + 1.0, 4.0) - csquare(cquot(m - md, 2j))
+    mx, my = (m + md) / 2.0, (m - md) / 2j
+    vx = (sq + sqd + 2.0 * occ + 1.0) / 4.0 - mx * mx
+    vy = (-sq - sqd + 2.0 * occ + 1.0) / 4.0 - my * my
     return real(vx, "var_x_{}"), real(vy, "var_y_{}")
 
 
 @_reads("aa", "adad", "ada", "bb", "bdbd", "bdb", "a", "ad", "b", "bd", "ab", "abd", "adb", "adbd")
 def _intermodal_variances(real, sqa, sqad, na, sqb, sqbd, nb, ma, mad, mb, mbd, ab, abd, adb, adbd):
     """Variances of X_ab = (a + ad + b + bd)/2sqrt2 and the matching Y quadrature."""
-    vx = cquot(
-        sqa + sqad + cprod(2.0, na) + 1.0
-        + sqb + sqbd + cprod(2.0, nb) + 1.0
-        + cprod(2.0, ab + abd + adb + adbd),
-        8.0,
-    ) - csquare(cquot(ma + mad + mb + mbd, 2.0 * math.sqrt(2.0)))
-    vy = cquot(
-        -sqa - sqad + cprod(2.0, na) + 1.0
-        - sqb - sqbd + cprod(2.0, nb) + 1.0
-        - cprod(2.0, ab - abd - adb + adbd),
-        8.0,
-    ) - csquare(cquot(ma - mad + mb - mbd, 2j * math.sqrt(2.0)))
+    mx = (ma + mad + mb + mbd) / (2.0 * math.sqrt(2.0))
+    my = (ma - mad + mb - mbd) / (2j * math.sqrt(2.0))
+    vx = (
+        sqa + sqad + 2.0 * na + 1.0
+        + sqb + sqbd + 2.0 * nb + 1.0
+        + 2.0 * (ab + abd + adb + adbd)
+    ) / 8.0 - mx * mx
+    vy = (
+        -sqa - sqad + 2.0 * na + 1.0
+        - sqb - sqbd + 2.0 * nb + 1.0
+        - 2.0 * (ab - abd - adb + adbd)
+    ) / 8.0 - my * my
     return real(vx, "var_x_{}"), real(vy, "var_y_{}")
 
 
@@ -177,8 +187,8 @@ def _hz(real, quartic, abd, adb, na, nb, ab, adbd):
     E  = <ad a bd b> - |<a bd>|^2
     E~ = <ad a><bd b> - |<a b>|^2
     """
-    return (real(quartic - cprod(abd, adb), "hz_e_{}"),
-            real(cprod(na, nb) - cprod(ab, adbd), "hz_etilde_{}"))
+    return (real(quartic - abd * adb, "hz_e_{}"),
+            real(na * nb - ab * adbd, "hz_etilde_{}"))
 
 
 @_reads("AdABdBCdC", "abcd", "abc", "adabdb", "cdc")
@@ -190,8 +200,8 @@ def _bisep(real, nnn, abc_dag, abc, nab, nc):
 
     Decoupled, E's sixth moment comes from the composite number-triple rule.
     """
-    return (real(nnn - cprod(abc_dag, np.conj(abc_dag)), "bisep_e_{}"),
-            real(cprod(nab, nc) - cprod(abc, np.conj(abc)), "bisep_eprime_{}"))
+    return (real(nnn - abc_dag * np.conj(abc_dag), "bisep_e_{}"),
+            real(nab * nc - abc * np.conj(abc), "bisep_eprime_{}"))
 
 
 def _mandel(occ, antibunch):
@@ -284,27 +294,29 @@ def _rows(prefix: str, keys: tuple) -> np.ndarray:
     return np.array([WITNESS_NAMES.index(f"{prefix}_{k.replace('|', '_')}") for k in keys])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported per trajectory
 def witness_table(state) -> np.ndarray:
     """Every witness at every state, shape ``(..., 42)``, columns ``WITNESS_NAMES``.
 
     ``state`` is a ``MomentState``, a ``(..., 27)`` moment array (correlators
-    decoupled) or a ``Correlators`` source.  Every sample is checked: an
-    imaginary residue, or a non-finite value outside the Mandel columns,
-    raises ``InternalConsistencyError``.  A stack of trajectories is evaluated
-    once, to the end, even when some fail: each trajectory's first failed check
-    gives the error it raises alone, and the raised error names the earliest
-    check that failed, in its first failing trajectory, and lists every
-    trajectory's table or error in ``members``.
+    decoupled) or a ``Correlators`` source.  Every sample is checked: float64
+    overflow (a value that is not finite at a sample whose words are), an
+    imaginary residue, or a non-finite value outside the Mandel columns
+    raises ``InternalConsistencyError``, overflow ahead of residues.  A stack
+    of trajectories is evaluated once, to the end, even when some fail: each
+    trajectory's first failed check gives the error it raises alone, and the
+    raised error names the earliest check that failed, in its first failing
+    trajectory, and lists every trajectory's table or error in ``members``.
     """
     closure, columns = _plan()
     if isinstance(state, Correlators):
         stacks = np.split(state.words(closure.layout), closure.cuts)
     else:
         stacks = closure.stacks(state)
-    failures = []
+    failures, overflows = [], []
 
     def family(formula):
-        real = partial(_real, keys=_FAMILIES[formula], failures=failures)
+        real = partial(_real, keys=_FAMILIES[formula], failures=failures, overflows=overflows)
         return formula(real, *(stacks[g][rows] for g, rows in columns[formula]))
 
     occ, antibunch = family(_occupations), family(_antibunch_single)
@@ -337,6 +349,13 @@ def witness_table(state) -> np.ndarray:
     for name, m, error in failures:
         if m not in first or _CHECK_RANK[name] < first[m][0]:
             first[m] = _CHECK_RANK[name], error
+    if overflows:  # from finite words, only float64 overflow makes a value non-finite
+        given = stacks if isinstance(state, Correlators) else stacks[:2]
+        finite = np.logical_and.reduce([np.isfinite(words).all(axis=0) for words in given])
+        over = np.logical_or.reduce(overflows) & _by_trajectory(finite)
+        for m in np.flatnonzero(over.any(axis=1)).tolist():
+            first[m] = -1, InternalConsistencyError(
+                f"float64 overflow in the witness arithmetic at sample {int(np.argmax(over[m]))}")
     bad = ~(np.isfinite(tables) | _MAY_BE_NAN)
     for m in np.flatnonzero(bad.reshape(len(tables), -1).any(axis=1)).tolist():
         if m not in first:

@@ -307,17 +307,20 @@ def test_poisoned_batch_member_fails_alone_without_warnings(monkeypatch):
 
 def test_overflowing_batch_member_fails_alone_without_warnings():
     # at chi 1e300 the moments' derivative overflows within the first, tiny steps: every
-    # later step is rejected on a non-finite error estimate until the step size underflows
+    # later step is rejected on a non-finite error estimate until the step size underflows;
+    # at chi 1.7e308 the drive's two terms in the <A A> row sum to an infinite coefficient
     grid = dict(t_max=10.0, sample_count=5)
     healthy = Scenario(params=preset_params("AN", 0.1), **grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        failed, traj = integrate_batch([Scenario(params=preset_params("AN", 1e300), **grid), healthy])
-    assert isinstance(failed, IntegrationError)
-    assert str(failed) == ("integration failed: float64 overflow in the moments or their "
-                           "derivative (last good tau = 0)")
-    assert failed.last_tau == 0.0
-    np.testing.assert_array_equal(traj.states.view(np.uint64), integrate(healthy).states.view(np.uint64))
+    expected = integrate(healthy).states
+    for cfg, chi in [("AN", 1e300)] + [(cfg, 1.7e308) for cfg in ("AA", "AN", "NA", "NN")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failed, traj = integrate_batch([Scenario(params=preset_params(cfg, chi), **grid), healthy])
+        assert isinstance(failed, IntegrationError)
+        assert str(failed) == ("integration failed: float64 overflow in the moments or their "
+                               "derivative (last good tau = 0)")
+        assert failed.last_tau == 0.0
+        np.testing.assert_array_equal(traj.states.view(np.uint64), expected.view(np.uint64))
 
 
 def test_a_finite_run_whose_starting_norm_overflows_keeps_solve_ivps_bits():

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,6 +593,27 @@ def test_cli_names_the_overflow_of_a_drive_too_strong_for_float64(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cavens: numeric failure: {_OVERFLOW}\n"
+
+
+_WITNESS_OVERFLOW = "float64 overflow in the witness arithmetic at sample 1"
+
+
+def test_cli_names_the_overflow_of_witnesses_too_large_for_float64(tmp_path, capsys):
+    # at chi 1e150 the moments stay finite (about 1e300), but their products overflow
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--preset", "AN", "--chi-grid", "1e150,0.1", "--witness", "mandel_A",
+                 "--samples", "5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [row[3] for row in rows] == [f"error: {_WITNESS_OVERFLOW}"] * 5 + ["ok"] * 5
+    argv = ["simulate", "--preset", "AN", "--chi", "1e150", "--samples", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"cavens: numeric failure: {_WITNESS_OVERFLOW}\n")
+    src = Path(io_cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cavens", *argv],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"cavens: numeric failure: {_WITNESS_OVERFLOW}\n")
 
 
 def test_one_parser_serves_commands_in_turn_like_each_alone(capsys):
