@@ -26,9 +26,8 @@ from .dynamics import (
     integrate_batch,
     steady_state_first_moments,
 )
-from .closure import OperatorFactor
 from .witnesses import WITNESS_NAMES, InternalConsistencyError, witness_table
 from .runner import SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
-from .io_cli import ConfigError, emit_csv, parse_config
+from .io_cli import ConfigError, parse_config
 
 __version__ = "0.1.0"

@@ -14,6 +14,9 @@ state Gaussian.  The one approximation is the sixth-order number correlator
 factors, with each composite pair expanded by the four-factor rule, which is
 not the Gaussian expansion of that word.
 
+An operator word is a tuple of operator indices: 0, 1, 2 for A, B, C and
+3, 4, 5 for Ad, Bd, Cd, the slots of the stored means and the row order of
+the drift matrix in ``dynamics``; ``word_for_name("AdBd")`` is ``(3, 4)``.
 A ``Closure`` compiles a list of words once into slot-index arrays; a call
 reads a ``MomentState`` or a ``(..., 27)`` stack of states, gathers every
 ordered pair word at once and runs each rule once on the stack of all the
@@ -26,15 +29,13 @@ bits as each taken alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import MODES, MOMENT_NAMES, Moment, MomentState
+from .model import MODES, MOMENT_NAMES, MomentState
 
 __all__ = [
-    "OperatorFactor",
     "Closure",
     "SLOT_WORDS",
     "word_for_name",
@@ -42,59 +43,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorFactor:
-    """One mode operator in a correlator word: a mode label and a dagger flag."""
-
-    mode: str
-    daggered: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("A", "B", "C"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @property
-    def conjugate(self) -> "OperatorFactor":
-        return OperatorFactor(self.mode, not self.daggered)
-
-
-def word_for_name(name: str) -> tuple[OperatorFactor, ...]:
-    """Operator word of a name such as ``"AdBd"``: each ``d`` daggers the factor before it."""
-    factors: list[OperatorFactor] = []
+def word_for_name(name: str) -> tuple[int, ...]:
+    """Operator word of a name such as ``"AdBd"``: each ``d`` toggles the dagger before it."""
+    word: list[int] = []
     for ch in name:
-        if ch in "ABC":
-            factors.append(OperatorFactor(ch, False))
-        elif ch == "d" and factors:
-            factors[-1] = factors[-1].conjugate
+        if ch in MODES:
+            word.append(MODES.index(ch))
+        elif ch == "d" and word:
+            word[-1] = (word[-1] + 3) % 6
         else:
             raise ValueError(f"cannot parse moment name {name!r}")
-    return tuple(factors)
+    return tuple(word)
 
 
 # operator word of every stored moment, indexed by ``Moment``
 SLOT_WORDS = tuple(word_for_name(name) for name in MOMENT_NAMES)
 
 
-# the six mode operators in the order of their stored single moments A, B, C, Ad, Bd, Cd
-_OPERATORS = tuple(OperatorFactor(mode, dagger) for dagger in (False, True) for mode in MODES)
-
-
-def _pair_slot(x: OperatorFactor, y: OperatorFactor) -> tuple[int, bool]:
+def _pair_slot(x: int, y: int) -> tuple[int, bool]:
     """Stored slot of the ordered product xy, and whether it is anti-normal.
 
     Same-mode anti-normal pairs pick up the commutator: <a ad> = <ad a> + 1.
     Cross-mode factors commute and are stored in A < B < C order.
     """
-    anti = x.mode == y.mode and not x.daggered and y.daggered
-    if anti or x.mode > y.mode:
+    anti = y == x + 3
+    if anti or x % 3 > y % 3:
         x, y = y, x
-    return Moment["".join(f.mode + "d" * f.daggered for f in (x, y))], anti
+    return SLOT_WORDS.index((x, y)), anti
 
 
 # the ordered pair of operators x, y sits at 6 x + y: its slot, and the anti-normal pairs
 _PAIRS = [(x, y) for x in range(6) for y in range(6)]
-_PAIR_SLOTS, _ANTI_NORMAL = map(np.array, zip(*(
-    _pair_slot(_OPERATORS[x], _OPERATORS[y]) for x, y in _PAIRS)))
+_PAIR_SLOTS, _ANTI_NORMAL = map(np.array, zip(*(_pair_slot(x, y) for x, y in _PAIRS)))
 # <AdA BdB CdC>, its composite pairs AB, BC, AC, and the pairs of the number operators
 _NUMBER_TRIPLE = (3, 0, 4, 1, 5, 2)
 _NUMBER_PAIRS = ((3, 0, 4, 1), (4, 1, 5, 2), (3, 0, 5, 2))
@@ -115,21 +95,20 @@ class Closure:
     """
 
     def __init__(self, words):
-        ops = [tuple(map(_OPERATORS.index, word)) for word in words]
-        for word, w in zip(words, ops):
-            if not 1 <= len(w) <= 4 and w != _NUMBER_TRIPLE:
-                raise ValueError(f"no decoupling rule for the word {word}")
-        triples = list(dict.fromkeys(w for w in ops if len(w) == 3))
-        quads = list(dict.fromkeys(w for w in ops if len(w) == 4))
-        sextic = [_NUMBER_TRIPLE] if _NUMBER_TRIPLE in ops else []
+        for w in words:
+            if not (1 <= len(w) <= 4 or w == _NUMBER_TRIPLE) or not all(0 <= f < 6 for f in w):
+                raise ValueError(f"no decoupling rule for the word {w}")
+        triples = list(dict.fromkeys(w for w in words if len(w) == 3))
+        quads = list(dict.fromkeys(w for w in words if len(w) == 4))
+        sextic = [_NUMBER_TRIPLE] if _NUMBER_TRIPLE in words else []
         quads += [w for w in _NUMBER_PAIRS if sextic and w not in quads]
         self._number_pairs = [quads.index(w) for w in _NUMBER_PAIRS] if sextic else None
         self._triples = np.array(triples, dtype=np.intp).reshape(-1, 3).T
         self._quads = np.array(quads, dtype=np.intp).reshape(-1, 4).T
         groups = [[(i,) for i in range(6)], _PAIRS, triples, quads, sextic]
         self.rows = [next((g, group.index(w)) for g, group in enumerate(groups) if w in group)
-                     for w in ops]
-        self.layout = tuple(tuple(_OPERATORS[i] for i in w) for group in groups for w in group)
+                     for w in words]
+        self.layout = tuple(w for group in groups for w in group)
         self.cuts = np.cumsum([len(group) for group in groups[:-1]])
 
     def stacks(self, states: MomentState | np.ndarray) -> list:

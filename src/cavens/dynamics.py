@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closure import _OPERATORS, SLOT_WORDS
+from .closure import SLOT_WORDS
 from .model import CONJUGATE_PAIRS, OCCUPATIONS, Moment, Scenario, SystemParams
 
 __all__ = [
@@ -47,10 +47,9 @@ __all__ = [
     "steady_state_first_moments",
 ]
 
-# each slot's word as indices into the mode operators (in the row order of K),
-# and the slot of every sorted word; the empty word <1> is column 27, b
-_WORDS = tuple(tuple(_OPERATORS.index(f) for f in word) for word in SLOT_WORDS)
-_SLOT_OF = {tuple(sorted(word)): slot for slot, word in enumerate(_WORDS)} | {(): 27}
+# the slot of every sorted word (its operator indices are the rows of K); the
+# empty word <1> is column 27, b
+_SLOT_OF = {tuple(sorted(word)): slot for slot, word in enumerate(SLOT_WORDS)} | {(): 27}
 
 
 class IntegrationError(RuntimeError):
@@ -109,7 +108,7 @@ def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 
     Mb = np.zeros((27, 28), dtype=complex)  # [M | b]
     with np.errstate(over="ignore"):
-        for slot, word in enumerate(_WORDS):
+        for slot, word in enumerate(SLOT_WORDS):
             for i, x in enumerate(word):
                 rest = word[:i] + word[i + 1:]
                 for z in np.flatnonzero(K[x]):

@@ -54,7 +54,7 @@ from .witnesses import WITNESS_NAMES, InternalConsistencyError
 if TYPE_CHECKING:  # the oracle, and scipy with it, loads only for oracle-check
     from .oracle import ClosureReport, FockBasisSpec
 
-__all__ = ["ConfigError", "parse_config", "format_config", "emit_csv", "main"]
+__all__ = ["ConfigError", "parse_config", "format_config", "main"]
 
 _PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 _RUN_KEYS = ("init_na", "init_nb", "init_nc", "t_max", "samples", "threshold")
@@ -239,24 +239,6 @@ def write_closure_report(report: ClosureReport, dest) -> None:
     ])
 
 
-def emit_csv(obj, dest) -> None:
-    """Serialize any runner/oracle product to CSV (dispatch on type)."""
-    if isinstance(obj, Trajectory):
-        write_trajectory(obj, dest)
-    elif isinstance(obj, WitnessSeries):
-        write_witness_series(obj, dest)
-    elif isinstance(obj, SignMatrix):
-        write_sign_matrix(obj, dest)
-    elif isinstance(obj, SweepSurface):
-        write_sweep(obj, dest)
-    else:
-        from .oracle import ClosureReport
-
-        if not isinstance(obj, ClosureReport):
-            raise TypeError(f"no CSV writer for {type(obj).__name__}")
-        write_closure_report(obj, dest)
-
-
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -365,20 +347,20 @@ def main(argv=None) -> int:
         dest = sys.stdout if args.out is None else args.out
         if args.command == "simulate":
             if args.moments:
-                emit_csv(integrate(scenario), dest)
+                write_trajectory(integrate(scenario), dest)
             else:
                 columns = None if args.witnesses is None else _selected(_entries(args.witnesses, "witness list"))
                 _, series = run_scenario(scenario)
                 write_witness_series(series, dest, columns)
         elif args.command == "table":
-            emit_csv(table_matrix(scenario, _parse_grid(args.chi_grid)), dest)
+            write_sign_matrix(table_matrix(scenario, _parse_grid(args.chi_grid)), dest)
         elif args.command == "sweep":
-            emit_csv(chi_sweep(scenario, _parse_grid(args.chi_grid), args.witness), dest)
+            write_sweep(chi_sweep(scenario, _parse_grid(args.chi_grid), args.witness), dest)
         elif args.command == "oracle-check":
             from .oracle import FockBasisSpec
 
             report = closure_report(scenario, FockBasisSpec(args.nmax))
-            emit_csv(report, dest)
+            write_closure_report(report, dest)
             defect = (args.nmax + 1) * report.truncation_leakage
             if defect >= LEAKAGE_DEFECT_TOL:
                 print(f"cavens: warning: truncation defect (n_max+1)*P_top = {defect:.3e} >= "

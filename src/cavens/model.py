@@ -16,7 +16,6 @@ of these invariants over a ``(..., 27)`` stack of states.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 
@@ -176,12 +175,12 @@ def preset_params(config: "str | Configuration", chi: float = 0.0) -> SystemPara
     """Standard parameter set of a node/antinode configuration.
 
     All detunings equal 1 (they set the unit system) and all baths are
-    vacuum.  A negative drive strength is accepted but flagged, since the
-    published parameter sets only use chi >= 0.
+    vacuum.  A negative drive strength -chi is the parity image of chi: the
+    map A, B, C -> -A, -B, -C turns one into the other, so from a zero-mean
+    initial state it negates the means and leaves every other moment and
+    every witness as it is.
     """
     config = Configuration.parse(config)
-    if chi < 0:
-        warnings.warn("negative drive strength chi is nonstandard", stacklevel=2)
     return SystemParams(chi=float(chi), **_PRESETS[config])
 
 

@@ -43,10 +43,10 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .closure import SLOT_WORDS, OperatorFactor, decoupled, word_for_name as _word_for_name
+from .closure import SLOT_WORDS, decoupled, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
 from .model import Scenario, SystemParams, occupations
-from .witnesses import WITNESS_NAMES, Correlators, catalog_words, witness_table
+from .witnesses import WITNESS_NAMES, catalog_words, witness_table
 
 __all__ = [
     "FockBasisSpec",
@@ -64,8 +64,6 @@ __all__ = [
     "ClosureReport",
     "closure_report",
 ]
-
-_MODE_INDEX = {"A": 0, "B": 1, "C": 2}
 
 _TERM_CAP = 60
 _FEW_TERMS = 30
@@ -109,7 +107,7 @@ class FockBasisSpec:
 
 @lru_cache(maxsize=8)
 def _mode_ops(spec: FockBasisSpec):
-    """Sparse annihilators and creators of the three modes on the full basis."""
+    """Sparse A, B, C, Ad, Bd, Cd on the full basis, in operator-index order."""
     d = spec.local_dim
     a1 = sparse.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
     eye = sparse.identity(d, format="csr")
@@ -117,14 +115,7 @@ def _mode_ops(spec: FockBasisSpec):
     lowering = [
         sparse.kron(sparse.kron(x, y), z).tocsr() for x, y, z in factors
     ]
-    raising = [op.conj().T.tocsr() for op in lowering]
-    return lowering, raising
-
-
-def _op_for_factor(spec: FockBasisSpec, f: OperatorFactor) -> sparse.csr_matrix:
-    lowering, raising = _mode_ops(spec)
-    table = raising if f.daggered else lowering
-    return table[_MODE_INDEX[f.mode]]
+    return tuple(lowering + [op.conj().T.tocsr() for op in lowering])
 
 
 @dataclass(frozen=True)
@@ -253,7 +244,8 @@ class Liouvillian:
     def __init__(self, spec: FockBasisSpec, params: SystemParams):
         self.spec = spec
         self.params = params
-        lowering, raising = _mode_ops(spec)
+        ops = _mode_ops(spec)
+        lowering, raising = ops[:3], ops[3:]
         deltas = (params.delta_a, params.delta_b, params.delta_c)
         H = sum(
             delta * (ad @ a)
@@ -431,9 +423,10 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus):
 @lru_cache(maxsize=4096)
 def _word_op_entries(spec: FockBasisSpec, word: tuple):
     """COO entries of the operator product, cached per basis and word."""
-    op = _op_for_factor(spec, word[0])
+    ops = _mode_ops(spec)
+    op = ops[word[0]]
     for f in word[1:]:
-        op = op @ _op_for_factor(spec, f)
+        op = op @ ops[f]
     coo = op.tocoo()
     return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
@@ -474,10 +467,10 @@ def _expectations(F: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:
+def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec):
     """Exact expectations of operator words for a ``(..., d, d)`` density stack.
 
-    ``exact_correlators(rhos, spec).words(words)`` is Tr[rho word] for each
+    ``exact_correlators(rhos, spec)(words)`` is Tr[rho word] for each
     word, shape ``(len(words), ...)`` over the stack's leading shape: one
     real-linear functional (``_functional``) of the Hermitian coordinates of
     (rho + rho^dagger)/2, so the values are taken on the Hermitian part.
@@ -491,6 +484,7 @@ def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:
     flat = rhos.reshape(-1, d, d)
 
     def evaluate(words):
+        words = tuple(words)
         coords, F = _functional(spec, words)
         p, q = np.divmod(coords, d)
         a, b = flat[:, p, q], flat[:, q, p]
@@ -498,12 +492,12 @@ def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec) -> Correlators:
         x = np.where(p <= q, a.real + b.real, b.imag - a.imag) / 2.0
         return _expectations(F, x).reshape((len(words),) + rhos.shape[:-2])
 
-    return Correlators(evaluate)
+    return evaluate
 
 
 def moments_from_density(rhos: np.ndarray, spec: FockBasisSpec) -> np.ndarray:
     """All 27 stored moments of a ``(..., d, d)`` density stack, shape ``(..., 27)``."""
-    return np.moveaxis(exact_correlators(rhos, spec).words(SLOT_WORDS), 0, -1)
+    return np.moveaxis(exact_correlators(rhos, spec)(SLOT_WORDS), 0, -1)
 
 
 def _top_population(x: np.ndarray, spec: FockBasisSpec) -> float:
@@ -525,9 +519,9 @@ class ClosureReport:
     ``truncation_leakage`` is the largest population of any mode's top Fock
     level n_max over the grid, the oracle's own measure of truncation error.
     ``exact_words`` is the oracle's table of every word of ``catalog_words()``
-    (the 27 stored moments among them) at every sample:
-    ``exact_words.words(words)`` has shape ``(len(words), n)``, and a word
-    outside the catalog raises ``KeyError``.
+    (the 27 stored moments among them) at every sample, as a function of a
+    word list: ``exact_words(words)`` has shape ``(len(words), n)``, and a
+    word outside the catalog raises ``KeyError``.
     """
 
     taus: np.ndarray
@@ -538,7 +532,7 @@ class ClosureReport:
     witness_closed: np.ndarray
     max_abs_error: dict
     truncation_leakage: float
-    exact_words: Correlators
+    exact_words: object
 
     def witness_error(self, column: str) -> float:
         i = WITNESS_NAMES.index(column)
@@ -582,10 +576,12 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
         leakage = max(leakage, _top_population(rows, basis))
         filled += len(rows)
     column = {word: i for i, word in enumerate(words)}
-    exact_words = Correlators(lambda ws: table[[column[w] for w in ws]])
+
+    def exact_words(ws):
+        return table[[column[w] for w in ws]]
 
     closed = decoupled(traj.states, _REPORT_WORDS.values()).T
-    exact = exact_words.words(_REPORT_WORDS.values()).T
+    exact = exact_words(_REPORT_WORDS.values()).T
     max_err = dict(zip(_REPORT_WORDS, np.abs(exact - closed).max(axis=0).tolist()))
     return ClosureReport(
         taus=traj.taus,

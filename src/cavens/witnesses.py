@@ -10,8 +10,9 @@ ordered pair or a partition).  ``witness_table`` is the one way to evaluate
 a witness, read as its named column: it expands the catalog once into a
 plan, its distinct words compiled by ``closure.Closure`` and each family's
 columns of them.  A call evaluates every word in one pass (decoupled from
-moments, or read from a ``Correlators`` source such as the oracle's) and
-each formula once on all its keys.
+moments, or read from a correlator source: any function from a tuple of
+operator words to their stacked values, such as the oracle's) and each
+formula once on all its keys.
 
 Every witness is a real quantity on a conjugate-consistent state.  Values
 are computed in complex arithmetic and the real part is returned only after
@@ -41,7 +42,6 @@ __all__ = [
     "PARTITION_KEYS",
     "WITNESS_NAMES",
     "InternalConsistencyError",
-    "Correlators",
     "catalog_words",
     "witness_table",
 ]
@@ -70,20 +70,6 @@ class InternalConsistencyError(RuntimeError):
     """
 
     members: list | None = None
-
-
-class Correlators:
-    """Expectations of operator words (tuples of ``OperatorFactor``), from a
-    function of a word tuple that returns them stacked, shape
-    ``(len(words), ...)`` over the states' leading shape, as the oracle's
-    ``exact_correlators`` does.
-    """
-
-    def __init__(self, evaluate):
-        self._evaluate = evaluate
-
-    def words(self, words) -> np.ndarray:
-        return self._evaluate(tuple(map(tuple, words)))
 
 
 def _by_trajectory(a: np.ndarray) -> np.ndarray:
@@ -284,7 +270,7 @@ def _plan():
 
 
 def catalog_words() -> tuple:
-    """The operator words ``witness_table`` reads from a ``Correlators`` source, in its order."""
+    """The operator words ``witness_table`` asks a correlator source for, in its order."""
     return _plan()[0].layout
 
 
@@ -299,7 +285,9 @@ def witness_table(state) -> np.ndarray:
     """Every witness at every state, shape ``(..., 42)``, columns ``WITNESS_NAMES``.
 
     ``state`` is a ``MomentState``, a ``(..., 27)`` moment array (correlators
-    decoupled) or a ``Correlators`` source.  Every sample is checked: float64
+    decoupled) or a correlator source: a function from a tuple of words to
+    their values, shape ``(len(words), ...)``, such as the oracle's
+    ``exact_correlators``.  Every sample is checked: float64
     overflow (a value that is not finite at a sample whose words are), an
     imaginary residue, or a non-finite value outside the Mandel columns
     raises ``InternalConsistencyError``, overflow ahead of residues.  A stack
@@ -309,8 +297,8 @@ def witness_table(state) -> np.ndarray:
     trajectory, and lists every trajectory's table or error in ``members``.
     """
     closure, columns = _plan()
-    if isinstance(state, Correlators):
-        stacks = np.split(state.words(closure.layout), closure.cuts)
+    if callable(state):
+        stacks = np.split(state(closure.layout), closure.cuts)
     else:
         stacks = closure.stacks(state)
     failures, overflows = [], []
@@ -350,7 +338,7 @@ def witness_table(state) -> np.ndarray:
         if m not in first or _CHECK_RANK[name] < first[m][0]:
             first[m] = _CHECK_RANK[name], error
     if overflows:  # from finite words, only float64 overflow makes a value non-finite
-        given = stacks if isinstance(state, Correlators) else stacks[:2]
+        given = stacks if callable(state) else stacks[:2]
         finite = np.logical_and.reduce([np.isfinite(words).all(axis=0) for words in given])
         over = np.logical_or.reduce(overflows) & _by_trajectory(finite)
         for m in np.flatnonzero(over.any(axis=1)).tolist():

@@ -121,7 +121,7 @@ def test_criterion_4_oracle_second_moment_equivalence(oracle_cross_data):
     worst = 0.0
     worst_where = None
     for (cfg, chi), (_, traj, report) in oracle_cross_data.items():
-        err = np.abs(report.exact_words.words(second_words).T - traj.states[:, second_slots])
+        err = np.abs(report.exact_words(second_words).T - traj.states[:, second_slots])
         i, j = np.unravel_index(np.argmax(err), err.shape)
         if err[i, j] > worst:
             worst = float(err[i, j])
@@ -137,7 +137,7 @@ def test_criterion_5_closure_exact_for_zero_mean_data(oracle_cross_data):
     worst = 0.0
     for cfg in ("AN", "NA"):
         _, traj, report = oracle_cross_data[(cfg, 0.0)]
-        error = decoupled(traj.states, words) - report.exact_words.words(words)
+        error = decoupled(traj.states, words) - report.exact_words(words)
         worst = max(worst, float(np.abs(error).max()))
     ok = worst < 1e-3
     _report(5, ok, f"max |decoupled - exact <nd n>| = {worst:.3e} (< 1e-3, zero mean)")
@@ -162,7 +162,7 @@ def test_three_and_four_factor_closure_is_exact_with_means(oracle_cross_data):
     assert defect < 1e-4, f"AA chi 1.0 commutator defect {defect:.3e} (>= 1e-4); raise n_max"
     worst = 0.0
     for _, traj, report in runs:
-        error = decoupled(traj.states, words) - report.exact_words.words(words)
+        error = decoupled(traj.states, words) - report.exact_words(words)
         worst = max(worst, float(np.abs(error).max()))
     assert worst < 1e-4, f"max |decoupled - exact| = {worst:.3e} over the 3- and 4-factor words"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavens.closure import OperatorFactor, decoupled, word_for_name
+from cavens.closure import SLOT_WORDS, decoupled, word_for_name
 from cavens.model import Moment, MomentState, initial_state
 from conftest import make_coherent_state, make_random_state
 
@@ -11,10 +11,23 @@ def _word(states, name: str):
     return decoupled(states, [word_for_name(name)])[0]
 
 
-def test_operator_factor_validates_mode():
+def test_words_are_operator_index_tuples():
+    """A word indexes A, B, C, Ad, Bd, Cd as 0..5, the slots of the stored means."""
+    from cavens.oracle import FockBasisSpec, coherent_state, exact_correlators
+
     with pytest.raises(ValueError):
-        OperatorFactor("D", False)
-    assert OperatorFactor("A", True).conjugate == OperatorFactor("A")
+        word_for_name("AD")
+    assert word_for_name("Add") == (0,)
+    assert word_for_name("AdBC") == (3, 1, 2)
+    assert all(SLOT_WORDS[i] == (i,) for i in range(6))
+    for word in ((6,), (0, -1, 2), ()):  # no operator index, or no factor
+        with pytest.raises(ValueError, match="no decoupling rule"):
+            decoupled(initial_state(1, 1, 1), [word])
+    amplitudes = np.array([0.3 + 0.1j, -0.2j, 0.25])
+    rho = coherent_state(FockBasisSpec(4), amplitudes)
+    means = exact_correlators(rho.matrix, rho.spec)([(i,) for i in range(6)])
+    np.testing.assert_allclose(means, np.concatenate([amplitudes, amplitudes.conj()]),
+                               rtol=0, atol=1e-5)
 
 
 def test_pair_moment_same_mode_commutator():
@@ -60,7 +73,7 @@ def test_decouple3_plus_state_matches_fock_expectation():
     state = moments_from_density(rho, spec)
     dec = _word(state, "ABC")
     assert dec == pytest.approx(0.125, abs=1e-12)
-    assert dec == pytest.approx(exact_correlators(rho, spec).words([word_for_name("ABC")])[0],
+    assert dec == pytest.approx(exact_correlators(rho, spec)([word_for_name("ABC")])[0],
                                 abs=1e-12)
 
 
@@ -77,11 +90,11 @@ def test_decouple4_coherent_unit_amplitudes():
 def test_decouple_hermiticity(rng):
     for _ in range(10):
         s = make_random_state(rng)
-        w, x, y, z = (OperatorFactor(m, bool(rng.integers(2)))
-                      for m in ("A", "B", "B", "C"))
+        w, x, y, z = (mode + 3 * int(rng.integers(2)) for mode in (0, 1, 1, 2))
+        conj = lambda f: (f + 3) % 6  # noqa: E731
         lhs, rhs, l3, r3 = decoupled(s, [
-            (w, x, y, z), (z.conjugate, y.conjugate, x.conjugate, w.conjugate),
-            (w, x, z), (z.conjugate, x.conjugate, w.conjugate),
+            (w, x, y, z), (conj(z), conj(y), conj(x), conj(w)),
+            (w, x, z), (conj(z), conj(x), conj(w)),
         ])
         assert lhs == pytest.approx(np.conj(rhs), abs=1e-12)
         assert l3 == pytest.approx(np.conj(r3), abs=1e-12)

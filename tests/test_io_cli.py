@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 import cavens.io_cli as io_cli
 from cavens.io_cli import (
     ConfigError,
-    emit_csv,
     format_config,
     main,
     parse_config,
+    write_closure_report,
+    write_sign_matrix,
+    write_sweep,
+    write_trajectory,
     write_witness_series,
 )
 from cavens.dynamics import IntegrationError, integrate
@@ -24,10 +27,10 @@ from cavens.runner import CELLS, SignMatrix, SweepSurface, run_scenario, table_m
 from cavens.witnesses import WITNESS_NAMES
 
 
-def _csv(obj):
-    """Header and rows of ``emit_csv(obj)``."""
+def _csv(write, obj):
+    """Header and rows of the CSV that ``write`` makes of ``obj``."""
     buf = io.StringIO()
-    emit_csv(obj, buf)
+    write(obj, buf)
     lines = buf.getvalue().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
@@ -118,7 +121,7 @@ def test_trajectory_csv_layout(tmp_path):
                   t_max=1.0, sample_count=2)
     traj = integrate(sc)
     out = tmp_path / "traj.csv"
-    emit_csv(traj, out)
+    write_trajectory(traj, out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
     header = lines[0].split(",")
@@ -133,7 +136,7 @@ def test_trajectory_csv_layout(tmp_path):
 
 def test_trajectory_csv_round_trips_every_number():
     traj = integrate(Scenario(params=preset_params("AN", 0.2), t_max=2.0, sample_count=7))
-    header, rows = _csv(traj)
+    header, rows = _csv(write_trajectory, traj)
     assert header == ["tau"] + [f"{part}_{n}" for n in MOMENT_NAMES for part in ("re", "im")]
     values = _floats(rows)
     np.testing.assert_array_equal(values[:, 0], traj.taus)
@@ -145,10 +148,10 @@ def test_csv_determinism_and_roundtrip_precision(tmp_path):
     sc = Scenario(params=preset_params("AN", 0.2), t_max=1.0, sample_count=9)
     _, series = run_scenario(sc)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(series, a)
-    emit_csv(series, b)
+    write_witness_series(series, a)
+    write_witness_series(series, b)
     assert a.read_bytes() == b.read_bytes()
-    header, rows = _csv(series)
+    header, rows = _csv(write_witness_series, series)
     assert header == ["tau"] + list(WITNESS_NAMES)
     np.testing.assert_array_equal(_floats(rows), np.column_stack([series.taus, series.table]))
 
@@ -167,7 +170,7 @@ def test_witness_column_filter():
 def test_sign_matrix_csv_row_shape():
     matrix = table_matrix(Scenario(params=SystemParams(), t_max=1.0, sample_count=41))
     buf = io.StringIO()
-    emit_csv(matrix, buf)
+    write_sign_matrix(matrix, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "config,chi,witness,cell,min_value,argmin_tau"
     assert len(lines) == 1 + 288
@@ -181,7 +184,7 @@ def test_sign_matrix_csv_row_shape():
 
 def test_sign_matrix_csv_round_trips_every_number():
     matrix = table_matrix(Scenario(params=SystemParams(), t_max=1.0, sample_count=21), (0.0, 0.15))
-    header, rows = _csv(matrix)
+    header, rows = _csv(write_sign_matrix, matrix)
     assert header == ["config", "chi", "witness", "cell", "min_value", "argmin_tau"]
     assert len(rows) == len(matrix.columns) * len(CELLS)
     for k, row in enumerate(rows):
@@ -198,12 +201,12 @@ def test_sweep_csv(tmp_path):
     surface = chi_sweep(Scenario(params=preset_params("NN"), t_max=1.0, sample_count=5),
                         [0.0, 0.2], "duan_AB")
     out = tmp_path / "sweep.csv"
-    emit_csv(surface, out)
+    write_sweep(surface, out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "chi,tau,duan_AB,status"
     assert len(lines) == 1 + 2 * 5
     assert lines[1].endswith(",ok")
-    _, rows = _csv(surface)
+    _, rows = _csv(write_sweep, surface)
     values = _floats(rows, slice(0, 3))
     np.testing.assert_array_equal(values[:, 0], np.repeat(surface.chis, 5))
     np.testing.assert_array_equal(values[:, 1], np.tile(surface.taus, 2))
@@ -223,7 +226,7 @@ def test_sweep_csv_keeps_a_failed_row(monkeypatch):
     monkeypatch.setattr(runner_mod, "integrate_batch", flaky)
     surface = chi_sweep(Scenario(params=preset_params("AN"), t_max=1.0, sample_count=4),
                         [0.0, 0.1], "mandel_A")
-    _, rows = _csv(surface)
+    _, rows = _csv(write_sweep, surface)
     assert [row[3] for row in rows] == [s for s in surface.status for _ in range(4)]
     assert rows[4][2] == "nan" and surface.status[1].startswith("error:")
     np.testing.assert_array_equal(_floats(rows, slice(2, 3))[:, 0], surface.values.ravel())
@@ -236,11 +239,11 @@ def test_closure_report_csv():
                   t_max=0.5, sample_count=3)
     report = closure_report(sc, FockBasisSpec(2))
     buf = io.StringIO()
-    emit_csv(report, buf)
+    write_closure_report(report, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("tau,re_nn_AB_exact,im_nn_AB_exact,re_nn_AB_closed")
     assert len(lines) == 4
-    header, rows = _csv(report)
+    header, rows = _csv(write_closure_report, report)
     names = report.correlator_names
     assert header[1:4 * len(names) + 1] == [
         f"{part}_{n}_{side}" for n in names
@@ -257,11 +260,6 @@ def test_closure_report_csv():
     witnesses = values[:, 4 * len(names) + 1:].reshape(len(rows), len(WITNESS_NAMES), 2)
     np.testing.assert_array_equal(witnesses[..., 0], report.witness_exact)
     np.testing.assert_array_equal(witnesses[..., 1], report.witness_closed)
-
-
-def test_emit_csv_rejects_unknown_type():
-    with pytest.raises(TypeError):
-        emit_csv(object(), io.StringIO())
 
 
 _EDGE_FLOATS = [0.0, -0.0, float("nan"), float(np.copysign(np.nan, -1.0)), float("inf"),
@@ -304,12 +302,12 @@ _PERCENT_CELLS = ("100%", "%s", "%%", "%.17g")
 def test_string_cells_with_percent_signs_are_written_unchanged():
     surface = SweepSurface("mandel_A", np.array([0.0, 0.5, 1.0, 2.0]), np.array([0.0, 1.0]),
                            np.zeros((4, 2)), tuple(f"error: {s}" for s in _PERCENT_CELLS))
-    _, rows = _csv(surface)
+    _, rows = _csv(write_sweep, surface)
     assert [row[3] for row in rows] == [f"error: {s}" for s in _PERCENT_CELLS for _ in range(2)]
     shape = (len(_PERCENT_CELLS), len(CELLS))
     matrix = SignMatrix(1e-4, 1.0, tuple((label, 0.0) for label in _PERCENT_CELLS),
                         np.zeros(shape, dtype=bool), np.ones(shape), np.ones(shape))
-    _, rows = _csv(matrix)
+    _, rows = _csv(write_sign_matrix, matrix)
     assert [row[0] for row in rows] == [label for label in _PERCENT_CELLS for _ in CELLS]
     assert {row[3] for row in rows} == {"cross"}
 
@@ -317,7 +315,7 @@ def test_string_cells_with_percent_signs_are_written_unchanged():
 def test_a_product_with_zero_rows_writes_its_header_only():
     surface = SweepSurface("mandel_A", np.zeros(0), np.zeros(0), np.zeros((0, 0)), ())
     buf = io.StringIO()
-    emit_csv(surface, buf)
+    write_sweep(surface, buf)
     assert buf.getvalue() == "chi,tau,mandel_A,status\n"
     assert _written(["x", "y"], [np.zeros(0), []]) == "x,y\n"
 
@@ -367,8 +365,8 @@ def test_cli_simulate_moments_evaluates_no_witness(tmp_path):
     assert main(["simulate", "--preset", "AN", "--chi", "0.2", "--tmax", "200",
                  "--samples", "21", "--moments", "--out", str(out)]) == 0
     expected = io.StringIO()
-    emit_csv(integrate(Scenario(params=preset_params("AN", 0.2), t_max=200.0,
-                                sample_count=21)), expected)
+    write_trajectory(integrate(Scenario(params=preset_params("AN", 0.2), t_max=200.0,
+                                        sample_count=21)), expected)
     assert out.read_text(encoding="utf-8") == expected.getvalue()
     assert len(expected.getvalue().splitlines()) == 22
 
@@ -417,7 +415,7 @@ def test_cli_table_honours_config_occupations(tmp_path):
     expected = io.StringIO()
     base = Scenario(params=SystemParams(), initial=initial_state(0.1, 0.1, 0.1),
                     t_max=2.0, sample_count=21)
-    emit_csv(table_matrix(base), expected)
+    write_sign_matrix(table_matrix(base), expected)
     assert out.read_text(encoding="utf-8") == expected.getvalue()
     assert out.read_bytes() != plain.read_bytes()
 

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cavens
+from cavens.dynamics import integrate_batch
 from cavens.model import (
     Configuration,
     Moment,
@@ -14,6 +22,8 @@ from cavens.model import (
     preset_params,
     validate_params,
 )
+from cavens.runner import table_matrix
+from cavens.witnesses import witness_table
 
 
 def test_preset_an():
@@ -56,9 +66,33 @@ def test_preset_rejects_unknown_label():
         preset_params("XY", 0.0)
 
 
-def test_preset_negative_chi_warns():
-    with pytest.warns(UserWarning, match="nonstandard"):
-        preset_params("AN", -0.1)
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_negative_chi_is_the_parity_image_of_chi():
+    """A, B, C -> -A, -B, -C maps chi onto -chi: from a zero-mean start the
+    means are exactly negated, and every other moment, every witness and
+    the sign matrix keep their bits."""
+    base = Scenario(params=SystemParams(), t_max=20.0, sample_count=201)
+    runs = [replace(base, params=preset_params(config, sign * chi))
+            for config in Configuration for chi in (0.05, 0.2, 1.3) for sign in (1, -1)]
+    trajectories = integrate_batch(runs)
+    for plus, minus in zip(trajectories[::2], trajectories[1::2]):
+        assert np.array_equal(minus.states[:, :6], -plus.states[:, :6])
+        assert np.array_equal(_bits(minus.states[:, 6:]), _bits(plus.states[:, 6:]))
+        assert np.array_equal(_bits(witness_table(minus.states)), _bits(witness_table(plus.states)))
+    plus, minus = table_matrix(base, (0.1, 0.3)), table_matrix(base, (-0.1, -0.3))
+    assert np.array_equal(minus.ticks, plus.ticks)
+    assert np.array_equal(_bits(minus.min_value), _bits(plus.min_value))
+
+
+def test_cli_takes_a_negative_drive_without_a_warning(tmp_path):
+    src = Path(cavens.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cavens", "table", "--chi-grid", "-0.1", "--samples", "3"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_initial_state_unit_occupations():

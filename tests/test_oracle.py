@@ -28,13 +28,13 @@ from cavens.oracle import (
     moments_from_density,
     thermal_state,
 )
-from cavens.witnesses import WITNESS_NAMES, Correlators, catalog_words, witness_table
+from cavens.witnesses import WITNESS_NAMES, catalog_words, witness_table
 from conftest import system_params
 
 
 def _expect(rho: DensityMatrix, name: str):
     """Tr[rho word] of one density matrix, the word named like ``"AdA"``."""
-    return exact_correlators(rho.matrix, rho.spec).words([word_for_name(name)])[0]
+    return exact_correlators(rho.matrix, rho.spec)([word_for_name(name)])[0]
 
 
 def test_basis_spec_enforces_cap():
@@ -333,7 +333,7 @@ def test_exact_correlator_examples():
     assert abs(_expect(coh, "A") - 0.3) < 1e-6
     # a stack gives each matrix's value, in the stack's shape
     stack = np.stack([one.matrix, vac.matrix, coh.matrix]).reshape(3, 1, spec.dim, spec.dim)
-    got = exact_correlators(stack, spec).words([word_for_name("AdA")])[0]
+    got = exact_correlators(stack, spec)([word_for_name("AdA")])[0]
     assert got.shape == (3, 1)
     np.testing.assert_array_equal(
         got[:, 0], [_expect(rho, "AdA") for rho in (one, vac, coh)])
@@ -342,13 +342,14 @@ def test_exact_correlator_examples():
 def _dense_words(words, n_max):
     """Dense matrices of operator words on the n_max basis."""
     one, eye = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1), np.eye(n_max + 1)
-    lowering = {mode: np.kron(np.kron(x, y), z) for mode, (x, y, z)
-                in zip("ABC", ((one, eye, eye), (eye, one, eye), (eye, eye, one)))}
+    lowering = [np.kron(np.kron(x, y), z)
+                for x, y, z in ((one, eye, eye), (eye, one, eye), (eye, eye, one))]
+    by_index = lowering + [a.T for a in lowering]  # A, B, C, Ad, Bd, Cd
     ops = []
     for word in words:
         op = np.eye((n_max + 1) ** 3)
         for f in word:
-            op = op @ (lowering[f.mode].T if f.daggered else lowering[f.mode])
+            op = op @ by_index[f]
         ops.append(op)
     return ops
 
@@ -362,7 +363,7 @@ def test_exact_correlators_read_the_hermitian_part(n_max, shape, seed):
     size = shape + (spec.dim, spec.dim)
     rhos = (rng.normal(size=size) + 1j * rng.normal(size=size)) / spec.dim
     words = catalog_words()
-    got = exact_correlators(rhos, spec).words(words)
+    got = exact_correlators(rhos, spec)(words)
     herm = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
     expected = np.stack([np.trace(herm @ op, axis1=-2, axis2=-1)
                          for op in _dense_words(words, n_max)])
@@ -458,7 +459,7 @@ def _path_correlators(rhos, spec):
             rows, cols = np.nonzero(op)
             values.append((rhos[..., cols, rows] + rhos[..., rows, cols].conj()) / 2.0 @ op[rows, cols])
         return np.stack(values)
-    return Correlators(evaluate)
+    return evaluate
 
 
 @pytest.mark.parametrize("chi", [0.0, 0.2])
@@ -474,12 +475,12 @@ def test_closure_report_matches_the_density_path(config, chi):
     rhos = evolve_path(thermal_state(spec, (0.2, 0.2, 0.2)), build_generator(sc.params, spec),
                        report.taus)
     path = _path_correlators(rhos, spec)
-    np.testing.assert_allclose(report.exact, path.words(_REPORT_WORDS.values()).T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.exact, path(_REPORT_WORDS.values()).T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(report.witness_exact, witness_table(path), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(report.exact_words.words(catalog_words()),
-                               path.words(catalog_words()), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.exact_words(catalog_words()),
+                               path(catalog_words()), rtol=0, atol=1e-12)
     with pytest.raises(KeyError):
-        report.exact_words.words([word_for_name("AAA")])
+        report.exact_words([word_for_name("AAA")])
     n = spec.local_dim
     pops = np.diagonal(rhos, axis1=1, axis2=2).real.reshape(-1, n, n, n)
     leakage = max(float(top.sum(axis=(1, 2)).max())

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavens.witnesses as witnesses_mod
-from cavens.closure import SLOT_WORDS, OperatorFactor, decoupled
-from cavens.model import Moment, MomentState, Scenario, initial_state, preset_params
+from cavens.closure import SLOT_WORDS, decoupled
+from cavens.dynamics import integrate_batch
+from cavens.model import Configuration, Moment, MomentState, Scenario, initial_state, preset_params
 from cavens.oracle import FockBasisSpec, exact_correlators
 from cavens.runner import CELLS, SIGN_ROWS, _score, run_scenario
 from cavens.witnesses import WITNESS_NAMES, InternalConsistencyError, witness_table
@@ -94,11 +95,13 @@ def test_bisep_values():
 
 def _relabelled_slots(relabel: dict) -> np.ndarray:
     """Slot of each stored moment's word after renaming its modes by ``relabel``."""
+    mode = ["ABC".index(relabel.get(m, m)) for m in "ABC"]
+
     def canonical(word):  # modes in A < B < C order, daggered first within a mode
-        return tuple(sorted(word, key=lambda f: (f.mode, not f.daggered)))
+        return tuple(sorted(word, key=lambda f: (f % 3, f < 3)))
     slot = {canonical(word): j for j, word in enumerate(SLOT_WORDS)}
-    return np.array([slot[canonical(OperatorFactor(relabel.get(f.mode, f.mode), f.daggered)
-                                    for f in word)] for word in SLOT_WORDS])
+    return np.array([slot[canonical(3 * (f // 3) + mode[f % 3] for f in word)]
+                     for word in SLOT_WORDS])
 
 
 def _relabelled_name(name: str, relabel: dict) -> str:
@@ -225,6 +228,16 @@ def test_stacked_states_evaluate_bitwise_like_single_states(seed, count):
     for row, state in zip(table, states):
         single = witness_table(state)
         assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+
+
+def test_a_correlator_function_gives_the_tables_of_its_states_bit_for_bit(rng):
+    """``witness_table`` of a function of words reads the same bits as of the states it decouples."""
+    random = np.stack([make_random_state(rng).values for _ in range(7)])
+    trajectories = np.stack([t.states for t in integrate_batch(
+        [Scenario(params=preset_params(config, chi)) for config in Configuration for chi in (0.0, 0.2)])])
+    for states in (random, trajectories):
+        table = witness_table(lambda words: decoupled(states, words))
+        assert np.array_equal(table.view(np.uint64), witness_table(states).view(np.uint64))
 
 
 @settings(max_examples=25, deadline=None)
