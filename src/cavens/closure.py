@@ -15,8 +15,8 @@ factors, with each composite pair expanded by the four-factor rule, which is
 not the Gaussian expansion of that word.
 
 An operator word is a tuple of operator indices: 0, 1, 2 for A, B, C and
-3, 4, 5 for Ad, Bd, Cd, the slots of the stored means and the row order of
-the drift matrix in ``dynamics``; ``word_for_name("AdBd")`` is ``(3, 4)``.
+3, 4, 5 for Ad, Bd, Cd, the slots of the stored means;
+``word_for_name("AdBd")`` is ``(3, 4)``.
 A ``Closure`` compiles a list of words once into slot-index arrays; a call
 reads a ``MomentState`` or a ``(..., 27)`` stack of states, gathers every
 ordered pair word at once and runs each rule once on the stack of all the
@@ -38,6 +38,7 @@ from .model import MODES, MOMENT_NAMES, MomentState
 __all__ = [
     "Closure",
     "SLOT_WORDS",
+    "SLOT_OF",
     "word_for_name",
     "decoupled",
 ]
@@ -56,25 +57,16 @@ def word_for_name(name: str) -> tuple[int, ...]:
     return tuple(word)
 
 
-# operator word of every stored moment, indexed by ``Moment``
+# operator word of every stored moment, indexed by ``Moment``, and the slot of each by
+# its sorted indices, which name a normal-ordered word: cross-mode factors commute
 SLOT_WORDS = tuple(word_for_name(name) for name in MOMENT_NAMES)
+SLOT_OF = {tuple(sorted(word)): slot for slot, word in enumerate(SLOT_WORDS)}
 
-
-def _pair_slot(x: int, y: int) -> tuple[int, bool]:
-    """Stored slot of the ordered product xy, and whether it is anti-normal.
-
-    Same-mode anti-normal pairs pick up the commutator: <a ad> = <ad a> + 1.
-    Cross-mode factors commute and are stored in A < B < C order.
-    """
-    anti = y == x + 3
-    if anti or x % 3 > y % 3:
-        x, y = y, x
-    return SLOT_WORDS.index((x, y)), anti
-
-
-# the ordered pair of operators x, y sits at 6 x + y: its slot, and the anti-normal pairs
+# the ordered pair of operators x, y sits at 6 x + y: its slot, and the anti-normal pairs,
+# which pick up the commutator: <a ad> = <ad a> + 1
 _PAIRS = [(x, y) for x in range(6) for y in range(6)]
-_PAIR_SLOTS, _ANTI_NORMAL = map(np.array, zip(*(_pair_slot(x, y) for x, y in _PAIRS)))
+_PAIR_SLOTS = np.array([SLOT_OF[tuple(sorted(pair))] for pair in _PAIRS])
+_ANTI_NORMAL = np.array([y == x + 3 for x, y in _PAIRS])
 # <AdA BdB CdC>, its composite pairs AB, BC, AC, and the pairs of the number operators
 _NUMBER_TRIPLE = (3, 0, 4, 1, 5, 2)
 _NUMBER_PAIRS = ((3, 0, 4, 1), (4, 1, 5, 2), (3, 0, 5, 2))

@@ -1,19 +1,14 @@
 """The 27 coupled linear moment equations and their integration.
 
-The modes A, B (ensembles) and C (cavity) evolve under
+With the reservoir noise averaged out, the quantum Langevin equations
+(Gardiner & Collett, PRA 31, 3761, 1985) of the Hamiltonian H and the
+jumps J of ``model.model_terms`` give every operator word w
 
-    H = sum_x delta_x xd x + g_a (Ad C + Cd A) + g_b (Bd C + Cd B) + chi (Ad + A),
+    d<w>/dtau = <i[H, w]> + sum_J rate_J <Jd w J - (Jd J w + w Jd J)/2>.
 
-each damped at rate gamma_x into a bath of thermal occupation nbar_x.  With
-the reservoir noise averaged out, the quantum Langevin equations (Gardiner
-& Collett, PRA 31, 3761, 1985) of v = (A, B, C, Ad, Bd, Cd) are linear,
-
-    d<v>/dtau = K <v> + f,   K = blockdiag(-i h - Gamma/2, i h - Gamma/2),
-
-with h = [[delta_a, 0, g_a], [0, delta_b, g_b], [g_a, g_b, delta_c]],
-Gamma = diag(gamma_a, gamma_b, gamma_c) and f = -i chi on A, +i chi on Ad.
-As H is quadratic, the product rule closes on the 6 means and the 21 pair
-moments: the moment vector s obeys
+As H is quadratic and every jump is one operator, the right-hand side of
+a mean or a pair moment normal-orders back into the 6 means, the 21 pair
+moments and <1>: the moment vector s obeys
 
     ds/dtau = M(p) s + b(p)
 
@@ -33,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closure import SLOT_WORDS
-from .model import CONJUGATE_PAIRS, OCCUPATIONS, Moment, Scenario, SystemParams
+from .closure import SLOT_OF, SLOT_WORDS
+from .model import CONJUGATE_PAIRS, Moment, Scenario, SystemParams, model_terms
 
 __all__ = [
     "Trajectory",
@@ -47,9 +42,7 @@ __all__ = [
     "steady_state_first_moments",
 ]
 
-# the slot of every sorted word (its operator indices are the rows of K); the
-# empty word <1> is column 27, b
-_SLOT_OF = {tuple(sorted(word)): slot for slot, word in enumerate(SLOT_WORDS)} | {(): 27}
+_SLOT_OF = SLOT_OF | {(): 27}  # the empty word <1> is column 27, b
 
 
 class IntegrationError(RuntimeError):
@@ -85,39 +78,59 @@ class Trajectory:
         return self.taus.size
 
 
-def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Derive (M, b) from the drift K and drive f by the product rule.
+def _normal_order(word: tuple, coefficient: complex, out: dict) -> None:
+    """Add ``coefficient`` times ``word``, normal-ordered by [x, xd] = 1, to ``out``.
 
-    A mean <x> gets row K[x] and source f[x].  A pair gets
-
-        d<xy>/dtau = sum_z K[x,z] <zy> + sum_z K[y,z] <xz> + f_x <y> + f_y <x>,
-
-    and an occupation <xd x> also the thermal feed gamma_x nbar_x.  Each word
-    on the right is read as its stored slot: cross-mode factors commute, and
-    as K never turns a lowering operator into a raising one, the anti-normal
-    words (<C Cd> and <A Ad> in the <A Cd> row) carry K[A,C] + K[Cd,Ad] = 0.
-    Only nonzero K entries are added, so untouched entries of M stay +0.0.
-    An entry that overflows float64 (a drive near its limit) is left
-    infinite without a warning, and integration reports the overflow.
+    ``out`` maps sorted words to coefficients.  Cross-mode factors commute.
     """
-    h = np.array([[p.delta_a, 0.0, p.g_a], [0.0, p.delta_b, p.g_b], [p.g_a, p.g_b, p.delta_c]])
-    drift = -1j * h - np.diag([p.gamma_a, p.gamma_b, p.gamma_c]) / 2
-    K = np.zeros((6, 6), dtype=complex)
-    K[:3, :3], K[3:, 3:] = drift, drift.conj()
-    f = np.array([-1j * p.chi, 0, 0, 1j * p.chi, 0, 0])
+    word = tuple(sorted(word, key=lambda f: f % 3))  # grouped by mode, each in its order
+    for i in range(len(word) - 1):
+        if word[i + 1] == word[i] + 3:
+            _normal_order(word[:i] + (word[i + 1], word[i]) + word[i + 2:], coefficient, out)
+            _normal_order(word[:i] + word[i + 2:], coefficient, out)
+            return
+    key = tuple(sorted(word))
+    out[key] = out.get(key, 0) + coefficient
 
-    Mb = np.zeros((27, 28), dtype=complex)  # [M | b]
+
+@lru_cache(maxsize=1)
+def _generators() -> tuple:
+    """The nonzero [M | b] entries of each term of ``model_terms`` at unit coefficient.
+
+    Row w is the term's share of d<w>/dtau, normal-ordered; a word with no slot
+    raises ``KeyError``.  Entries are flat indices into the float64 view of [M | b],
+    with values +-1/2, +-1 or +-2.  Built on the first call, not at import.
+    """
+    hamiltonian, jumps = model_terms(SystemParams())
+    terms = [[(1j, h, ()), (-1j, (), h)] for _, h in hamiltonian]
+    for _, J in jumps:
+        Jd = tuple((f + 3) % 6 for f in reversed(J))
+        terms.append([(1.0, Jd, J), (-0.5, Jd + J, ()), (-0.5, (), Jd + J)])
+    G = np.zeros((len(terms), 27, 28), dtype=complex)
+    for k, term in enumerate(terms):
+        for row, w in enumerate(SLOT_WORDS):
+            out: dict = {}
+            for c, left, right in term:
+                _normal_order(left + w + right, c, out)
+            for word, c in out.items():
+                if c != 0:  # the quartic words cancel
+                    G[k, row, _SLOT_OF[word]] = c
+    return tuple((np.flatnonzero(g), g[g != 0]) for g in G.view(float).reshape(len(terms), -1))
+
+
+def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """(M, b) as the sum over the terms of ``model_terms(p)`` of value times ``_generators``.
+
+    Accumulated into zeros in term order; every product is exact, and untouched
+    entries stay +0.0.  An entry that overflows float64 (a drive near its
+    limit) is left infinite without a warning, and integration reports it.
+    """
+    hamiltonian, jumps = model_terms(p)
+    Mb = np.zeros(27 * 28 * 2)  # the float64 view of [M | b]
     with np.errstate(over="ignore"):
-        for slot, word in enumerate(SLOT_WORDS):
-            for i, x in enumerate(word):
-                rest = word[:i] + word[i + 1:]
-                for z in np.flatnonzero(K[x]):
-                    Mb[slot, _SLOT_OF[tuple(sorted(rest + (z,)))]] += K[x, z]
-                if f[x] != 0:
-                    Mb[slot, _SLOT_OF[rest]] += f[x]
-    feeds = (p.gamma_a * p.n_a, p.gamma_b * p.n_b, p.gamma_c * p.n_c)
-    for slot, feed in zip(OCCUPATIONS, feeds):
-        Mb[slot, 27] += feed
+        for (value, _), (index, g) in zip(hamiltonian + jumps, _generators()):
+            Mb[index] += value * g
+    Mb = Mb.view(complex).reshape(27, 28)
     return np.ascontiguousarray(Mb[:, :27]), Mb[:, 27].copy()
 
 

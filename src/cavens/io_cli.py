@@ -122,14 +122,14 @@ def parse_config(text: str) -> Scenario:
             raise ConfigError(str(exc), lineno) from None
     else:
         params = SystemParams(**{f.name: number(f.name, f.default) for f in fields(SystemParams)})
+    occ = {key: number(key, 1.0) for key in _RUN_KEYS[:3]}  # the initial occupations
+    for key, n in occ.items():
+        if not 0 <= n < np.inf:
+            raise ConfigError(f"{key} must be finite and >= 0, got {n}", seen[key][0])
     try:
         return Scenario(
             params=params,
-            initial=initial_state(
-                number("init_na", 1.0),
-                number("init_nb", 1.0),
-                number("init_nc", 1.0),
-            ),
+            initial=initial_state(*occ.values()),
             t_max=number("t_max", Scenario.t_max),
             sample_count=number("samples", Scenario.sample_count, int),
             threshold=number("threshold", Scenario.threshold),

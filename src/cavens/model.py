@@ -33,6 +33,7 @@ __all__ = [
     "preset_params",
     "initial_state",
     "validate_params",
+    "model_terms",
     "occupations",
     "conjugate_mismatch",
     "occupation_defect",
@@ -161,6 +162,22 @@ def validate_params(p: SystemParams) -> list[str]:
     return problems
 
 
+def model_terms(p: SystemParams) -> tuple[list, list]:
+    """The model as data: Hamiltonian terms ``(coefficient, word)`` and jumps ``(rate, word)``.
+
+        H = sum_x delta_x xd x + g_a (Ad C + Cd A) + g_b (Bd C + Cd B) + chi (Ad + A),
+
+    and mode x is damped at rate gamma_x into a bath of occupation n_x: the
+    jumps x at rate gamma_x (n_x + 1) and xd at gamma_x n_x.  Words are index
+    tuples as in ``closure``, the same for every ``p``.
+    """
+    hamiltonian = [(p.delta_a, (3, 0)), (p.delta_b, (4, 1)), (p.delta_c, (5, 2)), (p.g_a, (3, 2)),
+                   (p.g_a, (5, 0)), (p.g_b, (4, 2)), (p.g_b, (5, 1)), (p.chi, (3,)), (p.chi, (0,))]
+    baths = enumerate([(p.gamma_a, p.n_a), (p.gamma_b, p.n_b), (p.gamma_c, p.n_c)])
+    jumps = [jump for x, (g, n) in baths for jump in ((g * (n + 1.0), (x,)), (g * n, (x + 3,)))]
+    return hamiltonian, jumps
+
+
 # Couplings and decay rates of the four node/antinode placements; the drive
 # strength is a free knob and the baths are vacuum in all published runs.
 _PRESETS = {
@@ -228,8 +245,8 @@ def initial_state(n_a0: float, n_b0: float, n_c0: float) -> MomentState:
     """
     occ = (n_a0, n_b0, n_c0)
     for label, n in zip(("n_a0", "n_b0", "n_c0"), occ):
-        if n < 0:
-            raise ValueError(f"{label} must be >= 0, got {n}")
+        if not 0 <= n < np.inf:
+            raise ValueError(f"{label} must be finite and >= 0, got {n}")
     v = np.zeros(27, dtype=complex)
     for slot, n in zip(OCCUPATIONS, occ):
         v[slot] = n

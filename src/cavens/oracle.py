@@ -2,18 +2,17 @@
 
 Evolves the full three-mode density matrix under the Lindblad generator
 
-    drho/dtau = -i[H, rho]
-                + sum_x Gamma_x [ (nbar_x + 1) D[x] rho + nbar_x D[xd] rho ],
+    drho/dtau = -i[H, rho] + sum_J rate_J D[J] rho,
 
-with H the interaction-picture Hamiltonian (detunings, beam-splitter
-couplings to the cavity, classical drive on mode A) and
+with the Hamiltonian H and the jumps J of ``model.model_terms``, each word
+a product of mode operators (``_operator``), and
 D[L]rho = L rho Ld - {Ld L, rho}/2.  Because the Hamiltonian is quadratic,
-the moment equations integrated by ``dynamics`` are exact consequences of
-this generator; the oracle therefore validates them up to truncation
-leakage.  It keeps a thermal state Gaussian, on which the three- and
-four-factor decoupling rules are exact too, so their oracle error is
-truncation; only the composite number-triple rule behind ``bisep_e``
-approximates.
+the moment equations that ``dynamics`` derives from the same terms are
+exact consequences of this generator; the oracle therefore validates them
+up to truncation leakage.  It keeps a thermal state Gaussian, on which the
+three- and four-factor decoupling rules are exact too, so their oracle
+error is truncation; only the composite number-triple rule behind
+``bisep_e`` approximates.
 
 The generator is one real sparse matrix on the d^2 real Hermitian
 coordinates of rho, built once per run.  It is constant, so rho is carried
@@ -45,7 +44,7 @@ from scipy import sparse
 
 from .closure import SLOT_WORDS, decoupled, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
-from .model import Scenario, SystemParams, occupations
+from .model import Scenario, SystemParams, model_terms, occupations
 from .witnesses import WITNESS_NAMES, catalog_words, witness_table
 
 __all__ = [
@@ -105,17 +104,19 @@ class FockBasisSpec:
         return (self.n_max + 1) ** 3
 
 
-@lru_cache(maxsize=8)
-def _mode_ops(spec: FockBasisSpec):
-    """Sparse A, B, C, Ad, Bd, Cd on the full basis, in operator-index order."""
-    d = spec.local_dim
-    a1 = sparse.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
-    eye = sparse.identity(d, format="csr")
-    factors = [(a1, eye, eye), (eye, a1, eye), (eye, eye, a1)]
-    lowering = [
-        sparse.kron(sparse.kron(x, y), z).tocsr() for x, y, z in factors
-    ]
-    return tuple(lowering + [op.conj().T.tocsr() for op in lowering])
+@lru_cache(maxsize=4096)
+def _operator(spec: FockBasisSpec, word: tuple) -> sparse.csr_matrix:
+    """The product of A, B, C, Ad, Bd, Cd along an operator word, on the full basis.
+
+    Cached per basis and word: a longer word is its prefix times its last operator.
+    """
+    if len(word) > 1:
+        return _operator(spec, word[:-1]) @ _operator(spec, word[-1:])
+    if word[0] >= 3:
+        return _operator(spec, (word[0] - 3,)).conj().T.tocsr()
+    factors = [sparse.identity(spec.local_dim, format="csr")] * 3
+    factors[word[0]] = sparse.diags(np.sqrt(np.arange(1, spec.local_dim)), 1, format="csr")
+    return sparse.kron(sparse.kron(factors[0], factors[1]), factors[2]).tocsr()
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,9 @@ class Liouvillian:
     A Hermitian rho is held by the d^2 real entries of a d x d matrix X,
     read row-major: on and above the diagonal X[i, j] = Re rho[i, j], below
     it X[j, i] = Im rho[i, j] (i < j).  The generator is
-    rho -> K rho + rho Kd + sum_J w J rho Jd for jump operators J of weight w
-    and the effective Hamiltonian K = -iH - sum_J w Jd J / 2.  Each term
+    rho -> K rho + rho Kd + sum_J w J rho Jd for the jumps J of nonzero rate w
+    and the effective Hamiltonian K = -iH - sum_J w Jd J / 2, with H and the
+    jumps read from ``model_terms``.  Each term
     X rho Yd couples rho[r, s] to rho'[p, q] with X[p, r] conj(Y[q, s]); those
     complex entries are mapped to real coordinates by index arithmetic and
     summed into ``superop`` by one CSR conversion, so the right-hand side
@@ -244,25 +246,9 @@ class Liouvillian:
     def __init__(self, spec: FockBasisSpec, params: SystemParams):
         self.spec = spec
         self.params = params
-        ops = _mode_ops(spec)
-        lowering, raising = ops[:3], ops[3:]
-        deltas = (params.delta_a, params.delta_b, params.delta_c)
-        H = sum(
-            delta * (ad @ a)
-            for delta, a, ad in zip(deltas, lowering, raising)
-        )
-        a_A, a_B, a_C = lowering
-        ad_A, ad_B, ad_C = raising
-        H = H + params.g_a * (a_C @ ad_A + ad_C @ a_A)
-        H = H + params.g_b * (a_C @ ad_B + ad_C @ a_B)
-        H = H + params.chi * (ad_A + a_A)
-
-        rates = (params.gamma_a, params.gamma_b, params.gamma_c)
-        nbars = (params.n_a, params.n_b, params.n_c)
-        jumps = []
-        for gamma, nbar, a, ad in zip(rates, nbars, lowering, raising):
-            jumps += [(gamma * (nbar + 1.0), a), (gamma * nbar, ad)]
-        jumps = [(w, J) for w, J in jumps if w != 0.0]
+        hamiltonian, jumps = model_terms(params)
+        H = sum(c * _operator(spec, word) for c, word in hamiltonian)
+        jumps = [(w, _operator(spec, word)) for w, word in jumps if w != 0.0]
         K = -1j * H - 0.5 * sum(w * (J.conj().T @ J) for w, J in jumps)
         eye = sparse.identity(spec.dim, format="csr")
         terms = [(1.0, K, eye), (1.0, eye, K)] + [(w, J, J) for w, J in jumps]
@@ -420,17 +406,6 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus):
                 raise IntegrationError("density-matrix integration failed: step size underflow", t)
 
 
-@lru_cache(maxsize=4096)
-def _word_op_entries(spec: FockBasisSpec, word: tuple):
-    """COO entries of the operator product, cached per basis and word."""
-    ops = _mode_ops(spec)
-    op = ops[word[0]]
-    for f in word[1:]:
-        op = op @ ops[f]
-    coo = op.tocoo()
-    return coo.row.copy(), coo.col.copy(), coo.data.copy()
-
-
 @lru_cache(maxsize=64)
 def _functional(spec: FockBasisSpec, words: tuple):
     """Tr[rho O] of each word as one real-linear map of rho's Hermitian coordinates.
@@ -446,7 +421,8 @@ def _functional(spec: FockBasisSpec, words: tuple):
     d, n = spec.dim, len(words)
     rows, cols, vals = [], [], []
     for w, word in enumerate(words):
-        r, c, o = _word_op_entries(spec, word)
+        op = _operator(spec, word).tocoo()
+        r, c, o = op.row, op.col, op.data
         lo, hi, sigma = np.minimum(r, c), np.maximum(r, c), np.sign(r - c)
         for row, col, val in ((w, lo * d + hi, o.real), (w, hi * d + lo, -sigma * o.imag),
                               (n + w, lo * d + hi, o.imag), (n + w, hi * d + lo, sigma * o.real)):

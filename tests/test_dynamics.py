@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavens.dynamics as dynamics
+from cavens.closure import SLOT_OF, SLOT_WORDS
 from cavens.dynamics import (
     IntegrationError,
     NoSteadyStateError,
@@ -16,6 +18,7 @@ from cavens.dynamics import (
     steady_state_first_moments,
 )
 from cavens.model import (
+    OCCUPATIONS,
     Moment,
     MomentState,
     Scenario,
@@ -27,6 +30,97 @@ from cavens.model import (
 )
 from cavens.witnesses import witness_table
 from conftest import make_random_state, system_params
+
+
+_SLOT_OF = SLOT_OF | {(): 27}
+
+
+def _product_rule(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """(M, b) by the product rule from the Langevin drift K and drive f of the six mode operators.
+
+    The means v = (A, B, C, Ad, Bd, Cd) obey d<v>/dtau = K <v> + f with
+    K = blockdiag(-i h - Gamma/2, i h - Gamma/2), h = [[delta_a, 0, g_a],
+    [0, delta_b, g_b], [g_a, g_b, delta_c]], Gamma = diag(gamma_a, gamma_b,
+    gamma_c), and f = -i chi on A, +i chi on Ad.  A mean <x> gets row K[x]
+    and source f[x].  A pair gets
+
+        d<xy>/dtau = sum_z K[x,z] <zy> + sum_z K[y,z] <xz> + f_x <y> + f_y <x>,
+
+    and an occupation <xd x> also the thermal feed gamma_x nbar_x.  Each word
+    on the right is read as its stored slot: cross-mode factors commute, and
+    as K never turns a lowering operator into a raising one, the anti-normal
+    words (<C Cd> and <A Ad> in the <A Cd> row) carry K[A,C] + K[Cd,Ad] = 0.
+    Only nonzero K entries are added, so untouched entries of M stay +0.0.
+    """
+    h = np.array([[p.delta_a, 0.0, p.g_a], [0.0, p.delta_b, p.g_b], [p.g_a, p.g_b, p.delta_c]])
+    drift = -1j * h - np.diag([p.gamma_a, p.gamma_b, p.gamma_c]) / 2
+    K = np.zeros((6, 6), dtype=complex)
+    K[:3, :3], K[3:, 3:] = drift, drift.conj()
+    f = np.array([-1j * p.chi, 0, 0, 1j * p.chi, 0, 0])
+
+    Mb = np.zeros((27, 28), dtype=complex)  # [M | b]
+    with np.errstate(over="ignore"):
+        for slot, word in enumerate(SLOT_WORDS):
+            for i, x in enumerate(word):
+                rest = word[:i] + word[i + 1:]
+                for z in np.flatnonzero(K[x]):
+                    Mb[slot, _SLOT_OF[tuple(sorted(rest + (z,)))]] += K[x, z]
+                if f[x] != 0:
+                    Mb[slot, _SLOT_OF[rest]] += f[x]
+    feeds = (p.gamma_a * p.n_a, p.gamma_b * p.n_b, p.gamma_c * p.n_c)
+    for slot, feed in zip(OCCUPATIONS, feeds):
+        Mb[slot, 27] += feed
+    return np.ascontiguousarray(Mb[:, :27]), Mb[:, 27].copy()
+
+
+@pytest.mark.parametrize("cfg", ["AA", "AN", "NA", "NN"])
+def test_coefficient_matrix_is_the_product_rule_bit_for_bit_on_the_presets(cfg):
+    # one ulp in M could flip a mandel_C sample that sits at RK45 noise around the
+    # occupation floor, so the presets keep every bit, signs of zeros included
+    for chi in np.linspace(0.0, 0.4, 17).tolist() + [-0.3, 1e150, 1.7e308]:
+        p = preset_params(cfg, chi)
+        for got, expected in zip(coefficient_matrix(p), _product_rule(p)):
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+_bath = st.floats(1e-3, 2.0)
+
+
+@settings(deadline=None)
+@given(system_params, _bath, _bath, _bath)
+def test_coefficient_matrix_is_the_product_rule_with_thermal_baths(p, n_a, n_b, n_c):
+    # a bath splits a damping rate into the jump rates gamma (n + 1) and gamma n
+    p = replace(p, n_a=n_a, n_b=n_b, n_c=n_c)
+    for got, expected in zip(coefficient_matrix(p), _product_rule(p)):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple))
+def test_normal_order_matches_fock_matrices(word):
+    """Normal ordering against the product of the oracle's mode matrices at n_max 7.
+
+    Words of up to four operators are the longest the generators form
+    (Jd w J and h w).  On basis states with every level <= 3 they never
+    reach past level 7, so truncation cannot act on those columns.  Each
+    normal-ordered word is read with its raising operators first.
+    """
+    from scipy import sparse
+
+    from cavens.oracle import FockBasisSpec, _operator
+
+    spec = FockBasisSpec(7)
+    ld = spec.local_dim
+    columns = [(na * ld + nb) * ld + nc for na in range(4) for nb in range(4) for nc in range(4)]
+
+    def product(w):
+        op = _operator(spec, tuple(w)) if w else sparse.identity(spec.dim, format="csr")
+        return op[:, columns].toarray()
+
+    out = {}
+    dynamics._normal_order(word, 1.0, out)
+    got = sum(c * product(sorted(key, key=lambda f: f < 3)) for key, c in out.items())
+    np.testing.assert_allclose(got, product(word), rtol=0, atol=1e-12)
 
 
 def _rhs(state: MomentState, p: SystemParams) -> np.ndarray:
@@ -102,7 +196,10 @@ def test_rhs_matches_lindblad_generator(p, seed):
 
     Random density matrices supported on two levels per mode keep all traces
     exact on an n_max = 3 basis, so the comparison pins each coefficient to
-    machine precision, on random valid parameters.
+    machine precision, on random valid parameters.  Both sides read the
+    model from ``model_terms``: this checks the two derivations from it, and
+    ``_product_rule`` above and the operator forms in ``test_oracle`` state
+    the model independently.
     """
     from cavens.oracle import FockBasisSpec, build_generator, moments_from_density
 

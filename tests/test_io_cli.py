@@ -524,16 +524,30 @@ def test_cli_prints_unknown_witness_messages_unquoted(argv, line, capsys):
     assert capsys.readouterr().err == line + "\n"
 
 
+# configs whose initial occupation is not finite or is negative
+_BAD_INITS = {"init_nan": "nan", "init_inf": "inf", "init_negative": "-1"}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--preset", "AN", "--chi", "nan"],
     ["simulate", "--preset", "AN", "--chi", "inf"],
     ["simulate", "--preset", "AN", "--tmax", "inf"],
     ["table", "--chi-grid", "nan"],
     ["sweep", "--preset", "AN", "--chi-grid", "nan", "--witness", "var_x_A"],
+] + [
+    # rejected by key and line
+    [command, "--config", f"{{{name}}}", *_REST[command]] for command in _READS for name in _BAD_INITS
 ])
-def test_cli_rejects_non_finite_inputs(argv, capsys):
-    assert main(argv + ["--samples", "5"]) == 1
-    assert "must be finite" in capsys.readouterr().err
+def test_cli_rejects_non_finite_inputs(argv, tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.cfg" for name in _BAD_INITS}
+    for name, value in _BAD_INITS.items():
+        paths[name].write_text(f"# initial occupations\ninit_na = {value}\n", encoding="utf-8")
+    assert main([arg.format(**paths) for arg in argv] + ["--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    for name, value in _BAD_INITS.items():
+        if f"{{{name}}}" in argv:
+            assert err == f"cavens: error: line 2: init_na must be finite and >= 0, got {float(value)}\n"
 
 
 def test_cli_oracle_check(tmp_path, capsys):

@@ -113,8 +113,9 @@ def test_initial_state_vacuum_and_scaled():
 
 
 def test_initial_state_rejects_negative():
-    with pytest.raises(ValueError, match="n_b0"):
-        initial_state(0.0, -0.1, 0.0)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n_b0 must be finite and >= 0"):
+            initial_state(0.0, bad, 0.0)
 
 
 def test_validate_params_reports_each_violation():

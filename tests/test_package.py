@@ -83,3 +83,21 @@ def test_python_m_cavens_runs_the_cli_from_a_checkout(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert cavens.io_cli.main([*argv, "--out", str(tmp_path / "main.csv")]) == 0
     assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+_LAZY = """
+import cavens, cavens.io_cli
+from cavens.model import SystemParams
+
+built = cavens.dynamics._generators.cache_info().currsize
+cavens.dynamics.coefficient_matrix(SystemParams())
+print(built, cavens.dynamics._generators.cache_info().currsize)
+"""
+
+
+def test_import_leaves_the_moment_generators_unbuilt(tmp_path):
+    # the generators are built on the first coefficient_matrix call, not at import
+    src = Path(cavens.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LAZY], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
