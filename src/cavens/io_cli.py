@@ -62,12 +62,15 @@ _ALL_KEYS = ("preset",) + _PARAM_KEYS + _RUN_KEYS
 # the config keys each command reads: only table scores ticks, and it runs every preset
 _READS = {"table": _RUN_KEYS, "sweep": tuple(k for k in _ALL_KEYS[:-1] if k != "chi")}
 _READS["simulate"] = _READS["oracle-check"] = _ALL_KEYS[:-1]  # all but threshold
+# the config key of each scenario field a bound names otherwise, and the flag of each field
+_KEYS = {"sample_count": "samples", "n_a0": "init_na", "n_b0": "init_nb", "n_c0": "init_nc"}
+_FLAGS = {"chi": "--chi", "t_max": "--tmax", "sample_count": "--samples", "threshold": "--threshold"}
 # oracle-check warns when the truncated commutator defect reaches this
 LEAKAGE_DEFECT_TOL = 1e-4
 
 
 class ConfigError(ValueError):
-    """Config file problem; carries the 1-based line number when known."""
+    """Config file problem; ``line`` is set for a syntax or key problem, a bound names its lines."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -87,6 +90,12 @@ def _parse_lines(text: str):
         if not key or not value:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         yield lineno, key, value
+
+
+def _renamed(exc: ValueError, label) -> str:
+    """``exc``'s message, the field that leads each of its problems named ``label(field)``."""
+    problems = (problem.partition(" ") for problem in str(exc).split("; "))
+    return "; ".join(label(name) + sep + rest for name, sep, rest in problems)
 
 
 def parse_config(text: str) -> Scenario:
@@ -122,20 +131,15 @@ def parse_config(text: str) -> Scenario:
             raise ConfigError(str(exc), lineno) from None
     else:
         params = SystemParams(**{f.name: number(f.name, f.default) for f in fields(SystemParams)})
-    occ = {key: number(key, 1.0) for key in _RUN_KEYS[:3]}  # the initial occupations
-    for key, n in occ.items():
-        if not 0 <= n < np.inf:
-            raise ConfigError(f"{key} must be finite and >= 0, got {n}", seen[key][0])
+    occ = [number(key, 1.0) for key in _RUN_KEYS[:3]]  # the initial occupations
+    run = dict(t_max=number("t_max", Scenario.t_max),
+               sample_count=number("samples", Scenario.sample_count, int),
+               threshold=number("threshold", Scenario.threshold))
     try:
-        return Scenario(
-            params=params,
-            initial=initial_state(*occ.values()),
-            t_max=number("t_max", Scenario.t_max),
-            sample_count=number("samples", Scenario.sample_count, int),
-            threshold=number("threshold", Scenario.threshold),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return Scenario(params=params, initial=initial_state(*occ), **run)
+    except ValueError as exc:  # a bound, named by its key on its line
+        at = {key: f"line {line}: {key}" for key, (line, _) in seen.items()}
+        raise ConfigError(_renamed(exc, lambda field: at.get(_KEYS.get(field, field), field))) from None
 
 
 def _fmt(x: float) -> str:
@@ -310,11 +314,13 @@ def _resolve_scenario(args) -> Scenario:
         scenario = Scenario(params=preset_params(args.preset))
     else:
         scenario = Scenario(params=SystemParams())
-    if getattr(args, "chi", None) is not None:
-        scenario = scenario.with_params(chi=args.chi)
-    flags = {"t_max": args.tmax, "sample_count": args.samples,
-             "threshold": getattr(args, "threshold", None)}
-    return replace(scenario, **{k: v for k, v in flags.items() if v is not None})
+    given = {field: v for field, flag in _FLAGS.items() if (v := getattr(args, flag[2:], None)) is not None}
+    try:
+        if "chi" in given:
+            scenario = scenario.with_params(chi=given.pop("chi"))
+        return replace(scenario, **given)
+    except ValueError as exc:  # a bound, named by its flag
+        raise _UsageError(_renamed(exc, lambda field: _FLAGS.get(field, field))) from None
 
 
 def _entries(text: str, what: str) -> list[str]:

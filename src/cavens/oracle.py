@@ -68,6 +68,8 @@ _TERM_CAP = 60
 _FEW_TERMS = 30
 _CANCELLATION = 1e3
 _BLOCK = 8
+# the generator is built in blocks of rows of about this many products each
+_BUILD_PRODUCTS = 1 << 18
 # largest basis dimension: three modes at eight levels each
 DIM_CAP = 512
 
@@ -269,27 +271,34 @@ def _real_superop(terms, d: int) -> sparse.csr_matrix:
     to rho'[p, q].  A row on or above the diagonal reads Re rho'[p, q], so it
     gets Re(g) on x_re and -sigma Im(g) on x_im; a row below it reads
     Im rho'[q, p] = Re(i rho'[p, q]), since rho' is Hermitian, so there g is
-    replaced by i g.  Zero entries are dropped before the one CSR
-    conversion, which sums duplicates.  Indices are int32: d^2 stays far
-    below 2^31.
+    replaced by i g.  Zero entries are dropped, and the rows are built in
+    blocks of about ``_BUILD_PRODUCTS`` products, each by one CSR conversion,
+    which sums duplicates, and stacked.  A row gets its entries in the same
+    order whatever the blocks, so the sums do not depend on them.  Indices
+    are int32: d^2 stays far below 2^31.
     """
-    rows, cols, vals = [], [], []
-    for w, X, Y in terms:
-        X, Y = X.tocoo(), Y.tocoo()
-        p, q = np.ix_(X.row.astype(np.int32), Y.row.astype(np.int32))
-        r, s = np.ix_(X.col.astype(np.int32), Y.col.astype(np.int32))
-        g = w * np.multiply.outer(X.data, Y.data.conj())
-        upper = p <= q
-        row = p * d + q
-        lo, hi = np.minimum(r, s), np.maximum(r, s)
-        for val, col in ((np.where(upper, g.real, -g.imag), lo * d + hi),
-                         (np.where(upper, g.imag, g.real) * np.sign(r - s), hi * d + lo)):
-            keep = val != 0.0
-            rows.append(row[keep])
-            cols.append(col[keep])
-            vals.append(val[keep])
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    superop = sparse.coo_matrix((vals, (rows, cols)), shape=(d * d, d * d)).tocsr()
+    terms = [(w, X.tocoo(), Y.tocoo()) for w, X, Y in terms]
+    step = -(-d * _BUILD_PRODUCTS // max(sum(X.nnz * Y.nnz for _, X, Y in terms), 1))
+    blocks = []
+    for start in range(0, d, step):  # the rows of X, and so of rho', from start
+        rows, cols, vals = [], [], []
+        for w, X, Y in terms:
+            take = (X.row >= start) & (X.row < start + step)
+            p, q = np.ix_(X.row[take].astype(np.int32), Y.row.astype(np.int32))
+            r, s = np.ix_(X.col[take].astype(np.int32), Y.col.astype(np.int32))
+            g = w * np.multiply.outer(X.data[take], Y.data.conj())
+            upper = p <= q
+            row = (p - start) * d + q
+            lo, hi = np.minimum(r, s), np.maximum(r, s)
+            for val, col in ((np.where(upper, g.real, -g.imag), lo * d + hi),
+                             (np.where(upper, g.imag, g.real) * np.sign(r - s), hi * d + lo)):
+                keep = val != 0.0
+                rows.append(row[keep])
+                cols.append(col[keep])
+                vals.append(val[keep])
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        blocks.append(sparse.coo_matrix((vals, (rows, cols)), (min(step, d - start) * d, d * d)).tocsr())
+    superop = blocks[0] if len(blocks) == 1 else sparse.vstack(blocks, format="csr")
     superop.eliminate_zeros()
     return superop
 

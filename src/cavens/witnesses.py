@@ -6,10 +6,12 @@ boundary is the coherent-state value 1/4.
 
 Each witness family's formula is written once, on ``(keys, ...)`` columns
 of the operator words it reads, one column per key (a mode, a pair, an
-ordered pair or a partition).  ``witness_table`` is the one way to evaluate
-a witness, read as its named column: it expands the catalog once into a
-plan, its distinct words compiled by ``closure.Closure`` and each family's
-columns of them.  A call evaluates every word in one pass (decoupled from
+ordered pair or a partition).  A single mode reads as its own pair, so
+antibunching is one formula, and a pair's quadrature variances are the
+single-mode formula on the compound mode (a + b)/sqrt2.  ``witness_table``
+is the one way to evaluate a witness, read as its named column: it expands
+the catalog once into a plan, its distinct words compiled by
+``closure.Closure`` and each family's columns of them.  A call evaluates every word in one pass (decoupled from
 moments, or read from a correlator source: any function from a tuple of
 operator words to their stacked values, such as the oracle's) and each
 formula once on all its keys.
@@ -107,7 +109,7 @@ def _real(value, name: str, keys, failures: list, overflows: list):
 # Each family's formula takes ``real`` (``_real`` bound to its keys) and one
 # ``(keys, ...)`` column per operator word it ``_reads``.  A word is named
 # by a template in which a, b, c stand for a key's modes and d daggers the
-# factor before it; upper-case modes are fixed.
+# factor before it; upper-case modes are fixed, and a single mode is its own pair.
 
 def _reads(*templates):
     def mark(formula):
@@ -117,7 +119,7 @@ def _reads(*templates):
 
 
 def _words_of(formula, key: str) -> tuple:
-    modes = key.replace("|", "")
+    modes = key.replace("|", "") if len(key) > 1 else key * 2
     table = str.maketrans("abc"[:len(modes)], modes)
     return tuple(word_for_name(t.translate(table)) for t in formula.templates)
 
@@ -127,15 +129,9 @@ def _occupations(real, occ):
     return real(occ, "<n_{}>")
 
 
-@_reads("ada", "adadaa")
-def _antibunch_single(real, occ, quartic):
-    """Single-mode antibunching <ad ad a a> - <ad a>^2."""
-    return real(quartic - occ * occ, "antibunch_{}")
-
-
 @_reads("adbdba", "ada", "bdb")
-def _antibunch_inter(real, quartic, na, nb):
-    """Intermodal antibunching <ad bd b a> - <ad a><bd b>."""
+def _antibunch(real, quartic, na, nb):
+    """Antibunching <ad bd b a> - <ad a><bd b>; of a single mode, b = a."""
     return real(quartic - na * nb, "antibunch_{}")
 
 
@@ -149,21 +145,11 @@ def _quadrature_variances(real, sq, sqd, occ, m, md):
 
 
 @_reads("aa", "adad", "ada", "bb", "bdbd", "bdb", "a", "ad", "b", "bd", "ab", "abd", "adb", "adbd")
-def _intermodal_variances(real, sqa, sqad, na, sqb, sqbd, nb, ma, mad, mb, mbd, ab, abd, adb, adbd):
-    """Variances of X_ab = (a + ad + b + bd)/2sqrt2 and the matching Y quadrature."""
-    mx = (ma + mad + mb + mbd) / (2.0 * math.sqrt(2.0))
-    my = (ma - mad + mb - mbd) / (2j * math.sqrt(2.0))
-    vx = (
-        sqa + sqad + 2.0 * na + 1.0
-        + sqb + sqbd + 2.0 * nb + 1.0
-        + 2.0 * (ab + abd + adb + adbd)
-    ) / 8.0 - mx * mx
-    vy = (
-        -sqa - sqad + 2.0 * na + 1.0
-        - sqb - sqbd + 2.0 * nb + 1.0
-        - 2.0 * (ab - abd - adb + adbd)
-    ) / 8.0 - my * my
-    return real(vx, "var_x_{}"), real(vy, "var_y_{}")
+def _intermodal_variances(real, aa, adad, ada, bb, bdbd, bdb, a, ad, b, bd, ab, abd, adb, adbd):
+    """The quadrature variances of the compound mode c = (a + b)/sqrt2."""
+    return _quadrature_variances(
+        real, (aa + bb + 2.0 * ab) / 2.0, (adad + bdbd + 2.0 * adbd) / 2.0,
+        (ada + bdb + abd + adb) / 2.0, (a + b) / math.sqrt(2.0), (ad + bd) / math.sqrt(2.0))
 
 
 @_reads("adabdb", "abd", "adb", "ada", "bdb", "ab", "adbd")
@@ -246,9 +232,9 @@ _CHECK_RANK = {name: rank for rank, name in enumerate(
     + [n for k in PARTITION_KEYS for n in (f"bisep_e_{k}", f"bisep_eprime_{k}")]
 )}
 # the keys of each family in the table
-_FAMILIES = {_occupations: MODE_KEYS, _antibunch_single: MODE_KEYS,
-             _quadrature_variances: MODE_KEYS, _antibunch_inter: PAIR_KEYS,
-             _intermodal_variances: PAIR_KEYS, _hz: _HZ_KEYS, _bisep: PARTITION_KEYS}
+_FAMILIES = {_occupations: MODE_KEYS, _antibunch: MODE_KEYS + PAIR_KEYS,
+             _quadrature_variances: MODE_KEYS, _intermodal_variances: PAIR_KEYS,
+             _hz: _HZ_KEYS, _bisep: PARTITION_KEYS}
 # steering's E and occupation: rows of the hz and occupation families
 _STEER_HZ = [_HZ_KEYS.index(k) for k in ORDERED_PAIR_KEYS]
 _STEER_OCC = [MODE_KEYS.index(k[0]) for k in ORDERED_PAIR_KEYS]
@@ -307,18 +293,16 @@ def witness_table(state) -> np.ndarray:
         real = partial(_real, keys=_FAMILIES[formula], failures=failures, overflows=overflows)
         return formula(real, *(stacks[g][rows] for g, rows in columns[formula]))
 
-    occ, antibunch = family(_occupations), family(_antibunch_single)
+    occ, antibunch = family(_occupations), family(_antibunch)
     var_x, var_y = family(_quadrature_variances)
-    antibunch_pair = family(_antibunch_inter)
     pair_x, pair_y = family(_intermodal_variances)
     hz_e, hz_etilde = family(_hz)
     bisep_e, bisep_eprime = family(_bisep)
     table = np.empty(stacks[1].shape[1:] + (len(WITNESS_NAMES),))
     by_column = np.moveaxis(table, -1, 0)
     for prefix, keys, values in (
-        ("mandel", MODE_KEYS, _mandel(occ, antibunch)),
-        ("antibunch", MODE_KEYS, antibunch),
-        ("antibunch", PAIR_KEYS, antibunch_pair),
+        ("mandel", MODE_KEYS, _mandel(occ, antibunch[:len(MODE_KEYS)])),
+        ("antibunch", MODE_KEYS + PAIR_KEYS, antibunch),
         ("var_x", MODE_KEYS, var_x),
         ("var_y", MODE_KEYS, var_y),
         ("var_x", PAIR_KEYS, pair_x),

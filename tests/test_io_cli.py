@@ -72,12 +72,8 @@ def test_parse_error_reporting():
         parse_config("preset = XX\n")
     with pytest.raises(ConfigError, match="gamma_a must be >= 0"):
         parse_config("gamma_a = -2\n")
-    err = None
-    try:
+    with pytest.raises(ConfigError, match="^line 1: samples must be >= 2$"):
         parse_config("samples = 1\n")
-    except ConfigError as exc:
-        err = exc
-    assert err is not None and "sample_count" in str(err)
 
 
 def test_parse_comments_and_defaults():
@@ -548,6 +544,24 @@ def test_cli_rejects_non_finite_inputs(argv, tmp_path, capsys):
     for name, value in _BAD_INITS.items():
         if f"{{{name}}}" in argv:
             assert err == f"cavens: error: line 2: init_na must be finite and >= 0, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ("samples = 1", [], "line 2: samples must be >= 2"),
+    ("gamma_a = -2", [], "line 2: gamma_a must be >= 0"),
+    ("t_max = nan", [], "line 2: t_max must be finite and > 0"),
+    ("gamma_a = -1\ngamma_b = nan", [], "line 2: gamma_a must be >= 0; line 3: gamma_b must be finite"),
+    ("preset = AN\nchi = inf", [], "line 3: chi must be finite"),
+    ("init_nc = -1", [], "line 2: init_nc must be finite and >= 0, got -1.0"),
+    ("", ["--samples", "1"], "--samples must be >= 2"),
+    ("", ["--tmax", "nan"], "--tmax must be finite and > 0"),
+    ("", ["--chi", "inf"], "--chi must be finite"),
+])
+def test_cli_names_a_bound_by_its_key_and_line_or_its_flag(config, flags, message, tmp_path, capsys):
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(f"# a bound\n{config}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == f"cavens: error: {message}\n"
 
 
 def test_cli_oracle_check(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import cavens.witnesses as witnesses_mod
 from cavens.closure import SLOT_WORDS, decoupled
@@ -60,6 +61,27 @@ def test_intermodal_quadrature_values():
     for state, value in ((VACUUM, 0.25), (UNIT, 0.75)):
         assert _column(state, "var_x_AC") == pytest.approx(value)
         assert _column(state, "var_y_AC") == pytest.approx(value)
+
+
+def test_pair_quadratures_are_the_single_mode_ones_behind_a_beam_splitter(rng):
+    """var_x_AB, var_y_AB of rho are var_x_A, var_y_A of U rho Ud, with U = expm(pi/4 (Ad B - A Bd)).
+
+    U takes A to (A + B)/sqrt2 and conserves n_a + n_b, so the truncated U
+    is exact on a state supported on n_a + n_b <= n_max.
+    """
+    spec = FockBasisSpec(4)
+    levels = np.arange(spec.local_dim)
+    na, nb, _ = np.meshgrid(levels, levels, levels, indexing="ij")
+    psi = (rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)) * ((na + nb) <= spec.n_max).ravel()
+    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    one, eye = np.diag(np.sqrt(levels[1:]), 1), np.eye(spec.local_dim)
+    a, b = np.kron(np.kron(one, eye), eye), np.kron(np.kron(eye, one), eye)
+    u = expm(np.pi / 4 * (a.conj().T @ b - a @ b.conj().T))
+    pair, mode = witness_table(exact_correlators(np.stack([rho, u @ rho @ u.conj().T]), spec))
+    for quadrature in ("var_x", "var_y"):
+        of_pair, of_a = WITNESS_NAMES.index(f"{quadrature}_AB"), WITNESS_NAMES.index(f"{quadrature}_A")
+        assert abs(pair[of_pair] - pair[of_a]) > 1e-3  # the beam splitter matters
+        assert abs(pair[of_pair] - mode[of_a]) < 1e-12
 
 
 def test_duan_values():
