@@ -365,7 +365,11 @@ def main(argv=None) -> int:
         elif args.command == "oracle-check":
             from .oracle import FockBasisSpec
 
-            report = closure_report(scenario, FockBasisSpec(args.nmax))
+            try:
+                basis = FockBasisSpec(args.nmax)
+            except ValueError as exc:  # a bound, named by its flag
+                raise _UsageError(_renamed(exc, lambda field: "--nmax" if field == "n_max" else field)) from None
+            report = closure_report(scenario, basis)
             write_closure_report(report, dest)
             defect = (args.nmax + 1) * report.truncation_leakage
             if defect >= LEAKAGE_DEFECT_TOL:

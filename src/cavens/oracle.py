@@ -15,11 +15,14 @@ error is truncation; only the composite number-triple rule behind
 ``bisep_e`` approximates.
 
 The generator is one real sparse matrix on the d^2 real Hermitian
-coordinates of rho, built once per run.  It is constant, so rho is carried
-by Taylor series in steps, one real matvec per term and exact to rounding,
-with ``scipy.sparse`` alone; every sampled rho is exactly Hermitian.  The
-basis dimension is capped (at 512 = three modes at eight levels each,
-n_max 7, where the generator holds 3.6e6 nonzeros).
+coordinates of rho, assembled as ``dynamics.coefficient_matrix``
+assembles the moment equations: the sum of each term's value times its
+superoperator at unit coefficient, which is cached per basis on one CSR
+pattern shared by all terms (``_unit_terms``).  It is constant, so rho is
+carried by Taylor series in steps, one real matvec per term and exact to
+rounding, with ``scipy.sparse`` alone; every sampled rho is exactly
+Hermitian.  The basis dimension is capped (at 512 = three modes at eight
+levels each, n_max 7, where the generator holds 3.6e6 nonzeros).
 
 Every expectation Tr[rho O] is one real-linear functional of the Hermitian
 coordinates, one sparse product for a whole word list.
@@ -68,8 +71,8 @@ _TERM_CAP = 60
 _FEW_TERMS = 30
 _CANCELLATION = 1e3
 _BLOCK = 8
-# the generator is built in blocks of rows of about this many products each
-_BUILD_PRODUCTS = 1 << 18
+# the unit terms are built in blocks of about this many generator rows each
+_BUILD_ROWS = 1 << 15
 # largest basis dimension: three modes at eight levels each
 DIM_CAP = 512
 
@@ -95,7 +98,7 @@ class FockBasisSpec:
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if self.dim > DIM_CAP:
-            raise ValueError(f"basis dimension {self.dim} exceeds cap {DIM_CAP}")
+            raise ValueError(f"n_max must be <= 7: basis dimension {self.dim} exceeds cap {DIM_CAP}")
 
     @property
     def local_dim(self) -> int:
@@ -230,77 +233,183 @@ def _write_hermitian(x: np.ndarray, out: np.ndarray) -> None:
     imag[(..., *np.diag_indices(x.shape[-1]))] = 0.0
 
 
+def _row_entries(spec: FockBasisSpec, word: tuple):
+    """A word's matrix X as ``(shift, values)``: X[p, p + shift] = values[p], 0 where row p is empty.
+
+    Every word of ``model_terms`` is a monomial in the mode operators, so its
+    entries all lie at one column shift; the empty word is the identity.
+    Another word raises ``ValueError``.
+    """
+    values = np.zeros(spec.dim)
+    if not word:
+        return 0, values + 1.0
+    X = _operator(spec, word)
+    rows = np.repeat(np.arange(spec.dim), np.diff(X.indptr))
+    stored = X.data != 0  # a kron product keeps the zeros of its factors
+    (shift,) = set((X.indices - rows)[stored].tolist())
+    values[rows[stored]] = X.data[stored].real
+    return shift, values
+
+
+def _term_factors(spec: FockBasisSpec) -> list:
+    """Each term of ``model_terms`` at unit coefficient as i^e sum w X rho Yd, w real.
+
+    A Hamiltonian word h gives -i (h rho - rho hd), e = 3; a jump J gives
+    J rho Jd - {Jd J, rho}/2, e = 0, with Jd J the word Jd + J.  Per term,
+    ``(e, by_shift)``: a dict from the column shifts ``(sx, sy)`` of X and
+    Y to their ``(w, X values, Y values)``, since X rho Yd couples
+    rho[p + sx, q + sy] to rho'[p, q] by X[p] Y[q].
+    """
+    hamiltonian, jumps = model_terms(SystemParams())
+    terms = [(3, [(1.0, h, ()), (-1.0, (), h)]) for _, h in hamiltonian]
+    for _, J in jumps:
+        JdJ = tuple((f + 3) % 6 for f in reversed(J)) + J
+        terms.append((0, [(1.0, J, J), (-0.5, JdJ, ()), (-0.5, (), JdJ)]))
+    factors = []
+    for e, term in terms:
+        by_shift: dict = {}
+        for w, X, Y in term:
+            (sx, vx), (sy, vy) = _row_entries(spec, X), _row_entries(spec, Y)
+            by_shift.setdefault((sx, sy), []).append((w, vx, vy))
+        factors.append((e, by_shift))
+    return factors
+
+
+@lru_cache(maxsize=2)
+def _unit_terms(spec: FockBasisSpec):
+    """Each term of ``model_terms`` at unit coefficient as a superoperator on one CSR pattern.
+
+    Returns ``(indices, indptr, terms)``: the CSR pattern that is the union
+    of all terms' nonzero entries on the real coordinates of
+    ``Liouvillian``, and per term, in ``model_terms`` order, ``(where,
+    unit)``, the positions of its entries in that pattern and their values
+    (a position may repeat; its values add).  Every array is read-only.
+    Built on first use per basis, not at import, in blocks of about
+    ``_BUILD_ROWS`` rows.
+
+    An entry of rho'[p, q] at the column shifts (sx, sy) of ``_term_factors``
+    meets the coordinates r d + s and s d + r, r, s = p + sx, q + sy
+    (``_halves``).  So a row has one slot per shift pair and half, and
+    its part of the pattern lists the slots that hold an entry of any term,
+    the first halves in the order of r d + s, then the second halves in the
+    order of s d + r.  The two coincide only for pairs of equal sx + sy, where
+    the second half of one pair is the first half of the other on the
+    diagonal p - q = sy' - sx; there it is listed once.
+    """
+    d, n = spec.dim, spec.dim ** 2
+    factors = _term_factors(spec)
+    pairs = {pair for _, by_shift in factors for pair in by_shift}
+    slot = {(pair, 0): k for k, pair in enumerate(sorted(pairs))}
+    slot |= {(pair, 1): len(pairs) + k for k, pair in enumerate(sorted(pairs, key=lambda s: s[::-1]))}
+    repeats = [(slot[a, 0], slot[b, 1], b[1] - a[0]) for a in pairs for b in pairs if a != b and sum(a) == sum(b)]
+    # a shift pair's two halves hold at most one entry per row (sin or cos below) where
+    # one of its X[p] Y[q] is nonzero: fill arrays of that size, and keep what was filled
+    sizes = [sum(min(n, sum(np.count_nonzero(vx) * np.count_nonzero(vy) for _, vx, vy in parts))
+                 for parts in by_shift.values()) for _, by_shift in factors]
+    where, unit = [np.empty(size, dtype=np.int32) for size in sizes], [np.empty(size) for size in sizes]
+    indices, counts = np.empty(sum(sizes), dtype=np.int32), np.empty(n, dtype=np.int32)
+    filled, written = 0, [0] * len(factors)
+    step = max(1, _BUILD_ROWS // d)
+    for start in range(0, d, step):
+        p, q = np.arange(start, min(start + step, d), dtype=np.int32)[:, None], np.arange(d, dtype=np.int32)
+        diff = (p - q).ravel()
+        listed = np.zeros((len(slot), diff.size), dtype=bool)
+        entries = []  # (term, slot, rows, values) of every nonzero entry
+        halves = {}
+        for k, (e, by_shift) in enumerate(factors):
+            for (sx, sy), parts in by_shift.items():
+                h = sum(w * np.multiply.outer(vx[p[:, 0]], vy) for w, vx, vy in parts).ravel()
+                if (sx - sy, e) not in halves:
+                    halves[sx - sy, e] = _halves(diff, sx - sy, e)
+                for half, sign in enumerate(halves[sx - sy, e]):
+                    val, s = h * sign, slot[(sx, sy), half]
+                    nonzero = np.flatnonzero(val)
+                    listed[s, nonzero] = True
+                    entries.append((k, s, nonzero, val[nonzero]))
+        repeated = []
+        for first, second, c in repeats:
+            on = np.flatnonzero((diff == c) & listed[first] & listed[second])
+            listed[second, on] = False
+            repeated.append((first, second, on))
+        position = np.empty(listed.shape, dtype=np.int32)
+        before = np.zeros(diff.size, dtype=np.int32)  # the row's slots listed so far
+        for s, here in enumerate(listed):
+            position[s] = before
+            before += here
+        position += np.cumsum(before, dtype=np.int32) - before + filled
+        for first, second, on in repeated:
+            position[second, on] = position[first, on]
+        rows, transposed = (p * d + q).ravel(), (q * d + p).ravel()
+        for ((sx, sy), half), s in slot.items():
+            on = np.flatnonzero(listed[s])
+            indices[position[s, on]] = rows[on] + (sx * d + sy) if half == 0 else transposed[on] + (sy * d + sx)
+        for k, s, nonzero, val in entries:
+            where[k][written[k]:written[k] + len(val)] = position[s, nonzero]
+            unit[k][written[k]:written[k] + len(val)] = val
+            written[k] += len(val)
+        counts[start * d:start * d + diff.size] = before
+        filled += int(before.sum())
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    pattern = (indices[:filled].copy(), indptr)
+    terms = tuple((w[:m], u[:m]) for w, u, m in zip(where, unit, written))
+    for a in pattern + sum(terms, ()):
+        a.flags.writeable = False
+    return pattern + (terms,)
+
+
+_COS, _SIN = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+
+
+def _halves(diff: np.ndarray, shift: int, e: int):
+    """The factors of a real entry h of i^e X rho Yd on its two halves, per coordinate row.
+
+    ``diff`` is p - q per row and ``shift`` (r - s) - (p - q), r, s the
+    row and column of rho the entry reads.  A row on or above the diagonal
+    reads Re rho'[p, q], one below it Im rho'[q, p] = Re(i rho'[p, q]), since
+    rho' is Hermitian, so it gets G = i^(e + [p > q]) h times
+    rho[r, s] = x[lo d + hi] + i sign(s - r) x[hi d + lo].  The first half,
+    at column r d + s, gets Re G (r <= s) or Im G (r > s); the second, at
+    s d + r, -Im G (r < s), Re G (r > s) or nothing (r = s).  Together that
+    is i^([r > s]) conj(G) = i^k h, k = [r > s] - [p > q] - e: the first
+    half is h cos(k pi/2), the second h sin(k pi/2).
+    """
+    r_minus_s = diff + shift
+    k = ((r_minus_s > 0).astype(np.int8) - (diff > 0) - e) & 3
+    return _COS[k], np.where(r_minus_s == 0, 0.0, _SIN[k])
+
+
 class Liouvillian:
     """The Lindblad generator as one real sparse matrix on rho's Hermitian coordinates.
 
     A Hermitian rho is held by the d^2 real entries of a d x d matrix X,
     read row-major: on and above the diagonal X[i, j] = Re rho[i, j], below
     it X[j, i] = Im rho[i, j] (i < j).  The generator is
-    rho -> K rho + rho Kd + sum_J w J rho Jd for the jumps J of nonzero rate w
-    and the effective Hamiltonian K = -iH - sum_J w Jd J / 2, with H and the
-    jumps read from ``model_terms``.  Each term
-    X rho Yd couples rho[r, s] to rho'[p, q] with X[p, r] conj(Y[q, s]); those
-    complex entries are mapped to real coordinates by index arithmetic and
-    summed into ``superop`` by one CSR conversion, so the right-hand side
-    of the density equation is one real sparse matvec.
+    rho -> -i[H, rho] + sum_J w (J rho Jd - {Jd J, rho}/2), with H and the
+    jumps J of rate w read from ``model_terms``.  ``superop`` is the sum,
+    over the terms of nonzero value, of value times the term's cached
+    superoperator at unit coefficient (``_unit_terms``), added into the
+    data of their common CSR pattern, with exact zeros dropped; the
+    right-hand side of the density equation is one real sparse matvec.
     """
 
     def __init__(self, spec: FockBasisSpec, params: SystemParams):
         self.spec = spec
         self.params = params
         hamiltonian, jumps = model_terms(params)
-        H = sum(c * _operator(spec, word) for c, word in hamiltonian)
-        jumps = [(w, _operator(spec, word)) for w, word in jumps if w != 0.0]
-        K = -1j * H - 0.5 * sum(w * (J.conj().T @ J) for w, J in jumps)
-        eye = sparse.identity(spec.dim, format="csr")
-        terms = [(1.0, K, eye), (1.0, eye, K)] + [(w, J, J) for w, J in jumps]
-        self.superop = _real_superop(terms, spec.dim)
+        indices, indptr, units = _unit_terms(spec)
+        data = np.zeros(len(indices))
+        for (value, _), (where, unit) in zip(hamiltonian + jumps, units):
+            if value != 0.0:
+                np.add.at(data, where, value * unit)
+        # the generator's own index arrays: eliminate_zeros prunes them in place
+        self.superop = sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(spec.dim ** 2,) * 2)
+        self.superop.eliminate_zeros()
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate -i[H, rho] plus all damping dissipators; rho must be Hermitian."""
         out = np.empty(rho.shape, dtype=complex)
         _write_hermitian((self.superop @ _coordinates(rho)).reshape(rho.shape), out)
         return out
-
-
-def _real_superop(terms, d: int) -> sparse.csr_matrix:
-    """CSR matrix on the real Hermitian coordinates of rho -> sum w X rho Yd.
-
-    The complex entry g couples rho[r, s] = x_re + i sigma x_im, with x_re
-    at (min, max) and x_im at (max, min) of (r, s) and sigma = sign(s - r),
-    to rho'[p, q].  A row on or above the diagonal reads Re rho'[p, q], so it
-    gets Re(g) on x_re and -sigma Im(g) on x_im; a row below it reads
-    Im rho'[q, p] = Re(i rho'[p, q]), since rho' is Hermitian, so there g is
-    replaced by i g.  Zero entries are dropped, and the rows are built in
-    blocks of about ``_BUILD_PRODUCTS`` products, each by one CSR conversion,
-    which sums duplicates, and stacked.  A row gets its entries in the same
-    order whatever the blocks, so the sums do not depend on them.  Indices
-    are int32: d^2 stays far below 2^31.
-    """
-    terms = [(w, X.tocoo(), Y.tocoo()) for w, X, Y in terms]
-    step = -(-d * _BUILD_PRODUCTS // max(sum(X.nnz * Y.nnz for _, X, Y in terms), 1))
-    blocks = []
-    for start in range(0, d, step):  # the rows of X, and so of rho', from start
-        rows, cols, vals = [], [], []
-        for w, X, Y in terms:
-            take = (X.row >= start) & (X.row < start + step)
-            p, q = np.ix_(X.row[take].astype(np.int32), Y.row.astype(np.int32))
-            r, s = np.ix_(X.col[take].astype(np.int32), Y.col.astype(np.int32))
-            g = w * np.multiply.outer(X.data[take], Y.data.conj())
-            upper = p <= q
-            row = (p - start) * d + q
-            lo, hi = np.minimum(r, s), np.maximum(r, s)
-            for val, col in ((np.where(upper, g.real, -g.imag), lo * d + hi),
-                             (np.where(upper, g.imag, g.real) * np.sign(r - s), hi * d + lo)):
-                keep = val != 0.0
-                rows.append(row[keep])
-                cols.append(col[keep])
-                vals.append(val[keep])
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        blocks.append(sparse.coo_matrix((vals, (rows, cols)), (min(step, d - start) * d, d * d)).tocsr())
-    superop = blocks[0] if len(blocks) == 1 else sparse.vstack(blocks, format="csr")
-    superop.eliminate_zeros()
-    return superop
 
 
 def build_generator(p: SystemParams, basis: FockBasisSpec) -> Liouvillian:

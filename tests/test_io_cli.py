@@ -556,11 +556,14 @@ def test_cli_rejects_non_finite_inputs(argv, tmp_path, capsys):
     ("", ["--samples", "1"], "--samples must be >= 2"),
     ("", ["--tmax", "nan"], "--tmax must be finite and > 0"),
     ("", ["--chi", "inf"], "--chi must be finite"),
+    ("", ["--nmax", "0"], "--nmax must be >= 1"),
+    ("", ["--nmax", "8"], "--nmax must be <= 7: basis dimension 729 exceeds cap 512"),
 ])
 def test_cli_names_a_bound_by_its_key_and_line_or_its_flag(config, flags, message, tmp_path, capsys):
     cfg = tmp_path / "bound.cfg"
     cfg.write_text(f"# a bound\n{config}\n", encoding="utf-8")
-    assert main(["simulate", "--config", str(cfg), *flags]) == 1
+    command = "oracle-check" if "--nmax" in flags else "simulate"  # --nmax is oracle-check's alone
+    assert main([command, "--config", str(cfg), *flags]) == 1
     assert capsys.readouterr().err == f"cavens: error: {message}\n"
 
 

@@ -17,6 +17,7 @@ from cavens.oracle import (
     DensityMatrix,
     FockBasisSpec,
     PositivityError,
+    _unit_terms,
     _write_hermitian,
     build_generator,
     closure_report,
@@ -108,6 +109,74 @@ def test_superoperator_matches_operator_form(p, seed):
         expected += gamma * ((nbar + 1) * D(x, rho) + nbar * D(x.T, rho))
     got = build_generator(p, spec).apply(rho)
     assert np.abs(got - expected).max() < 1e-12
+
+
+def test_generators_do_not_share_the_cached_pattern():
+    """Each generator gets its own index arrays: pruning its zeros leaves the
+    cache as it was, so building p1, p2, p1 gives p1 bit for bit."""
+    spec = FockBasisSpec(2)
+    p1 = preset_params("AN", 0.2)
+    p2 = SystemParams(delta_a=0.7, g_a=0.3, g_b=-0.4, chi=0.5, gamma_b=1.1, n_b=0.3, gamma_c=0.2)
+    first = build_generator(p1, spec).superop
+    build_generator(p2, spec)
+    again = build_generator(p1, spec).superop
+    np.testing.assert_array_equal(again.data.view(np.uint64), first.data.view(np.uint64))
+    np.testing.assert_array_equal(again.indices, first.indices)
+    np.testing.assert_array_equal(again.indptr, first.indptr)
+    indices, indptr, _ = _unit_terms(spec)
+    assert not np.shares_memory(first.indices, indices)
+    assert not np.shares_memory(first.indptr, indptr)
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_unit_terms_share_one_read_only_pattern(n_max):
+    """Every pattern entry is some term's, and no row lists a column twice."""
+    spec = FockBasisSpec(n_max)
+    indices, indptr, terms = _unit_terms(spec)
+    assert len(terms) == 15  # 9 Hamiltonian words and 6 jumps
+    for array in (indices, indptr) + sum(terms, ()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    used = np.zeros(len(indices), dtype=bool)
+    for where, unit in terms:
+        used[where] = True
+        assert np.all(unit != 0.0)
+    assert used.all()
+    pattern = sparse.csr_matrix((np.ones(len(indices)), indices.copy(), indptr.copy()), shape=(spec.dim ** 2,) * 2)
+    pattern.sum_duplicates()
+    assert pattern.nnz == len(indices)
+
+
+_rate = st.floats(0.05, 2.0)
+_coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+# every jump used (nonzero baths), and three different detunings
+thermal_params = st.builds(
+    lambda delta, step_b, step_c, **rest: SystemParams(
+        delta_a=delta, delta_b=delta + step_b, delta_c=delta + step_b + step_c, **rest),
+    _coefficient, _rate, _rate, g_a=_coefficient, g_b=_coefficient, chi=_coefficient,
+    gamma_a=_rate, gamma_b=_rate, gamma_c=_rate, n_a=_rate, n_b=_rate, n_c=_rate,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(thermal_params)
+def test_assembled_superoperator_is_the_operator_form(p):
+    """superop, column by column, is the coordinates of -i[H, rho] +
+    sum_x Gamma_x((nbar_x + 1) D[x] + nbar_x D[xd]) rho on each coordinate
+    basis matrix rho, to 1e-14 of its largest entry, each entry once."""
+    spec = FockBasisSpec(2)
+    d = spec.dim
+    basis = np.empty((d * d, d, d), dtype=complex)
+    _write_hermitian(np.eye(d * d).reshape(d * d, d, d), basis)
+    out = (_complex_generator(p, 2) @ sparse.csr_matrix(basis.reshape(d * d, -1).T)).T.toarray()
+    out = out.reshape(d * d, d, d)
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    expected = np.where(upper, out.real, out.imag.swapaxes(-1, -2)).reshape(d * d, -1).T
+    superop = build_generator(p, spec).superop
+    assert np.abs(superop.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
+    merged = superop.copy()
+    merged.sum_duplicates()
+    assert merged.nnz == superop.nnz  # no row lists a column twice
 
 
 def _complex_generator(p, n_max):

@@ -101,3 +101,21 @@ def test_import_leaves_the_moment_generators_unbuilt(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LAZY], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
+
+
+_LAZY_ORACLE = """
+import cavens.oracle as oracle
+from cavens.model import SystemParams
+
+built = oracle._unit_terms.cache_info().currsize
+oracle.build_generator(SystemParams(), oracle.FockBasisSpec(1))
+print(built, oracle._unit_terms.cache_info().currsize)
+"""
+
+
+def test_import_leaves_the_oracle_unit_terms_unbuilt(tmp_path):
+    # the unit-term superoperators are built per basis on the first build_generator, not at import
+    src = Path(cavens.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LAZY_ORACLE], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
