@@ -15,17 +15,18 @@ error is truncation; only the composite number-triple rule behind
 ``bisep_e`` approximates.
 
 The generator is one real sparse matrix on the d^2 real Hermitian
-coordinates of rho, assembled as ``dynamics.coefficient_matrix``
-assembles the moment equations: the sum of each term's value times its
-superoperator at unit coefficient, which is cached per basis on one CSR
-pattern shared by all terms (``_unit_terms``).  It is constant, so rho is
+coordinates x of rho: each term's textbook Kronecker form S on vec(rho)
+(Havel, *J. Math. Phys.* 44, 534, 2003) read through one cached map per
+basis as Re(C S T) (``_hermitian_map``), and summed with its value as
+``dynamics.coefficient_matrix`` sums the moment equations, on one CSR
+pattern cached per basis (``_unit_terms``).  It is constant, so rho is
 carried by Taylor series in steps, one real matvec per term and exact to
 rounding, with ``scipy.sparse`` alone; every sampled rho is exactly
 Hermitian.  The basis dimension is capped (at 512 = three modes at eight
 levels each, n_max 7, where the generator holds 3.6e6 nonzeros).
 
-Every expectation Tr[rho O] is one real-linear functional of the Hermitian
-coordinates, one sparse product for a whole word list.
+Every expectation Tr[rho O] = vec(O^T) T x is one real-linear functional
+of the Hermitian coordinates, one sparse product for a whole word list.
 ``exact_correlators`` applies it to a ``(..., d, d)`` density stack:
 ``moments_from_density`` reads the 27 stored moments from it, and
 ``witness_table(exact_correlators(rhos, spec))`` is the witness catalog on
@@ -71,8 +72,6 @@ _TERM_CAP = 60
 _FEW_TERMS = 30
 _CANCELLATION = 1e3
 _BLOCK = 8
-# the unit terms are built in blocks of about this many generator rows each
-_BUILD_ROWS = 1 << 15
 # largest basis dimension: three modes at eight levels each
 DIM_CAP = 512
 
@@ -95,6 +94,8 @@ class FockBasisSpec:
     n_max: int
 
     def __post_init__(self):
+        if not isinstance(self.n_max, (int, np.integer)):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if self.dim > DIM_CAP:
@@ -142,6 +143,8 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {m.shape} does not match basis dim {self.spec.dim}"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("matrix must be finite")
         object.__setattr__(self, "matrix", m)
 
     def validate(
@@ -167,9 +170,9 @@ class DensityMatrix:
 def thermal_state(spec: FockBasisSpec, nbars: Sequence[float]) -> DensityMatrix:
     """Product of single-mode thermal states, renormalized after truncation."""
     rho = None
-    for nbar in nbars:
-        if nbar < 0:
-            raise ValueError("thermal occupation must be >= 0")
+    for i, nbar in enumerate(nbars):
+        if not 0 <= nbar < np.inf:
+            raise ValueError(f"nbars[{i}] must be finite and >= 0, got {nbar}")
         n = np.arange(spec.local_dim, dtype=float)
         if nbar == 0:
             p = np.zeros(spec.local_dim)
@@ -186,9 +189,9 @@ def thermal_state(spec: FockBasisSpec, nbars: Sequence[float]) -> DensityMatrix:
 def fock_state(spec: FockBasisSpec, occupations: Sequence[int]) -> DensityMatrix:
     """Projector onto a product number state |na, nb, nc>."""
     idx = 0
-    for n in occupations:
-        if not 0 <= n <= spec.n_max:
-            raise ValueError(f"occupation {n} outside truncation 0..{spec.n_max}")
+    for i, n in enumerate(occupations):
+        if not (0 <= n <= spec.n_max and n == int(n)):
+            raise ValueError(f"occupations[{i}] must be an integer in 0..{spec.n_max}, got {n}")
         idx = idx * spec.local_dim + int(n)
     m = np.zeros((spec.dim, spec.dim), dtype=complex)
     m[idx, idx] = 1.0
@@ -198,7 +201,9 @@ def fock_state(spec: FockBasisSpec, occupations: Sequence[int]) -> DensityMatrix
 def coherent_state(spec: FockBasisSpec, alphas: Sequence[complex]) -> DensityMatrix:
     """Projector onto a product of truncated, renormalized coherent states."""
     vec = None
-    for alpha in alphas:
+    for i, alpha in enumerate(alphas):
+        if not np.isfinite(complex(alpha)):
+            raise ValueError(f"alphas[{i}] must be finite, got {alpha}")
         n = np.arange(spec.local_dim)
         c = np.array(
             [complex(alpha) ** k / sqrt(factorial(k)) for k in n], dtype=complex
@@ -233,149 +238,75 @@ def _write_hermitian(x: np.ndarray, out: np.ndarray) -> None:
     imag[(..., *np.diag_indices(x.shape[-1]))] = 0.0
 
 
-def _row_entries(spec: FockBasisSpec, word: tuple):
-    """A word's matrix X as ``(shift, values)``: X[p, p + shift] = values[p], 0 where row p is empty.
+@lru_cache(maxsize=2)
+def _hermitian_map(spec: FockBasisSpec):
+    """The Hermitian coordinates x of ``Liouvillian`` as complex CSR maps ``(T, C)`` of row-major vec(rho).
 
-    Every word of ``model_terms`` is a monomial in the mode operators, so its
-    entries all lie at one column shift; the empty word is the identity.
-    Another word raises ``ValueError``.
+    ``T @ x`` is vec(rho): rho[p, q] = x[lo d + hi] + i sign(q - p) x[hi d + lo],
+    lo, hi = min(p, q), max(p, q).  ``Re(C @ vec(rho))`` is x for a Hermitian
+    rho: C reads rho[p, q] on and above the diagonal and -i rho[q, p] below
+    it.  Cached per basis, built on first use.
     """
-    values = np.zeros(spec.dim)
-    if not word:
-        return 0, values + 1.0
-    X = _operator(spec, word)
-    rows = np.repeat(np.arange(spec.dim), np.diff(X.indptr))
-    stored = X.data != 0  # a kron product keeps the zeros of its factors
-    (shift,) = set((X.indices - rows)[stored].tolist())
-    values[rows[stored]] = X.data[stored].real
-    return shift, values
-
-
-def _term_factors(spec: FockBasisSpec) -> list:
-    """Each term of ``model_terms`` at unit coefficient as i^e sum w X rho Yd, w real.
-
-    A Hamiltonian word h gives -i (h rho - rho hd), e = 3; a jump J gives
-    J rho Jd - {Jd J, rho}/2, e = 0, with Jd J the word Jd + J.  Per term,
-    ``(e, by_shift)``: a dict from the column shifts ``(sx, sy)`` of X and
-    Y to their ``(w, X values, Y values)``, since X rho Yd couples
-    rho[p + sx, q + sy] to rho'[p, q] by X[p] Y[q].
-    """
-    hamiltonian, jumps = model_terms(SystemParams())
-    terms = [(3, [(1.0, h, ()), (-1.0, (), h)]) for _, h in hamiltonian]
-    for _, J in jumps:
-        JdJ = tuple((f + 3) % 6 for f in reversed(J)) + J
-        terms.append((0, [(1.0, J, J), (-0.5, JdJ, ()), (-0.5, (), JdJ)]))
-    factors = []
-    for e, term in terms:
-        by_shift: dict = {}
-        for w, X, Y in term:
-            (sx, vx), (sy, vy) = _row_entries(spec, X), _row_entries(spec, Y)
-            by_shift.setdefault((sx, sy), []).append((w, vx, vy))
-        factors.append((e, by_shift))
-    return factors
+    d = spec.dim
+    k = np.arange(d * d)
+    p, q = np.divmod(k, d)
+    upper, lower = np.minimum(p, q) * d + np.maximum(p, q), np.maximum(p, q) * d + np.minimum(p, q)
+    # a diagonal row's two entries meet in one column and add to 1
+    T = sparse.csr_matrix((np.append(np.ones(d * d), 1j * np.sign(q - p)), (np.tile(k, 2), np.append(upper, lower))),
+                          shape=(d * d,) * 2)
+    C = sparse.csr_matrix((np.where(p <= q, 1.0, -1j), (k, upper)), shape=(d * d,) * 2)
+    return T, C
 
 
 @lru_cache(maxsize=2)
 def _unit_terms(spec: FockBasisSpec):
     """Each term of ``model_terms`` at unit coefficient as a superoperator on one CSR pattern.
 
-    Returns ``(indices, indptr, terms)``: the CSR pattern that is the union
-    of all terms' nonzero entries on the real coordinates of
-    ``Liouvillian``, and per term, in ``model_terms`` order, ``(where,
-    unit)``, the positions of its entries in that pattern and their values
-    (a position may repeat; its values add).  Every array is read-only.
-    Built on first use per basis, not at import, in blocks of about
-    ``_BUILD_ROWS`` rows.
+    A term acts on row-major vec(rho) as S, with vec(X rho Y) =
+    (X kron Y^T) vec(rho): a Hamiltonian word h gives
+    -i(h kron 1 - 1 kron conj(h)), a jump J gives
+    J kron conj(J) - (JdJ kron 1 + 1 kron conj(JdJ))/2, the words' matrices
+    taken from ``_operator``.  On the Hermitian coordinates it is
+    Re(C S T) (``_hermitian_map``) without its exact zeros.
 
-    An entry of rho'[p, q] at the column shifts (sx, sy) of ``_term_factors``
-    meets the coordinates r d + s and s d + r, r, s = p + sx, q + sy
-    (``_halves``).  So a row has one slot per shift pair and half, and
-    its part of the pattern lists the slots that hold an entry of any term,
-    the first halves in the order of r d + s, then the second halves in the
-    order of s d + r.  The two coincide only for pairs of equal sx + sy, where
-    the second half of one pair is the first half of the other on the
-    diagonal p - q = sy' - sx; there it is listed once.
+    Returns ``(indices, indptr, terms)``: the canonical CSR pattern that is
+    the union of all terms' entries, and per term, in ``model_terms`` order,
+    ``(where, unit)``, the positions of its entries in that pattern and
+    their values.  Every array is read-only.  Built on first use per
+    basis, not at import.
     """
-    d, n = spec.dim, spec.dim ** 2
-    factors = _term_factors(spec)
-    pairs = {pair for _, by_shift in factors for pair in by_shift}
-    slot = {(pair, 0): k for k, pair in enumerate(sorted(pairs))}
-    slot |= {(pair, 1): len(pairs) + k for k, pair in enumerate(sorted(pairs, key=lambda s: s[::-1]))}
-    repeats = [(slot[a, 0], slot[b, 1], b[1] - a[0]) for a in pairs for b in pairs if a != b and sum(a) == sum(b)]
-    # a shift pair's two halves hold at most one entry per row (sin or cos below) where
-    # one of its X[p] Y[q] is nonzero: fill arrays of that size, and keep what was filled
-    sizes = [sum(min(n, sum(np.count_nonzero(vx) * np.count_nonzero(vy) for _, vx, vy in parts))
-                 for parts in by_shift.values()) for _, by_shift in factors]
-    where, unit = [np.empty(size, dtype=np.int32) for size in sizes], [np.empty(size) for size in sizes]
-    indices, counts = np.empty(sum(sizes), dtype=np.int32), np.empty(n, dtype=np.int32)
-    filled, written = 0, [0] * len(factors)
-    step = max(1, _BUILD_ROWS // d)
-    for start in range(0, d, step):
-        p, q = np.arange(start, min(start + step, d), dtype=np.int32)[:, None], np.arange(d, dtype=np.int32)
-        diff = (p - q).ravel()
-        listed = np.zeros((len(slot), diff.size), dtype=bool)
-        entries = []  # (term, slot, rows, values) of every nonzero entry
-        halves = {}
-        for k, (e, by_shift) in enumerate(factors):
-            for (sx, sy), parts in by_shift.items():
-                h = sum(w * np.multiply.outer(vx[p[:, 0]], vy) for w, vx, vy in parts).ravel()
-                if (sx - sy, e) not in halves:
-                    halves[sx - sy, e] = _halves(diff, sx - sy, e)
-                for half, sign in enumerate(halves[sx - sy, e]):
-                    val, s = h * sign, slot[(sx, sy), half]
-                    nonzero = np.flatnonzero(val)
-                    listed[s, nonzero] = True
-                    entries.append((k, s, nonzero, val[nonzero]))
-        repeated = []
-        for first, second, c in repeats:
-            on = np.flatnonzero((diff == c) & listed[first] & listed[second])
-            listed[second, on] = False
-            repeated.append((first, second, on))
-        position = np.empty(listed.shape, dtype=np.int32)
-        before = np.zeros(diff.size, dtype=np.int32)  # the row's slots listed so far
-        for s, here in enumerate(listed):
-            position[s] = before
-            before += here
-        position += np.cumsum(before, dtype=np.int32) - before + filled
-        for first, second, on in repeated:
-            position[second, on] = position[first, on]
-        rows, transposed = (p * d + q).ravel(), (q * d + p).ravel()
-        for ((sx, sy), half), s in slot.items():
-            on = np.flatnonzero(listed[s])
-            indices[position[s, on]] = rows[on] + (sx * d + sy) if half == 0 else transposed[on] + (sy * d + sx)
-        for k, s, nonzero, val in entries:
-            where[k][written[k]:written[k] + len(val)] = position[s, nonzero]
-            unit[k][written[k]:written[k] + len(val)] = val
-            written[k] += len(val)
-        counts[start * d:start * d + diff.size] = before
-        filled += int(before.sum())
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    pattern = (indices[:filled].copy(), indptr)
-    terms = tuple((w[:m], u[:m]) for w, u, m in zip(where, unit, written))
-    for a in pattern + sum(terms, ()):
+    T, C = _hermitian_map(spec)
+    n = spec.dim ** 2
+    eye = sparse.identity(spec.dim, format="csr")
+    hamiltonian, jumps = model_terms(SystemParams())
+
+    def superoperators():
+        for _, word in hamiltonian:
+            h = _operator(spec, word)
+            yield -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.conj()))
+        for _, word in jumps:
+            J = _operator(spec, word)
+            JdJ = J.conj().T @ J
+            yield sparse.kron(J, J.conj()) - 0.5 * (sparse.kron(JdJ, eye) + sparse.kron(eye, JdJ.conj()))
+
+    def real_part(S):
+        """Re(C S T) as canonical CSR arrays ``(indptr, indices, values)``; the copied values free the complex M."""
+        M = C @ S @ T
+        M.sort_indices()
+        keep = M.data.real != 0.0
+        return np.cumsum(np.append(False, keep), dtype=np.int32)[M.indptr], M.indices[keep], M.data.real[keep]
+
+    terms = [real_part(S) for S in superoperators()]
+    union = sum(sparse.csr_array((np.ones(len(unit), dtype=bool), indices, indptr), shape=(n, n))
+                for indptr, indices, unit in terms)
+    # number the union's entries; each term becomes its entries' numbers, dropping its index arrays as it goes
+    union.data = np.arange(union.nnz, dtype=np.int32)
+    for k, (indptr, indices, unit) in enumerate(terms):
+        terms[k] = union[np.repeat(np.arange(n), np.diff(indptr)), indices], unit
+    indices, indptr, terms = union.indices, union.indptr, tuple(terms)
+    for a in (indices, indptr) + sum(terms, ()):
         a.flags.writeable = False
-    return pattern + (terms,)
-
-
-_COS, _SIN = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
-
-
-def _halves(diff: np.ndarray, shift: int, e: int):
-    """The factors of a real entry h of i^e X rho Yd on its two halves, per coordinate row.
-
-    ``diff`` is p - q per row and ``shift`` (r - s) - (p - q), r, s the
-    row and column of rho the entry reads.  A row on or above the diagonal
-    reads Re rho'[p, q], one below it Im rho'[q, p] = Re(i rho'[p, q]), since
-    rho' is Hermitian, so it gets G = i^(e + [p > q]) h times
-    rho[r, s] = x[lo d + hi] + i sign(s - r) x[hi d + lo].  The first half,
-    at column r d + s, gets Re G (r <= s) or Im G (r > s); the second, at
-    s d + r, -Im G (r < s), Re G (r > s) or nothing (r = s).  Together that
-    is i^([r > s]) conj(G) = i^k h, k = [r > s] - [p > q] - e: the first
-    half is h cos(k pi/2), the second h sin(k pi/2).
-    """
-    r_minus_s = diff + shift
-    k = ((r_minus_s > 0).astype(np.int8) - (diff > 0) - e) & 3
-    return _COS[k], np.where(r_minus_s == 0, 0.0, _SIN[k])
+    return indices, indptr, terms
 
 
 class Liouvillian:
@@ -383,12 +314,12 @@ class Liouvillian:
 
     A Hermitian rho is held by the d^2 real entries of a d x d matrix X,
     read row-major: on and above the diagonal X[i, j] = Re rho[i, j], below
-    it X[j, i] = Im rho[i, j] (i < j).  The generator is
-    rho -> -i[H, rho] + sum_J w (J rho Jd - {Jd J, rho}/2), with H and the
-    jumps J of rate w read from ``model_terms``.  ``superop`` is the sum,
-    over the terms of nonzero value, of value times the term's cached
-    superoperator at unit coefficient (``_unit_terms``), added into the
-    data of their common CSR pattern, with exact zeros dropped; the
+    it X[j, i] = Im rho[i, j] (i < j), as ``_hermitian_map`` holds it.  The
+    generator is rho -> -i[H, rho] + sum_J w (J rho Jd - {Jd J, rho}/2), with
+    H and the jumps J of rate w read from ``model_terms``.  ``superop`` is
+    the sum, over the terms of nonzero value, of value times the term's
+    cached superoperator at unit coefficient (``_unit_terms``), added into
+    the data of their common CSR pattern, with exact zeros dropped; the
     right-hand side of the density equation is one real sparse matvec.
     """
 
@@ -528,30 +459,18 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus):
 def _functional(spec: FockBasisSpec, words: tuple):
     """Tr[rho O] of each word as one real-linear map of rho's Hermitian coordinates.
 
-    Returns ``(coords, F)``: the coordinate indices the words read, and a
-    real CSR matrix of shape ``(2 W, len(coords))`` for W words whose row w
-    gives Re Tr[rho O_w] and row W + w its Im.  Each entry O[r, c] meets
-    rho[c, r] = x[min d + max] + i sigma x[max d + min], sigma = sign(r - c),
-    so it adds Re(O) and -sigma Im(O) on those two coordinates to row w, and
-    Im(O) and sigma Re(O) to row W + w; zero entries are dropped, and the
-    entries of (r, c) and (c, r) are summed.  Cached per basis and word tuple.
+    Tr[rho O] = vec(O^T) . vec(rho) = vec(O^T) T x, with T of
+    ``_hermitian_map``, so the W words' rows vec(O^T) T act on the real x.
+    Returns ``(coords, F)``: the coordinate indices any row reads, and the
+    real CSR matrix of shape ``(2 W, len(coords))`` whose row w is the Re of
+    word w's row and row W + w its Im.  Cached per basis and word tuple.
     """
-    d, n = spec.dim, len(words)
-    rows, cols, vals = [], [], []
-    for w, word in enumerate(words):
-        op = _operator(spec, word).tocoo()
-        r, c, o = op.row, op.col, op.data
-        lo, hi, sigma = np.minimum(r, c), np.maximum(r, c), np.sign(r - c)
-        for row, col, val in ((w, lo * d + hi, o.real), (w, hi * d + lo, -sigma * o.imag),
-                              (n + w, lo * d + hi, o.imag), (n + w, hi * d + lo, sigma * o.real)):
-            keep = val != 0.0
-            rows.append(np.full(np.count_nonzero(keep), row))
-            cols.append(col[keep])
-            vals.append(val[keep])
-    coords, cols = np.unique(np.concatenate(cols), return_inverse=True)
-    F = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
-                          shape=(2 * n, len(coords))).tocsr()
-    return coords, F
+    T, _ = _hermitian_map(spec)
+    rows = sparse.vstack([_operator(spec, word).T.reshape(1, -1) for word in words]) @ T
+    F = sparse.vstack([rows.real, rows.imag], format="csr")
+    F.eliminate_zeros()
+    coords = np.unique(F.indices)
+    return coords, F[:, coords].sorted_indices()
 
 
 def _expectations(F: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ from cavens.oracle import (
     DensityMatrix,
     FockBasisSpec,
     PositivityError,
+    _coordinates,
+    _hermitian_map,
     _unit_terms,
     _write_hermitian,
     build_generator,
@@ -44,6 +46,20 @@ def test_basis_spec_enforces_cap():
         FockBasisSpec(8)
     with pytest.raises(ValueError):
         FockBasisSpec(0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FockBasisSpec(2.5), "n_max must be an integer, got 2.5"),
+    (lambda: fock_state(FockBasisSpec(3), (0.5, 0, 0)), r"occupations\[0\] must be an integer in 0..3, got 0.5"),
+    (lambda: thermal_state(FockBasisSpec(1), (np.nan, 0, 0)), r"nbars\[0\] must be finite and >= 0, got nan"),
+    (lambda: thermal_state(FockBasisSpec(1), (0, np.inf, 0)), r"nbars\[1\] must be finite and >= 0, got inf"),
+    (lambda: DensityMatrix(np.full((8, 8), np.nan), FockBasisSpec(1)).validate(), "matrix must be finite"),
+    (lambda: coherent_state(FockBasisSpec(1), (0, 0, np.nan)), r"alphas\[2\] must be finite, got nan"),
+], ids=["fractional n_max", "fractional occupation", "nan occupation", "inf occupation", "nan matrix",
+        "nan amplitude"])
+def test_oracle_constructors_name_the_field_they_cannot_represent(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_single_mode_decay():
@@ -147,6 +163,23 @@ def test_unit_terms_share_one_read_only_pattern(n_max):
     assert pattern.nnz == len(indices)
 
 
+def test_cold_unit_term_build_peaks_under_twice_what_it_keeps():
+    """An uncached build at n_max 5, its operators and coordinate map built,
+    allocates at most twice the bytes it returns, and each term's values
+    own their memory rather than viewing a complex product's."""
+    spec = FockBasisSpec(5)
+    _unit_terms(spec)
+    tracemalloc.start()
+    try:
+        indices, indptr, terms = _unit_terms.__wrapped__(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = indices.nbytes + indptr.nbytes + sum(where.nbytes + unit.nbytes for where, unit in terms)
+    assert peak <= 2 * kept
+    assert all(unit.flags.owndata for _, unit in _unit_terms(spec)[2])
+
+
 _rate = st.floats(0.05, 2.0)
 _coefficient = st.floats(-2.0, 2.0, allow_nan=False)
 # every jump used (nonzero baths), and three different detunings
@@ -215,6 +248,21 @@ def test_write_hermitian_is_the_where_formula_bit_for_bit(x):
     out = np.full(x.shape, 1.5 + 2.5j)
     _write_hermitian(x, out)
     np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_hermitian_map_is_the_coordinate_functions_bit_for_bit(n_max, rng):
+    """T x is _write_hermitian(x) and Re(C vec(rho)) is _coordinates(rho), bit for bit."""
+    spec = FockBasisSpec(n_max)
+    d = spec.dim
+    T, C = _hermitian_map(spec)
+    x = rng.normal(size=(d, d))
+    rho = np.empty((d, d), dtype=complex)
+    _write_hermitian(x, rho)
+    np.testing.assert_array_equal((T @ x.ravel()).view(np.uint64), rho.ravel().view(np.uint64))
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    herm = G + G.conj().T
+    np.testing.assert_array_equal((C @ herm.ravel()).real.view(np.uint64), _coordinates(herm).view(np.uint64))
 
 
 def test_evolve_path_matches_solve_ivp():

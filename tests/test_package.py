@@ -107,15 +107,17 @@ _LAZY_ORACLE = """
 import cavens.oracle as oracle
 from cavens.model import SystemParams
 
-built = oracle._unit_terms.cache_info().currsize
+caches = oracle._unit_terms, oracle._hermitian_map
+built = [cache.cache_info().currsize for cache in caches]
 oracle.build_generator(SystemParams(), oracle.FockBasisSpec(1))
-print(built, oracle._unit_terms.cache_info().currsize)
+print(*built, *(cache.cache_info().currsize for cache in caches))
 """
 
 
 def test_import_leaves_the_oracle_unit_terms_unbuilt(tmp_path):
-    # the unit-term superoperators are built per basis on the first build_generator, not at import
+    # the unit-term superoperators and the coordinate map are built per basis on the first
+    # build_generator, not at import
     src = Path(cavens.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _LAZY_ORACLE], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 1 1\n", "")
