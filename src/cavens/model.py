@@ -281,6 +281,10 @@ def occupation_defect(states: np.ndarray) -> float:
     return float(np.maximum(np.abs(occ.imag), -occ.real).max(initial=0.0))
 
 
+# most samples a scenario may ask for: its trajectory alone is 432 MB (27 complex moments each)
+SAMPLE_CAP = 10**6
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully resolved simulation run.
@@ -288,8 +292,8 @@ class Scenario:
     ``threshold`` is the dip depth below the classical boundary required to
     count a witness as fired when scoring a sign matrix; it rides along with
     the scenario so a parsed config is self-contained.  Construction rejects
-    invalid parameters and a non-finite time span, which the integrator
-    would otherwise chase forever.
+    invalid parameters, a non-finite time span, which the integrator
+    would otherwise chase forever, and more than ``SAMPLE_CAP`` samples.
     """
 
     params: SystemParams
@@ -306,6 +310,8 @@ class Scenario:
             raise ValueError("t_max must be finite and > 0")
         if self.sample_count < 2:
             raise ValueError("sample_count must be >= 2")
+        if self.sample_count > SAMPLE_CAP:
+            raise ValueError(f"sample_count must be <= {SAMPLE_CAP}")
         if not self.threshold > 0:
             raise ValueError("threshold must be > 0")
 

@@ -31,9 +31,10 @@ of the Hermitian coordinates, one sparse product for a whole word list.
 ``moments_from_density`` reads the 27 stored moments from it, and
 ``witness_table(exact_correlators(rhos, spec))`` is the witness catalog on
 exact instead of decoupled correlators.  ``closure_report`` applies the
-same functional to each Taylor step's samples as they are formed, so it
-never holds the ``(n, d, d)`` path that ``evolve_path`` returns; its
-``exact_words`` table serves every word of the catalog at every sample.
+same functional to each Taylor step's samples as they are formed, on the
+coordinates it reads alone, so it never holds the ``(n, d, d)`` path that
+``evolve_path`` returns; its ``exact_words`` table serves every word of
+the catalog at every sample.
 """
 
 from __future__ import annotations
@@ -369,28 +370,31 @@ def evolve(rho0: DensityMatrix, L: Liouvillian, t: float) -> DensityMatrix:
 def evolve_path(rho0: DensityMatrix, L: Liouvillian, taus: np.ndarray) -> np.ndarray:
     """Exactly Hermitian exp(tau L) rho0 on a grid from 0, shape ``(len(taus), d, d)``.
 
-    The samples of ``_taylor_rows``, written out as matrices; raises what it
-    raises.
+    The samples of ``_taylor_rows`` on every coordinate, written out as
+    matrices; raises what it raises.
     """
     d = rho0.spec.dim
     path = np.empty((len(taus), d, d), dtype=complex)
     filled = 0
-    for rows in _taylor_rows(rho0, L, taus):
+    for rows in _taylor_rows(rho0, L, taus, np.arange(d * d)):
         _write_hermitian(rows.reshape(-1, d, d), path[filled:filled + len(rows)])
         filled += len(rows)
     return path
 
 
-def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus):
-    """Hermitian coordinates of exp(tau L) rho0 on a grid from 0, summed as Taylor series.
+def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus, read: np.ndarray):
+    """Hermitian coordinates ``read`` of exp(tau L) rho0 on a grid from 0, summed as Taylor series.
 
-    Yields the samples in order, one ``(k, d^2)`` block per accepted step
-    that covers any (the first block holds the samples at 0).  A step h from
-    coordinates x forms v_0 = x, v_j = (h/j) superop v_(j-1) until two in a
-    row are below unit roundoff times |x|, and sums them into its end value
-    and, with weights theta^j, theta = (tau - t)/h, into each sample tau it
-    covers; one matrix product per ``_BLOCK`` terms does both (Al-Mohy &
-    Higham, *SIAM J. Sci. Comput.* 33, 488, 2011).  A step with a non-finite term or result, no
+    Yields the samples in order, one ``(k, len(read))`` block of x(tau)[read]
+    per accepted step that covers any (the first block holds the samples at
+    0); ``read`` is an index array into the d^2 coordinates.  A step h
+    from coordinates x forms v_0 = x, v_j = (h/j) superop v_(j-1) until two
+    in a row are below unit roundoff times |x|, and sums them, on all d^2
+    coordinates, into its end value and, with weights theta^j,
+    theta = (tau - t)/h, on the ``read`` ones alone, into each sample tau it
+    covers: one sum and one matrix product per ``_BLOCK`` terms (Al-Mohy &
+    Higham, *SIAM J. Sci. Comput.* 33, 488, 2011), so the samples cost
+    O(samples x len(read)), whatever d^2.  A step with a non-finite term or result, no
     convergence in ``_TERM_CAP`` terms, or a term above ``_CANCELLATION``
     times the result (cancellation) is halved; one of at most
     ``_FEW_TERMS`` terms doubles the next.  The first step has
@@ -417,7 +421,7 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus):
     x = _coordinates(rho0.matrix)
     # the samples at 0, which are all of them on a grid of zeros
     filled, t, t_end = int(np.searchsorted(taus, 0.0, side="right")), 0.0, float(taus[-1])
-    yield np.tile(x, (filled, 1))
+    yield np.tile(x[read], (filled, 1))
     norm = np.bincount(superop.indices, np.abs(superop.data), minlength=d * d).max()
     h = 8.0 / norm if norm else t_end
     block = np.empty((_BLOCK, d * d))
@@ -425,9 +429,9 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus):
         h = min(h, t_end - t)
         t_next = t_end if h == t_end - t else t + h
         stop = int(np.searchsorted(taus, t_next, side="right"))
-        # one row per sample in (t, t_next], then the end value at theta 1
-        theta = np.append((taus[filled:stop] - t) / h, 1.0)
-        sums = np.tile(x, (len(theta), 1))
+        # one row per sample in (t, t_next] on the read coordinates; the end value on all
+        theta = (taus[filled:stop] - t) / h
+        samples, end = np.tile(x[read], (len(theta), 1)), x.copy()
         peak = np.abs(x).max()
         tol, small, first, term = peak * np.finfo(float).eps / 2, 0, 1, x
         for j in range(1, _TERM_CAP + 1):
@@ -438,15 +442,17 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus):
             peak = max(peak, size)
             small = small + 1 if size <= tol else 0
             if small == 2 or j % _BLOCK == 0:
-                sums += (theta[:, None] ** np.arange(first, j + 1)) @ block[:j + 1 - first]
+                terms = block[:j + 1 - first]
+                samples += (theta[:, None] ** np.arange(first, j + 1)) @ terms[:, read]
+                end += terms.sum(axis=0)
                 first = j + 1
             if small == 2:
                 break
-        result = np.abs(sums[-1]).max()
+        result = np.abs(end).max()
         if small == 2 and np.isfinite(result) and peak <= _CANCELLATION * result:
             if stop > filled:
-                yield sums[:-1]
-            filled, x, t = stop, sums[-1], t_next
+                yield samples
+            filled, x, t = stop, end, t_next
             if j <= _FEW_TERMS:
                 h *= 2
         else:
@@ -513,10 +519,10 @@ def moments_from_density(rhos: np.ndarray, spec: FockBasisSpec) -> np.ndarray:
     return np.moveaxis(exact_correlators(rhos, spec)(SLOT_WORDS), 0, -1)
 
 
-def _top_population(x: np.ndarray, spec: FockBasisSpec) -> float:
-    """Largest population of any mode's top Fock level over coordinate rows ``x`` (k, d^2)."""
+def _top_population(pops: np.ndarray, spec: FockBasisSpec) -> float:
+    """Largest population of any mode's top Fock level over population rows ``pops`` (k, d)."""
     n = spec.local_dim
-    pops = x[:, ::spec.dim + 1].reshape(-1, n, n, n)
+    pops = pops.reshape(-1, n, n, n)
     return max(float(top.sum(axis=(1, 2)).max()) for top in (pops[:, -1], pops[:, :, -1], pops[..., -1]))
 
 
@@ -569,11 +575,12 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
     occupations only, so the oracle can start from the matching thermal
     product) and tabulates the pipeline's decoupled fourth/sixth-order
     correlators and witnesses against exact oracle values.  The density
-    path is never held: each Taylor step's samples are folded, as
-    coordinates, into a table of the words the witness catalog reads (which
-    include the report words) at every sample, kept as ``exact_words``, and
-    into the top-level populations, so memory is O(samples x words + one
-    step's samples), not O(samples x d^2).
+    path is never held: each Taylor step's samples are formed only on the
+    coordinates that the words of the witness catalog (which include the
+    report words) read, the populations among them, and folded into a table
+    of those words at every sample, kept as ``exact_words``, and into the
+    top-level populations, so memory is O(samples x words + one step's
+    samples on the read coordinates), not O(samples x d^2).
     """
     occs = occupations(scenario.initial)
     traj = integrate(scenario)
@@ -582,11 +589,16 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
 
     words = catalog_words()
     coords, F = _functional(basis, words)
+    # the leakage reads the populations among the words' coordinates
+    populations = np.arange(basis.dim) * (basis.dim + 1)
+    assert np.isin(populations, coords).all(), "the catalog words miss a population"
+    diagonal = np.searchsorted(coords, populations)
     table = np.empty((len(words), len(traj.taus)), dtype=complex)
     filled, leakage = 0, -np.inf
-    for rows in _taylor_rows(rho0, L, traj.taus):
-        table[:, filled:filled + len(rows)] = _expectations(F, rows[:, coords])
-        leakage = max(leakage, _top_population(rows, basis))
+    for rows in _taylor_rows(rho0, L, traj.taus, coords):
+        table[:, filled:filled + len(rows)] = _expectations(F, rows)
+        # take keeps each row contiguous, so the level sums add as on a density path's diagonal
+        leakage = max(leakage, _top_population(rows.take(diagonal, axis=1), basis))
         filled += len(rows)
     column = {word: i for i, word in enumerate(words)}
 

@@ -558,6 +558,8 @@ def test_cli_rejects_non_finite_inputs(argv, tmp_path, capsys):
     ("", ["--chi", "inf"], "--chi must be finite"),
     ("", ["--nmax", "0"], "--nmax must be >= 1"),
     ("", ["--nmax", "8"], "--nmax must be <= 7: basis dimension 729 exceeds cap 512"),
+    ("samples = 1000001", [], "line 2: samples must be <= 1000000"),
+    ("", ["--samples", "1000000000000"], "--samples must be <= 1000000"),
 ])
 def test_cli_names_a_bound_by_its_key_and_line_or_its_flag(config, flags, message, tmp_path, capsys):
     cfg = tmp_path / "bound.cfg"

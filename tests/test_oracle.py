@@ -18,7 +18,9 @@ from cavens.oracle import (
     FockBasisSpec,
     PositivityError,
     _coordinates,
+    _functional,
     _hermitian_map,
+    _taylor_rows,
     _unit_terms,
     _write_hermitian,
     build_generator,
@@ -306,6 +308,30 @@ def test_evolve_path_is_the_exponential(config, chi):
     for _ in taus[1:]:
         exact.append(step @ exact[-1])
     assert np.abs(rhos - np.reshape(exact, rhos.shape)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(read=st.sets(st.integers(0, 27 ** 2 - 1), min_size=1),
+       steps=st.lists(st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(0.0, 0.5)), max_size=80))
+def test_taylor_rows_read_are_the_path_coordinates(read, steps):
+    """The rows on any sorted coordinate subset are the full path's coordinates
+    there, to rounding: on grids with repeated samples (a zero step) and with
+    many samples in one Taylor step (steps of 1e-3)."""
+    spec = FockBasisSpec(2)
+    L = build_generator(preset_params("NA", 0.2), spec)
+    rho0 = thermal_state(spec, (0.2, 0.1, 0.3))
+    taus, read = np.cumsum([0.0] + steps), np.array(sorted(read))
+    rows = np.concatenate(list(_taylor_rows(rho0, L, taus, read)))
+    path = np.stack([_coordinates(rho) for rho in evolve_path(rho0, L, taus)])
+    np.testing.assert_allclose(rows, path[:, read], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_max", range(1, 8))
+def test_catalog_words_read_every_population(n_max):
+    """``closure_report`` takes its leakage from the read coordinates, so they hold the diagonal."""
+    spec = FockBasisSpec(n_max)
+    coords, _ = _functional(spec, catalog_words())
+    assert np.isin(np.arange(spec.dim) * (spec.dim + 1), coords).all()
 
 
 def test_evolve_is_the_last_sample_of_evolve_path():
@@ -606,7 +632,8 @@ def test_closure_report_matches_the_density_path(config, chi):
 
 
 def test_closure_report_never_holds_the_density_path():
-    """Its allocation peak stays below one complex (n, d, d) path."""
+    """Its allocation peak stays below half of one real (n, d^2) coordinate
+    path: the samples are formed on the words' coordinates alone."""
     spec = FockBasisSpec(3)
     params, init = preset_params("NA", 0.2), initial_state(0.2, 0.2, 0.2)
     closure_report(Scenario(params=params, initial=init, t_max=5.0, sample_count=5), spec)
@@ -617,4 +644,4 @@ def test_closure_report_never_holds_the_density_path():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < sc.sample_count * spec.dim ** 2 * 16
+    assert peak < sc.sample_count * spec.dim ** 2 * 8 / 2
