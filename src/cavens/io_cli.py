@@ -49,7 +49,7 @@ from .model import (
     preset_params,
 )
 from .runner import CELLS, SignMatrix, SweepSurface, WitnessSeries, chi_sweep, run_scenario, table_matrix
-from .witnesses import WITNESS_NAMES, InternalConsistencyError
+from .witnesses import WITNESS_NAMES, InternalConsistencyError, column_name
 
 if TYPE_CHECKING:  # the oracle, and scipy with it, loads only for oracle-check
     from .oracle import ClosureReport, FockBasisSpec
@@ -212,7 +212,7 @@ def write_sign_matrix(matrix: SignMatrix, dest) -> None:
     _write_columns(dest, header, [
         [config for config, _ in matrix.columns for _ in CELLS],
         np.repeat(np.array([chi for _, chi in matrix.columns], dtype=float), len(CELLS)),
-        [f"{row}_{key.replace('|', '_')}" for row, key in CELLS] * len(matrix.columns),
+        [column_name(row, key) for row, key in CELLS] * len(matrix.columns),
         ["tick" if t else "cross" for t in matrix.ticks.ravel()],
         matrix.min_value.ravel(),
         matrix.argmin_tau.ravel(),
@@ -331,11 +331,20 @@ def _entries(text: str, what: str) -> list[str]:
     return parts
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, base: Scenario) -> list[float]:
+    """The drive strengths of ``--chi-grid``, each checked as ``base``'s chi; a bound names the flag and entry."""
+    parts = _entries(text, "chi grid")
     try:
-        return [float(part) for part in _entries(text, "chi grid")]
+        grid = [float(part) for part in parts]
     except ValueError:
         raise _UsageError(f"malformed chi grid {text!r}") from None
+    for part, chi in zip(parts, grid):
+        try:
+            base.with_params(chi=chi)
+        except ValueError as exc:  # a bound, named by its flag and entry
+            label = f"--chi-grid entry {part}"
+            raise _UsageError(_renamed(exc, lambda field: label if field == "chi" else field)) from None
+    return grid
 
 
 def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
@@ -359,9 +368,9 @@ def main(argv=None) -> int:
                 _, series = run_scenario(scenario)
                 write_witness_series(series, dest, columns)
         elif args.command == "table":
-            write_sign_matrix(table_matrix(scenario, _parse_grid(args.chi_grid)), dest)
+            write_sign_matrix(table_matrix(scenario, _parse_grid(args.chi_grid, scenario)), dest)
         elif args.command == "sweep":
-            write_sweep(chi_sweep(scenario, _parse_grid(args.chi_grid), args.witness), dest)
+            write_sweep(chi_sweep(scenario, _parse_grid(args.chi_grid, scenario), args.witness), dest)
         elif args.command == "oracle-check":
             from .oracle import FockBasisSpec
 

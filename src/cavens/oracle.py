@@ -215,35 +215,12 @@ def coherent_state(spec: FockBasisSpec, alphas: Sequence[complex]) -> DensityMat
     return DensityMatrix(m, spec)
 
 
-@lru_cache(maxsize=8)
-def _triangles(d: int):
-    """Masks of the diagonal-and-upper and the strictly upper triangle of d x d."""
-    ones = np.ones((d, d), dtype=bool)
-    return np.triu(ones), np.triu(ones, 1)
-
-
-def _coordinates(rho: np.ndarray) -> np.ndarray:
-    """The d^2 real Hermitian coordinates of a Hermitian rho (see ``Liouvillian``)."""
-    upper, _ = _triangles(rho.shape[-1])
-    return np.where(upper, rho.real, rho.imag.T).ravel()
-
-
-def _write_hermitian(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the exactly Hermitian matrices of coordinates ``x`` (..., d, d) into ``out``."""
-    upper, strict = _triangles(x.shape[-1])
-    xt, real, imag = x.swapaxes(-1, -2), out.real, out.imag
-    np.copyto(real, x, where=upper)
-    np.copyto(real, xt, where=strict.T)
-    np.copyto(imag, xt, where=strict)
-    np.negative(x, out=imag, where=strict.T)
-    imag[(..., *np.diag_indices(x.shape[-1]))] = 0.0
-
-
 @lru_cache(maxsize=2)
 def _hermitian_map(spec: FockBasisSpec):
-    """The Hermitian coordinates x of ``Liouvillian`` as complex CSR maps ``(T, C)`` of row-major vec(rho).
+    """The d^2 real Hermitian coordinates x of rho as complex CSR maps ``(T, C)`` of row-major vec(rho).
 
-    ``T @ x`` is vec(rho): rho[p, q] = x[lo d + hi] + i sign(q - p) x[hi d + lo],
+    The one statement of the layout.  ``T @ x`` is vec(rho), exactly
+    Hermitian: rho[p, q] = x[lo d + hi] + i sign(q - p) x[hi d + lo],
     lo, hi = min(p, q), max(p, q).  ``Re(C @ vec(rho))`` is x for a Hermitian
     rho: C reads rho[p, q] on and above the diagonal and -i rho[q, p] below
     it.  Cached per basis, built on first use.
@@ -313,10 +290,9 @@ def _unit_terms(spec: FockBasisSpec):
 class Liouvillian:
     """The Lindblad generator as one real sparse matrix on rho's Hermitian coordinates.
 
-    A Hermitian rho is held by the d^2 real entries of a d x d matrix X,
-    read row-major: on and above the diagonal X[i, j] = Re rho[i, j], below
-    it X[j, i] = Im rho[i, j] (i < j), as ``_hermitian_map`` holds it.  The
-    generator is rho -> -i[H, rho] + sum_J w (J rho Jd - {Jd J, rho}/2), with
+    A Hermitian rho is held by its d^2 real coordinates x
+    (``_hermitian_map``).  The generator is
+    rho -> -i[H, rho] + sum_J w (J rho Jd - {Jd J, rho}/2), with
     H and the jumps J of rate w read from ``model_terms``.  ``superop`` is
     the sum, over the terms of nonzero value, of value times the term's
     cached superoperator at unit coefficient (``_unit_terms``), added into
@@ -339,9 +315,8 @@ class Liouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate -i[H, rho] plus all damping dissipators; rho must be Hermitian."""
-        out = np.empty(rho.shape, dtype=complex)
-        _write_hermitian((self.superop @ _coordinates(rho)).reshape(rho.shape), out)
-        return out
+        T, C = _hermitian_map(self.spec)
+        return (T @ (self.superop @ (C @ rho.ravel()).real)).reshape(rho.shape)
 
 
 def build_generator(p: SystemParams, basis: FockBasisSpec) -> Liouvillian:
@@ -371,15 +346,17 @@ def evolve_path(rho0: DensityMatrix, L: Liouvillian, taus: np.ndarray) -> np.nda
     """Exactly Hermitian exp(tau L) rho0 on a grid from 0, shape ``(len(taus), d, d)``.
 
     The samples of ``_taylor_rows`` on every coordinate, written out as
-    matrices; raises what it raises.
+    matrices by T of ``_hermitian_map``; raises what it raises.
     """
     d = rho0.spec.dim
-    path = np.empty((len(taus), d, d), dtype=complex)
+    T, _ = _hermitian_map(rho0.spec)
+    # C-ordered: a sample's entries then sum in the order closure_report sums them
+    path = np.empty((len(taus), d * d), dtype=complex)
     filled = 0
     for rows in _taylor_rows(rho0, L, taus, np.arange(d * d)):
-        _write_hermitian(rows.reshape(-1, d, d), path[filled:filled + len(rows)])
+        path[filled:filled + len(rows)] = (T @ rows.T).T
         filled += len(rows)
-    return path
+    return path.reshape(-1, d, d)
 
 
 def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus, read: np.ndarray):
@@ -418,7 +395,7 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus, read: np.ndarray):
         raise ValueError(f"initial state has hermiticity defect {defect:.3e} above 1e-10")
     d = rho0.spec.dim
     superop = L.superop
-    x = _coordinates(rho0.matrix)
+    x = (_hermitian_map(rho0.spec)[1] @ rho0.matrix.ravel()).real
     # the samples at 0, which are all of them on a grid of zeros
     filled, t, t_end = int(np.searchsorted(taus, 0.0, side="right")), 0.0, float(taus[-1])
     yield np.tile(x[read], (filled, 1))
@@ -495,20 +472,18 @@ def exact_correlators(rhos: np.ndarray, spec: FockBasisSpec):
     (rho + rho^dagger)/2, so the values are taken on the Hermitian part.
     Paths from ``evolve_path`` are already exactly Hermitian; for any other
     input this drops the antisymmetric part, so the moments are
-    conjugate-consistent at machine precision.  Only the coordinates the
-    words read are gathered.
+    conjugate-consistent at machine precision.
     """
     rhos = np.asarray(rhos)
     d = spec.dim
     flat = rhos.reshape(-1, d, d)
+    _, C = _hermitian_map(spec)
 
     def evaluate(words):
         words = tuple(words)
         coords, F = _functional(spec, words)
-        p, q = np.divmod(coords, d)
-        a, b = flat[:, p, q], flat[:, q, p]
-        # on and above the diagonal Re of the Hermitian part, below it Im of its transpose
-        x = np.where(p <= q, a.real + b.real, b.imag - a.imag) / 2.0
+        vecs = (flat + flat.conj().swapaxes(-1, -2)).reshape(len(flat), d * d)
+        x = (C[coords] @ vecs.T).real.T / 2.0
         return _expectations(F, x).reshape((len(words),) + rhos.shape[:-2])
 
     return evaluate

@@ -28,6 +28,7 @@ from .witnesses import (
     PARTITION_KEYS,
     WITNESS_NAMES,
     InternalConsistencyError,
+    column_name,
     witness_table,
 )
 
@@ -112,7 +113,7 @@ CELLS = tuple((row, key) for row, keys, _, _ in SIGN_ROWS for key in keys)
 _BOUNDARIES = np.array([b for _, keys, b, _ in SIGN_ROWS for _ in keys])
 # table columns of each cell's first and last scored witness
 _FIRST, _LAST = np.array([
-    [WITNESS_NAMES.index(f"{col}_{key.replace('|', '_')}") for col in (cols[0], cols[-1])]
+    [WITNESS_NAMES.index(column_name(col, key)) for col in (cols[0], cols[-1])]
     for _, keys, _, cols in SIGN_ROWS for key in keys
 ]).T
 

@@ -44,6 +44,7 @@ __all__ = [
     "PARTITION_KEYS",
     "WITNESS_NAMES",
     "InternalConsistencyError",
+    "column_name",
     "catalog_words",
     "witness_table",
 ]
@@ -210,15 +211,19 @@ def _steering(e, occ):
     return e + occ / 2.0
 
 
-# column order of every witness table; a partition "AB|C" is named "AB_C"
+def column_name(prefix: str, key: str) -> str:
+    """The column of witness ``prefix`` at ``key``; a partition "AB|C" is named "AB_C"."""
+    return f"{prefix}_{key.replace('|', '_')}"
+
+
+# column order of every witness table
 WITNESS_NAMES = (
     tuple(f"mandel_{m}" for m in MODE_KEYS)
     + tuple(f"antibunch_{k}" for k in MODE_KEYS + PAIR_KEYS)
     + tuple(f"{f}_{k}" for k in MODE_KEYS + PAIR_KEYS for f in ("var_x", "var_y"))
     + tuple(f"{f}_{p}" for f in ("duan", "hz_e", "hz_etilde") for p in PAIR_KEYS)
     + tuple(f"steering_{k}" for k in ORDERED_PAIR_KEYS)
-    + tuple(f"{f}_{k.replace('|', '_')}" for f in ("bisep_e", "bisep_eprime")
-            for k in PARTITION_KEYS)
+    + tuple(column_name(f, k) for f in ("bisep_e", "bisep_eprime") for k in PARTITION_KEYS)
 )
 _MAY_BE_NAN = np.array([name.startswith("mandel_") for name in WITNESS_NAMES])
 
@@ -263,7 +268,7 @@ def catalog_words() -> tuple:
 @cache
 def _rows(prefix: str, keys: tuple) -> np.ndarray:
     """Table columns of a witness for each key."""
-    return np.array([WITNESS_NAMES.index(f"{prefix}_{k.replace('|', '_')}") for k in keys])
+    return np.array([WITNESS_NAMES.index(column_name(prefix, k)) for k in keys])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported per trajectory

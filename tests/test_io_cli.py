@@ -560,11 +560,15 @@ def test_cli_rejects_non_finite_inputs(argv, tmp_path, capsys):
     ("", ["--nmax", "8"], "--nmax must be <= 7: basis dimension 729 exceeds cap 512"),
     ("samples = 1000001", [], "line 2: samples must be <= 1000000"),
     ("", ["--samples", "1000000000000"], "--samples must be <= 1000000"),
+    ("", ["--chi-grid", "0,nan"], "--chi-grid entry nan must be finite"),
+    ("", ["--chi-grid", "inf", "--witness", "mandel_A"], "--chi-grid entry inf must be finite"),
 ])
 def test_cli_names_a_bound_by_its_key_and_line_or_its_flag(config, flags, message, tmp_path, capsys):
     cfg = tmp_path / "bound.cfg"
     cfg.write_text(f"# a bound\n{config}\n", encoding="utf-8")
-    command = "oracle-check" if "--nmax" in flags else "simulate"  # --nmax is oracle-check's alone
+    # --nmax is oracle-check's alone; --chi-grid is table's, and sweep's beside --witness
+    command = ("oracle-check" if "--nmax" in flags else "sweep" if "--witness" in flags
+               else "table" if "--chi-grid" in flags else "simulate")
     assert main([command, "--config", str(cfg), *flags]) == 1
     assert capsys.readouterr().err == f"cavens: error: {message}\n"
 

@@ -17,12 +17,10 @@ from cavens.oracle import (
     DensityMatrix,
     FockBasisSpec,
     PositivityError,
-    _coordinates,
     _functional,
     _hermitian_map,
     _taylor_rows,
     _unit_terms,
-    _write_hermitian,
     build_generator,
     closure_report,
     coherent_state,
@@ -35,6 +33,23 @@ from cavens.oracle import (
 )
 from cavens.witnesses import WITNESS_NAMES, catalog_words, witness_table
 from conftest import system_params
+
+
+def _where_rho(x: np.ndarray) -> np.ndarray:
+    """The reference layout: the exactly Hermitian matrices of coordinates ``x`` (..., d, d)."""
+    d = x.shape[-1]
+    upper, strict = np.triu(np.ones((d, d), dtype=bool)), np.triu(np.ones((d, d), dtype=bool), 1)
+    xt = x.swapaxes(-1, -2)
+    rho = np.empty(x.shape, dtype=complex)
+    rho.real = np.where(upper, x, xt)
+    rho.imag = np.where(strict, xt, np.where(upper, 0.0, -x))
+    return rho
+
+
+def _where_coordinates(rho: np.ndarray) -> np.ndarray:
+    """The reference layout: the coordinates of Hermitian matrices ``rho`` (..., d, d), flat per matrix."""
+    upper = np.triu(np.ones(rho.shape[-2:], dtype=bool))
+    return np.where(upper, rho.real, rho.imag.swapaxes(-1, -2)).reshape(rho.shape[:-2] + (-1,))
 
 
 def _expect(rho: DensityMatrix, name: str):
@@ -201,12 +216,10 @@ def test_assembled_superoperator_is_the_operator_form(p):
     basis matrix rho, to 1e-14 of its largest entry, each entry once."""
     spec = FockBasisSpec(2)
     d = spec.dim
-    basis = np.empty((d * d, d, d), dtype=complex)
-    _write_hermitian(np.eye(d * d).reshape(d * d, d, d), basis)
-    out = (_complex_generator(p, 2) @ sparse.csr_matrix(basis.reshape(d * d, -1).T)).T.toarray()
-    out = out.reshape(d * d, d, d)
-    upper = np.triu(np.ones((d, d), dtype=bool))
-    expected = np.where(upper, out.real, out.imag.swapaxes(-1, -2)).reshape(d * d, -1).T
+    # column k of T is vec of the basis matrix of coordinate k
+    T, _ = _hermitian_map(spec)
+    out = (_complex_generator(p, 2) @ T).T.toarray().reshape(d * d, d, d)
+    expected = _where_coordinates(out).T
     superop = build_generator(p, spec).superop
     assert np.abs(superop.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
     merged = superop.copy()
@@ -238,33 +251,32 @@ PATH_BOUND = 1e-9
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.tuples(st.sampled_from([(), (1,), (3,)]), st.integers(1, 6)).flatmap(lambda shape: arrays(
-    np.float64, shape[0] + (shape[1],) * 2, elements=st.floats() | st.sampled_from([0.0, -0.0]))))
-def test_write_hermitian_is_the_where_formula_bit_for_bit(x):
-    d = x.shape[-1]
-    upper, strict = np.triu(np.ones((d, d), dtype=bool)), np.triu(np.ones((d, d), dtype=bool), 1)
-    xt = x.swapaxes(-1, -2)
-    expected = np.empty(x.shape, dtype=complex)
-    expected.real = np.where(upper, x, xt)
-    expected.imag = np.where(strict, xt, np.where(upper, 0.0, -x))
-    out = np.full(x.shape, 1.5 + 2.5j)
-    _write_hermitian(x, out)
-    np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+@given(arrays(np.float64, st.sampled_from([(), (1,), (3,)]).map(lambda stack: stack + (8, 8)),
+              elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])))
+def test_hermitian_map_writes_the_where_formula(x):
+    """T x, on one coordinate vector or a stack of them, is ``_where_rho(x)``:
+    bit for bit where nonzero, in value where a zero may change sign (T's
+    sparse sum starts at +0).  Its callers hold finite coordinates only."""
+    T, _ = _hermitian_map(FockBasisSpec(1))
+    got = (T @ x.reshape(-1, 64).T).T.reshape(x.shape)
+    expected = _where_rho(x)
+    for a, b in ((got.real, expected.real), (got.imag, expected.imag)):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a[b != 0].view(np.uint64), b[b != 0].view(np.uint64))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_hermitian_map_is_the_coordinate_functions_bit_for_bit(n_max, rng):
-    """T x is _write_hermitian(x) and Re(C vec(rho)) is _coordinates(rho), bit for bit."""
+    """T x is ``_where_rho(x)`` and Re(C vec(rho)) is ``_where_coordinates(rho)``,
+    bit for bit on normal random entries."""
     spec = FockBasisSpec(n_max)
     d = spec.dim
     T, C = _hermitian_map(spec)
     x = rng.normal(size=(d, d))
-    rho = np.empty((d, d), dtype=complex)
-    _write_hermitian(x, rho)
-    np.testing.assert_array_equal((T @ x.ravel()).view(np.uint64), rho.ravel().view(np.uint64))
+    np.testing.assert_array_equal((T @ x.ravel()).view(np.uint64), _where_rho(x).ravel().view(np.uint64))
     G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     herm = G + G.conj().T
-    np.testing.assert_array_equal((C @ herm.ravel()).real.view(np.uint64), _coordinates(herm).view(np.uint64))
+    np.testing.assert_array_equal((C @ herm.ravel()).real.view(np.uint64), _where_coordinates(herm).view(np.uint64))
 
 
 def test_evolve_path_matches_solve_ivp():
@@ -322,7 +334,7 @@ def test_taylor_rows_read_are_the_path_coordinates(read, steps):
     rho0 = thermal_state(spec, (0.2, 0.1, 0.3))
     taus, read = np.cumsum([0.0] + steps), np.array(sorted(read))
     rows = np.concatenate(list(_taylor_rows(rho0, L, taus, read)))
-    path = np.stack([_coordinates(rho) for rho in evolve_path(rho0, L, taus)])
+    path = _where_coordinates(evolve_path(rho0, L, taus))
     np.testing.assert_allclose(rows, path[:, read], rtol=0, atol=1e-15)
 
 
