@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closure import SLOT_OF, SLOT_WORDS
-from .model import CONJUGATE_PAIRS, Moment, Scenario, SystemParams, model_terms
+from .model import CONJUGATE_PAIRS, Moment, Scenario, SystemParams, assemble, model_terms
 
 __all__ = [
     "Trajectory",
@@ -119,18 +119,8 @@ def _generators() -> tuple:
 
 
 def coefficient_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """(M, b) as the sum over the terms of ``model_terms(p)`` of value times ``_generators``.
-
-    Accumulated into zeros in term order; every product is exact, and untouched
-    entries stay +0.0.  An entry that overflows float64 (a drive near its
-    limit) is left infinite without a warning, and integration reports it.
-    """
-    hamiltonian, jumps = model_terms(p)
-    Mb = np.zeros(27 * 28 * 2)  # the float64 view of [M | b]
-    with np.errstate(over="ignore"):
-        for (value, _), (index, g) in zip(hamiltonian + jumps, _generators()):
-            Mb[index] += value * g
-    Mb = Mb.view(complex).reshape(27, 28)
+    """(M, b) as ``model.assemble`` of ``_generators`` on the float64 view of [M | b]; every product is exact."""
+    Mb = assemble(p, _generators(), 27 * 28 * 2).view(complex).reshape(27, 28)
     return np.ascontiguousarray(Mb[:, :27]), Mb[:, 27].copy()
 
 

@@ -30,6 +30,7 @@ of columns (float arrays and string lists), which formats each row with one
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, replace
@@ -255,6 +256,8 @@ class _Parser(argparse.ArgumentParser):
     # no prefix matching: ``--chi`` must not pass for ``--chi-grid``
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # a value such as -1e-3 or -0.2,0.2 is a value, not an unknown flag (argparse takes only -1 and -.5)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise _UsageError(message)

@@ -34,6 +34,7 @@ __all__ = [
     "initial_state",
     "validate_params",
     "model_terms",
+    "assemble",
     "occupations",
     "conjugate_mismatch",
     "occupation_defect",
@@ -178,6 +179,22 @@ def model_terms(p: SystemParams) -> tuple[list, list]:
     return hamiltonian, jumps
 
 
+def assemble(p: SystemParams, units, size: int) -> np.ndarray:
+    """Both engines' coefficients: the sum over the terms of ``model_terms(p)`` of value times unit.
+
+    ``units`` holds per term, in order, ``(where, unit)``: its entries' positions in the float64 result of
+    ``size`` entries and their values at unit coefficient.  Terms of value 0 are skipped; an entry that
+    overflows is left infinite (NaN where infinities cancel) without a warning, for integration to report.
+    """
+    hamiltonian, jumps = model_terms(p)
+    out = np.zeros(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (value, _), (where, unit) in zip(hamiltonian + jumps, units):
+            if value != 0.0:
+                np.add.at(out, where, value * unit)
+    return out
+
+
 # Couplings and decay rates of the four node/antinode placements; the drive
 # strength is a free knob and the baths are vacuum in all published runs.
 _PRESETS = {
@@ -292,8 +309,9 @@ class Scenario:
     ``threshold`` is the dip depth below the classical boundary required to
     count a witness as fired when scoring a sign matrix; it rides along with
     the scenario so a parsed config is self-contained.  Construction rejects
-    invalid parameters, a non-finite time span, which the integrator
-    would otherwise chase forever, and more than ``SAMPLE_CAP`` samples.
+    invalid parameters, a non-finite time span, which the integrator would
+    otherwise chase forever, more than ``SAMPLE_CAP`` samples, and a span too
+    short for its sample grid ``linspace(0, t_max, sample_count)`` to increase strictly.
     """
 
     params: SystemParams
@@ -312,6 +330,8 @@ class Scenario:
             raise ValueError("sample_count must be >= 2")
         if self.sample_count > SAMPLE_CAP:
             raise ValueError(f"sample_count must be <= {SAMPLE_CAP}")
+        if not (np.diff(np.linspace(0.0, self.t_max, self.sample_count)) > 0).all():
+            raise ValueError(f"t_max must be long enough for {self.sample_count} strictly increasing samples")
         if not self.threshold > 0:
             raise ValueError("threshold must be > 0")
 

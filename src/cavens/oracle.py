@@ -17,9 +17,9 @@ error is truncation; only the composite number-triple rule behind
 The generator is one real sparse matrix on the d^2 real Hermitian
 coordinates x of rho: each term's textbook Kronecker form S on vec(rho)
 (Havel, *J. Math. Phys.* 44, 534, 2003) read through one cached map per
-basis as Re(C S T) (``_hermitian_map``), and summed with its value as
-``dynamics.coefficient_matrix`` sums the moment equations, on one CSR
-pattern cached per basis (``_unit_terms``).  It is constant, so rho is
+basis as Re(C S T) (``_hermitian_map``), on one CSR pattern cached per
+basis (``_unit_terms``), and summed with its value by ``model.assemble``,
+as the moment equations are.  It is constant, so rho is
 carried by Taylor series in steps, one real matvec per term and exact to
 rounding, with ``scipy.sparse`` alone; every sampled rho is exactly
 Hermitian.  The basis dimension is capped (at 512 = three modes at eight
@@ -49,7 +49,7 @@ from scipy import sparse
 
 from .closure import SLOT_WORDS, decoupled, word_for_name as _word_for_name
 from .dynamics import IntegrationError, integrate
-from .model import Scenario, SystemParams, model_terms, occupations
+from .model import Scenario, SystemParams, assemble, model_terms, occupations
 from .witnesses import WITNESS_NAMES, catalog_words, witness_table
 
 __all__ = [
@@ -126,6 +126,13 @@ def _operator(spec: FockBasisSpec, word: tuple) -> sparse.csr_matrix:
     return sparse.kron(sparse.kron(factors[0], factors[1]), factors[2]).tocsr()
 
 
+def _hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """``m``; a hermiticity defect above ``tol`` raises ``ValueError``, as rho's coordinates x hold none."""
+    if (defect := np.abs(m - m.conj().T).max()) > tol:
+        raise ValueError(f"hermiticity defect {defect:.3e} exceeds {tol:g}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Three-mode state on the truncated basis.
@@ -154,10 +161,7 @@ class DensityMatrix:
         trace_tol: float = 1e-8,
         eig_floor: float = 1e-8,
     ) -> None:
-        m = self.matrix
-        herm = np.abs(m - m.conj().T).max()
-        if herm > herm_tol:
-            raise ValueError(f"hermiticity defect {herm:.3e} exceeds {herm_tol:g}")
+        m = _hermitian(self.matrix, herm_tol)
         tr = np.trace(m)
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"trace defect {abs(tr - 1.0):.3e} exceeds {trace_tol:g}")
@@ -248,10 +252,9 @@ def _unit_terms(spec: FockBasisSpec):
     Re(C S T) (``_hermitian_map``) without its exact zeros.
 
     Returns ``(indices, indptr, terms)``: the canonical CSR pattern that is
-    the union of all terms' entries, and per term, in ``model_terms`` order,
-    ``(where, unit)``, the positions of its entries in that pattern and
-    their values.  Every array is read-only.  Built on first use per
-    basis, not at import.
+    the union of all terms' entries, and per term the ``(where, unit)`` that
+    ``model.assemble`` adds into its data.  Every array is read-only.  Built
+    on first use per basis, not at import.
     """
     T, C = _hermitian_map(spec)
     n = spec.dim ** 2
@@ -294,29 +297,24 @@ class Liouvillian:
     (``_hermitian_map``).  The generator is
     rho -> -i[H, rho] + sum_J w (J rho Jd - {Jd J, rho}/2), with
     H and the jumps J of rate w read from ``model_terms``.  ``superop`` is
-    the sum, over the terms of nonzero value, of value times the term's
-    cached superoperator at unit coefficient (``_unit_terms``), added into
-    the data of their common CSR pattern, with exact zeros dropped; the
-    right-hand side of the density equation is one real sparse matvec.
+    ``model.assemble`` of the cached unit terms (``_unit_terms``) on their
+    common CSR pattern, with exact zeros dropped; the right-hand side of
+    the density equation is one real sparse matvec.
     """
 
     def __init__(self, spec: FockBasisSpec, params: SystemParams):
         self.spec = spec
         self.params = params
-        hamiltonian, jumps = model_terms(params)
         indices, indptr, units = _unit_terms(spec)
-        data = np.zeros(len(indices))
-        for (value, _), (where, unit) in zip(hamiltonian + jumps, units):
-            if value != 0.0:
-                np.add.at(data, where, value * unit)
+        data = assemble(params, units, len(indices))
         # the generator's own index arrays: eliminate_zeros prunes them in place
         self.superop = sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(spec.dim ** 2,) * 2)
         self.superop.eliminate_zeros()
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate -i[H, rho] plus all damping dissipators; rho must be Hermitian."""
+        """Evaluate -i[H, rho] plus all damping dissipators; raises ``ValueError`` unless rho is Hermitian."""
         T, C = _hermitian_map(self.spec)
-        return (T @ (self.superop @ (C @ rho.ravel()).real)).reshape(rho.shape)
+        return (T @ (self.superop @ (C @ _hermitian(rho).ravel()).real)).reshape(rho.shape)
 
 
 def build_generator(p: SystemParams, basis: FockBasisSpec) -> Liouvillian:
@@ -379,9 +377,8 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus, read: np.ndarray):
 
     Raises ``ValueError`` for a grid that is not finite, does not start at 0
     or decreases (repeated samples are allowed), or a non-Hermitian initial
-    matrix (defect above 1e-10), which the coordinates cannot hold; and
-    ``IntegrationError`` at the last good tau when a halved step no longer
-    advances tau.
+    matrix (``_hermitian``); and ``IntegrationError`` at the last good tau
+    when a halved step no longer advances tau.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.isfinite(taus).all():
@@ -390,12 +387,9 @@ def _taylor_rows(rho0: DensityMatrix, L: Liouvillian, taus, read: np.ndarray):
         raise ValueError("sample grid must start at 0")
     if (np.diff(taus) < 0).any():
         raise ValueError("sample grid must not decrease")
-    defect = np.abs(rho0.matrix - rho0.matrix.conj().T).max()
-    if defect > 1e-10:
-        raise ValueError(f"initial state has hermiticity defect {defect:.3e} above 1e-10")
     d = rho0.spec.dim
     superop = L.superop
-    x = (_hermitian_map(rho0.spec)[1] @ rho0.matrix.ravel()).real
+    x = (_hermitian_map(rho0.spec)[1] @ _hermitian(rho0.matrix).ravel()).real
     # the samples at 0, which are all of them on a grid of zeros
     filled, t, t_end = int(np.searchsorted(taus, 0.0, side="right")), 0.0, float(taus[-1])
     yield np.tile(x[read], (filled, 1))
@@ -559,6 +553,7 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
     """
     occs = occupations(scenario.initial)
     traj = integrate(scenario)
+    witness_closed = witness_table(traj.states)  # a moment-side failure ends the report before the oracle runs
     rho0 = thermal_state(basis, occs)
     L = build_generator(scenario.params, basis)
 
@@ -589,7 +584,7 @@ def closure_report(scenario: Scenario, basis: FockBasisSpec) -> ClosureReport:
         exact=exact,
         closed=closed,
         witness_exact=witness_table(exact_words),
-        witness_closed=witness_table(traj.states),
+        witness_closed=witness_closed,
         max_abs_error=max_err,
         truncation_leakage=leakage,
         exact_words=exact_words,

@@ -91,11 +91,14 @@ def test_config_echo_round_trip():
 
 _finite = st.floats(-10.0, 10.0)
 _non_negative = st.floats(0.0, 10.0)
+# (t_max, samples) whose sample grid increases strictly, as Scenario requires
+_grids = st.tuples(st.floats(0.0, 1e6, exclude_min=True), st.integers(2, 10**6)).filter(
+    lambda grid: (np.diff(np.linspace(0.0, *grid)) > 0).all())
 
 
 @settings(max_examples=60, deadline=None)
 @given(sc=st.builds(
-    Scenario,
+    lambda grid, **fields: Scenario(t_max=grid[0], sample_count=grid[1], **fields),
     params=st.builds(
         SystemParams,
         delta_a=_finite, delta_b=_finite, delta_c=_finite,
@@ -104,8 +107,7 @@ _non_negative = st.floats(0.0, 10.0)
         n_a=_non_negative, n_b=_non_negative, n_c=_non_negative,
     ),
     initial=st.builds(initial_state, _non_negative, _non_negative, _non_negative),
-    t_max=st.floats(0.0, 1e6, exclude_min=True),
-    sample_count=st.integers(2, 10**6),
+    grid=_grids,
     threshold=st.floats(0.0, 1e3, exclude_min=True),
 ))
 def test_config_echo_round_trips_any_valid_scenario(sc):
@@ -562,6 +564,17 @@ def test_cli_rejects_non_finite_inputs(argv, tmp_path, capsys):
     ("", ["--samples", "1000000000000"], "--samples must be <= 1000000"),
     ("", ["--chi-grid", "0,nan"], "--chi-grid entry nan must be finite"),
     ("", ["--chi-grid", "inf", "--witness", "mandel_A"], "--chi-grid entry inf must be finite"),
+    # a span whose samples' grid cannot increase strictly, in every command
+    ("t_max = 5e-324\nsamples = 3", [], "line 2: t_max must be long enough for 3 strictly increasing samples"),
+    ("", ["--tmax", "5e-324", "--samples", "3"], "--tmax must be long enough for 3 strictly increasing samples"),
+    ("", ["--tmax", "5e-324", "--chi-grid", "0"], "--tmax must be long enough for 1001 strictly increasing samples"),
+    ("", ["--tmax", "5e-324", "--chi-grid", "0", "--witness", "mandel_A"],
+     "--tmax must be long enough for 1001 strictly increasing samples"),
+    ("samples = 3\nt_max = 5e-324", ["--nmax", "1"], "line 3: t_max must be long enough for 3 strictly increasing samples"),
+    # far past the work budget of tests/test_cli_fuzz.py
+    ("samples = 1000000000000", ["--chi-grid", "0", "--witness", "mandel_A"], "line 2: samples must be <= 1000000"),
+    ("", ["--nmax", "1000000000"], "--nmax must be <= 7: basis dimension 1000000003000000003000000001 exceeds cap 512"),
+    ("", ["--tmax", "inf", "--chi-grid", "0"], "--tmax must be finite and > 0"),
 ])
 def test_cli_names_a_bound_by_its_key_and_line_or_its_flag(config, flags, message, tmp_path, capsys):
     cfg = tmp_path / "bound.cfg"
@@ -571,6 +584,19 @@ def test_cli_names_a_bound_by_its_key_and_line_or_its_flag(config, flags, messag
                else "table" if "--chi-grid" in flags else "simulate")
     assert main([command, "--config", str(cfg), *flags]) == 1
     assert capsys.readouterr().err == f"cavens: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "AN", "--chi", "-1e-3"],
+    ["sweep", "--preset", "AN", "--witness", "mandel_A", "--chi-grid", "-0.2,0.2"],
+])
+def test_cli_takes_a_negative_flag_value_in_any_notation(argv, capsys):
+    # the same run as the value joined to its flag by "=", which argparse never reads as a flag
+    assert main(argv + ["--tmax", "1", "--samples", "3"]) == 0
+    separate = capsys.readouterr()
+    assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}", "--tmax", "1", "--samples", "3"]) == 0
+    assert capsys.readouterr() == separate
+    assert separate.err == ""
 
 
 def test_cli_oracle_check(tmp_path, capsys):

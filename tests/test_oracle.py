@@ -382,6 +382,9 @@ def test_evolution_rejects_non_hermitian_state():
         evolve_path(rho0, L, [0.0, 1.0])
     with pytest.raises(ValueError, match="hermiticity"):
         evolve(rho0, L, 1.0)
+    # the generator's action reads rho's coordinates the same way
+    with pytest.raises(ValueError, match="hermiticity defect 1.000e-09 exceeds 1e-10"):
+        L.apply(m)
 
 
 @settings(max_examples=30, deadline=None)
@@ -404,6 +407,16 @@ def test_evolve_path_failure_reports_last_good_tau():
         with pytest.raises(IntegrationError) as failure:
             evolve_path(fock_state(spec, (0, 0, 0)), L, np.linspace(0.0, 2.0, 5))
     assert 0.5 < failure.value.last_tau < 1.0
+
+
+def test_a_generator_whose_terms_overflow_builds_silently_and_fails_at_tau_0():
+    # as coefficient_matrix does, the build leaves the overflowed entries infinite without a warning
+    spec = FockBasisSpec(1)
+    L = build_generator(SystemParams(chi=1.7e308), spec)
+    assert np.isinf(L.superop.data).any()
+    with pytest.raises(IntegrationError, match="step size underflow") as failure:
+        evolve_path(thermal_state(spec, (0.2, 0.1, 0.3)), L, [0.0, 1.0])
+    assert failure.value.last_tau == 0.0
 
 
 def test_zero_generator_identity_evolution():
