@@ -272,7 +272,7 @@ def integrate_batch(scenarios) -> list[Trajectory | IntegrationError]:
     if not scenarios:
         return []
     ((t_max, n),) = grids
-    taus = np.linspace(0.0, t_max, n)
+    taus = scenarios[0].taus
     grid = taus.tolist()
     systems = [_cached_system(sc.params) for sc in scenarios]
     Ms = np.array([M for M, _ in systems])

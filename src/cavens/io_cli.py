@@ -256,8 +256,8 @@ class _Parser(argparse.ArgumentParser):
     # no prefix matching: ``--chi`` must not pass for ``--chi-grid``
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        # a value such as -1e-3 or -0.2,0.2 is a value, not an unknown flag (argparse takes only -1 and -.5)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # -1e-3, -0.2,0.2, -inf and -NaN (any case) are values, not unknown flags (argparse takes only -1 and -.5)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(message)

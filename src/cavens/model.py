@@ -311,7 +311,7 @@ class Scenario:
     the scenario so a parsed config is self-contained.  Construction rejects
     invalid parameters, a non-finite time span, which the integrator would
     otherwise chase forever, more than ``SAMPLE_CAP`` samples, and a span too
-    short for its sample grid ``linspace(0, t_max, sample_count)`` to increase strictly.
+    short for its sample grid ``taus`` to increase strictly.
     """
 
     params: SystemParams
@@ -330,10 +330,15 @@ class Scenario:
             raise ValueError("sample_count must be >= 2")
         if self.sample_count > SAMPLE_CAP:
             raise ValueError(f"sample_count must be <= {SAMPLE_CAP}")
-        if not (np.diff(np.linspace(0.0, self.t_max, self.sample_count)) > 0).all():
+        if not (np.diff(self.taus) > 0).all():
             raise ValueError(f"t_max must be long enough for {self.sample_count} strictly increasing samples")
         if not self.threshold > 0:
             raise ValueError("threshold must be > 0")
+
+    @property
+    def taus(self) -> np.ndarray:
+        """The sample grid ``linspace(0, t_max, sample_count)``."""
+        return np.linspace(0.0, self.t_max, self.sample_count)
 
     def with_params(self, **changes) -> "Scenario":
         return replace(self, params=replace(self.params, **changes))

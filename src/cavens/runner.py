@@ -178,8 +178,7 @@ def table_matrix(base: Scenario = Scenario(SystemParams()), chis=(0.0, 0.2)) -> 
     for table in tables:
         if isinstance(table, Exception):
             raise table
-    taus = np.linspace(0.0, base.t_max, base.sample_count)
-    ticks, min_value, argmin_tau = _score(taus, np.stack(tables), base.threshold)
+    ticks, min_value, argmin_tau = _score(base.taus, np.stack(tables), base.threshold)
     return SignMatrix(base.threshold, base.t_max, columns, ticks, min_value, argmin_tau)
 
 
@@ -208,7 +207,7 @@ def chi_sweep(base: Scenario, chis, witness: str) -> SweepSurface:
     if witness not in WITNESS_NAMES:
         raise KeyError(f"unknown witness column {witness!r}")
     scenarios = [base.with_params(chi=float(chi)) for chi in chis]
-    taus = np.linspace(0.0, base.t_max, base.sample_count)
+    taus = base.taus
     values = np.full((chis.size, taus.size), np.nan)
     column = WITNESS_NAMES.index(witness)
     status = []

@@ -21,15 +21,18 @@ are computed in complex arithmetic and the real part is returned only after
 checking that the imaginary residue is below ``IMAG_TOL`` at every sample;
 a larger residue signals an inconsistent state (or a transcription bug) and
 raises ``InternalConsistencyError`` instead of being silently discarded.
-The arithmetic runs with numpy's overflow warnings off: a value that
-overflows float64 raises the same error, naming the overflow, ahead of any
-residue check.
+``_FAMILIES`` declares each family once, by its keys and the prefixes of
+the values its formula returns.  Each value is checked once, one check per
+key, in one order: key by key through ``MODE_KEYS``, the Hillery-Zubairy
+keys and ``PARTITION_KEYS``, then in family order within a key.  The
+arithmetic runs with numpy's overflow warnings off: a value that overflows
+float64 raises the same error, naming the overflow, ahead of any residue check.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -75,40 +78,8 @@ class InternalConsistencyError(RuntimeError):
     members: list | None = None
 
 
-def _by_trajectory(a: np.ndarray) -> np.ndarray:
-    """One row per trajectory: a stack's last axis is the sample axis, and a state is one sample."""
-    return np.reshape(a, (-1, np.shape(a)[-1] if np.ndim(a) else 1))
-
-
-def _real(value, name: str, keys, failures: list, overflows: list):
-    """The real part of ``value``, once each sample's imaginary residue is below ``IMAG_TOL``.
-
-    ``value[j]`` is checked as ``name.format(keys[j])``.  A check with a
-    larger residue fails a trajectory at its first such sample; every
-    failure is appended to ``failures`` as (check, trajectory, error).  Where
-    any part of a value is not finite, a ``(trajectories, samples)`` mask of
-    those samples is appended to ``overflows``.
-    """
-    finite = np.isfinite(value)
-    if not finite.all():
-        overflows.append(_by_trajectory(~finite.all(axis=0)))
-    residue = np.imag(value)
-    bad = np.abs(residue) >= IMAG_TOL
-    if bad.any():
-        for key, res, b in zip(keys, residue, bad):
-            res, b = _by_trajectory(res), _by_trajectory(b)
-            for m in np.flatnonzero(b.any(axis=1)).tolist():
-                sample = int(np.argmax(b[m]))
-                error = InternalConsistencyError(
-                    f"{name.format(key)} has imaginary residue {res[m, sample]:.3e} "
-                    f"at sample {sample} (state inconsistent)"
-                )
-                failures.append((name.format(key), m, error))
-    return np.real(value)
-
-
-# Each family's formula takes ``real`` (``_real`` bound to its keys) and one
-# ``(keys, ...)`` column per operator word it ``_reads``.  A word is named
+# Each family's formula takes one ``(keys, ...)`` column per operator word it
+# ``_reads`` and returns a tuple of complex ``(keys, ...)`` values.  A word is named
 # by a template in which a, b, c stand for a key's modes and d daggers the
 # factor before it; upper-case modes are fixed, and a single mode is its own pair.
 
@@ -126,46 +97,45 @@ def _words_of(formula, key: str) -> tuple:
 
 
 @_reads("ada")
-def _occupations(real, occ):
-    return real(occ, "<n_{}>")
+def _occupations(occ):
+    return (occ,)
 
 
 @_reads("adbdba", "ada", "bdb")
-def _antibunch(real, quartic, na, nb):
+def _antibunch(quartic, na, nb):
     """Antibunching <ad bd b a> - <ad a><bd b>; of a single mode, b = a."""
-    return real(quartic - na * nb, "antibunch_{}")
+    return (quartic - na * nb,)
 
 
 @_reads("aa", "adad", "ada", "a", "ad")
-def _quadrature_variances(real, sq, sqd, occ, m, md):
+def _quadrature_variances(sq, sqd, occ, m, md):
     """Variances of X = (a + ad)/2 and Y = (a - ad)/2i; squeezed below 1/4."""
     mx, my = (m + md) / 2.0, (m - md) / 2j
     vx = (sq + sqd + 2.0 * occ + 1.0) / 4.0 - mx * mx
     vy = (-sq - sqd + 2.0 * occ + 1.0) / 4.0 - my * my
-    return real(vx, "var_x_{}"), real(vy, "var_y_{}")
+    return vx, vy
 
 
 @_reads("aa", "adad", "ada", "bb", "bdbd", "bdb", "a", "ad", "b", "bd", "ab", "abd", "adb", "adbd")
-def _intermodal_variances(real, aa, adad, ada, bb, bdbd, bdb, a, ad, b, bd, ab, abd, adb, adbd):
+def _intermodal_variances(aa, adad, ada, bb, bdbd, bdb, a, ad, b, bd, ab, abd, adb, adbd):
     """The quadrature variances of the compound mode c = (a + b)/sqrt2."""
     return _quadrature_variances(
-        real, (aa + bb + 2.0 * ab) / 2.0, (adad + bdbd + 2.0 * adbd) / 2.0,
+        (aa + bb + 2.0 * ab) / 2.0, (adad + bdbd + 2.0 * adbd) / 2.0,
         (ada + bdb + abd + adb) / 2.0, (a + b) / math.sqrt(2.0), (ad + bd) / math.sqrt(2.0))
 
 
 @_reads("adabdb", "abd", "adb", "ada", "bdb", "ab", "adbd")
-def _hz(real, quartic, abd, adb, na, nb, ab, adbd):
+def _hz(quartic, abd, adb, na, nb, ab, adbd):
     """The two Hillery-Zubairy inseparability witnesses of a mode pair:
 
     E  = <ad a bd b> - |<a bd>|^2
     E~ = <ad a><bd b> - |<a b>|^2
     """
-    return (real(quartic - abd * adb, "hz_e_{}"),
-            real(na * nb - ab * adbd, "hz_etilde_{}"))
+    return quartic - abd * adb, na * nb - ab * adbd
 
 
 @_reads("AdABdBCdC", "abcd", "abc", "adabdb", "cdc")
-def _bisep(real, nnn, abc_dag, abc, nab, nc):
+def _bisep(nnn, abc_dag, abc, nab, nc):
     """The two biseparability witnesses of the partition ab|c:
 
     E  = <ad a bd b cd c> - |<a b cd>|^2
@@ -173,8 +143,7 @@ def _bisep(real, nnn, abc_dag, abc, nab, nc):
 
     Decoupled, E's sixth moment comes from the composite number-triple rule.
     """
-    return (real(nnn - abc_dag * np.conj(abc_dag), "bisep_e_{}"),
-            real(nab * nc - abc * np.conj(abc), "bisep_eprime_{}"))
+    return nnn - abc_dag * np.conj(abc_dag), nab * nc - abc * np.conj(abc)
 
 
 def _mandel(occ, antibunch):
@@ -227,22 +196,30 @@ WITNESS_NAMES = (
 )
 _MAY_BE_NAN = np.array([name.startswith("mandel_") for name in WITNESS_NAMES])
 
-# every residue check, key by key in catalog order: a trajectory of a stack
-# reports its first failure in this order
-_CHECK_RANK = {name: rank for rank, name in enumerate(
-    [n for m in MODE_KEYS for n in (f"<n_{m}>", f"antibunch_{m}", f"var_x_{m}", f"var_y_{m}")]
-    + [n for k in PAIR_KEYS
-       for n in (f"antibunch_{k}", f"var_x_{k}", f"var_y_{k}", f"hz_e_{k}", f"hz_etilde_{k}")]
-    + [n for k in _HZ_KEYS[len(PAIR_KEYS):] for n in (f"hz_e_{k}", f"hz_etilde_{k}")]
-    + [n for k in PARTITION_KEYS for n in (f"bisep_e_{k}", f"bisep_eprime_{k}")]
-)}
-# the keys of each family in the table
-_FAMILIES = {_occupations: MODE_KEYS, _antibunch: MODE_KEYS + PAIR_KEYS,
-             _quadrature_variances: MODE_KEYS, _intermodal_variances: PAIR_KEYS,
-             _hz: _HZ_KEYS, _bisep: PARTITION_KEYS}
+# Each family: its keys, and the prefixes of the values its formula returns.
+# A value is one residue check per key and fills the table columns its prefix has.
+_FAMILIES = {_occupations: (MODE_KEYS, ("<n>",)),
+             _antibunch: (MODE_KEYS + PAIR_KEYS, ("antibunch",)),
+             _quadrature_variances: (MODE_KEYS, ("var_x", "var_y")),
+             _intermodal_variances: (PAIR_KEYS, ("var_x", "var_y")),
+             _hz: (_HZ_KEYS, ("hz_e", "hz_etilde")),
+             _bisep: (PARTITION_KEYS, ("bisep_e", "bisep_eprime"))}
+# every family value's (prefix, keys), in family order
+_VALUES = [(prefix, keys) for keys, prefixes in _FAMILIES.values() for prefix in prefixes]
+# every residue check (value, key position) in rank order: key by key through these
+# keys, then in family order (a stable sort); and the ranks of each value's checks
+_CHECKS = sorted(((v, j) for v, (_, keys) in enumerate(_VALUES) for j in range(len(keys))),
+                 key=lambda c: (MODE_KEYS + _HZ_KEYS + PARTITION_KEYS).index(_VALUES[c[0]][1][c[1]]))
+_RANKS = [np.array([_CHECKS.index((v, j)) for j in range(len(keys))]) for v, (_, keys) in enumerate(_VALUES)]
 # steering's E and occupation: rows of the hz and occupation families
 _STEER_HZ = [_HZ_KEYS.index(k) for k in ORDERED_PAIR_KEYS]
 _STEER_OCC = [MODE_KEYS.index(k[0]) for k in ORDERED_PAIR_KEYS]
+
+
+def _check_name(v: int, j: int) -> str:
+    """The name of check (v, j): prefix_key, a partition's "|" kept; the occupation "<n>" at A is "<n_A>"."""
+    prefix, keys = _VALUES[v]
+    return f"{prefix[:-1]}_{keys[j]}>" if prefix.endswith(">") else f"{prefix}_{keys[j]}"
 
 
 @cache
@@ -252,7 +229,7 @@ def _plan():
     A family's columns are one (stack, rows) pair per word: the rows of its
     keys' words in one of the closure's stacks.
     """
-    columns = {f: list(zip(*(_words_of(f, key) for key in keys))) for f, keys in _FAMILIES.items()}
+    columns = {f: list(zip(*(_words_of(f, key) for key in keys))) for f, (keys, _) in _FAMILIES.items()}
     words = tuple(dict.fromkeys(w for column in columns.values() for ws in column for w in ws))
     closure = Closure(words)
     place = dict(zip(words, closure.rows))
@@ -266,9 +243,12 @@ def catalog_words() -> tuple:
 
 
 @cache
-def _rows(prefix: str, keys: tuple) -> np.ndarray:
-    """Table columns of a witness for each key."""
-    return np.array([WITNESS_NAMES.index(column_name(prefix, k)) for k in keys])
+def _columns(prefix: str, keys: tuple) -> tuple:
+    """Where ``keys`` have a table column of ``prefix`` (a slice where they lead), and those columns."""
+    names = [column_name(prefix, key) for key in keys]
+    present = [j for j, name in enumerate(names) if name in WITNESS_NAMES]
+    rows = np.array([WITNESS_NAMES.index(names[j]) for j in present], dtype=int)
+    return (slice(len(present)) if present == list(range(len(present))) else present), rows
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported per trajectory
@@ -288,48 +268,43 @@ def witness_table(state) -> np.ndarray:
     trajectory, and lists every trajectory's table or error in ``members``.
     """
     closure, columns = _plan()
-    if callable(state):
-        stacks = np.split(state(closure.layout), closure.cuts)
-    else:
-        stacks = closure.stacks(state)
-    failures, overflows = [], []
-
-    def family(formula):
-        real = partial(_real, keys=_FAMILIES[formula], failures=failures, overflows=overflows)
-        return formula(real, *(stacks[g][rows] for g, rows in columns[formula]))
-
-    occ, antibunch = family(_occupations), family(_antibunch)
-    var_x, var_y = family(_quadrature_variances)
-    pair_x, pair_y = family(_intermodal_variances)
-    hz_e, hz_etilde = family(_hz)
-    bisep_e, bisep_eprime = family(_bisep)
-    table = np.empty(stacks[1].shape[1:] + (len(WITNESS_NAMES),))
+    stacks = np.split(state(closure.layout), closure.cuts) if callable(state) else closure.stacks(state)
+    values = [value for formula in _FAMILIES
+              for value in formula(*(stacks[g][rows] for g, rows in columns[formula]))]
+    occ, antibunch, _, _, pair_x, pair_y, hz_e, *_ = real = [value.real for value in values]  # as _VALUES
+    shape = stacks[1].shape[1:]
+    table = np.empty(shape + (len(WITNESS_NAMES),))
     by_column = np.moveaxis(table, -1, 0)
-    for prefix, keys, values in (
-        ("mandel", MODE_KEYS, _mandel(occ, antibunch[:len(MODE_KEYS)])),
-        ("antibunch", MODE_KEYS + PAIR_KEYS, antibunch),
-        ("var_x", MODE_KEYS, var_x),
-        ("var_y", MODE_KEYS, var_y),
-        ("var_x", PAIR_KEYS, pair_x),
-        ("var_y", PAIR_KEYS, pair_y),
-        ("duan", PAIR_KEYS, _duan(pair_x, pair_y)),
-        ("hz_e", PAIR_KEYS, hz_e[:len(PAIR_KEYS)]),
-        ("hz_etilde", PAIR_KEYS, hz_etilde[:len(PAIR_KEYS)]),
-        ("steering", ORDERED_PAIR_KEYS, _steering(hz_e[_STEER_HZ], occ[_STEER_OCC])),
-        ("bisep_e", PARTITION_KEYS, bisep_e),
-        ("bisep_eprime", PARTITION_KEYS, bisep_eprime),
-    ):
-        by_column[_rows(prefix, keys)] = values
-
+    for (prefix, keys), value in [
+        *zip(_VALUES, real),
+        (("mandel", MODE_KEYS), _mandel(occ, antibunch[:len(MODE_KEYS)])),
+        (("duan", PAIR_KEYS), _duan(pair_x, pair_y)),
+        (("steering", ORDERED_PAIR_KEYS), _steering(hz_e[_STEER_HZ], occ[_STEER_OCC])),
+    ]:
+        positions, rows = _columns(prefix, keys)
+        by_column[rows] = value[positions]
+    trajectories, samples = math.prod(shape[:-1]), math.prod(shape[-1:])
+    failed = np.zeros((len(_CHECKS), trajectories), dtype=bool)  # rank x trajectory
+    overflow = np.zeros(shape, dtype=bool)
+    for value, ranks in zip(values, _RANKS):
+        bad, finite = np.abs(value.imag) >= IMAG_TOL, np.isfinite(value)
+        if bad.any():
+            failed[ranks] = bad.reshape(len(ranks), trajectories, samples).any(axis=2)
+        if not finite.all():
+            overflow |= ~finite.all(axis=0)
     tables = table.reshape((-1,) + table.shape[max(table.ndim - 2, 0):])  # one per trajectory
     first = {}  # trajectory -> (rank, error) of its first failed check
-    for name, m, error in failures:
-        if m not in first or _CHECK_RANK[name] < first[m][0]:
-            first[m] = _CHECK_RANK[name], error
-    if overflows:  # from finite words, only float64 overflow makes a value non-finite
+    for m in np.flatnonzero(failed.any(axis=0)).tolist():
+        rank = int(np.argmax(failed[:, m]))
+        v, j = _CHECKS[rank]
+        residue = values[v][j].imag.reshape(trajectories, samples)[m]
+        sample = int(np.argmax(np.abs(residue) >= IMAG_TOL))
+        first[m] = rank, InternalConsistencyError(f"{_check_name(v, j)} has imaginary residue "
+                                                  f"{residue[sample]:.3e} at sample {sample} (state inconsistent)")
+    if overflow.any():  # from finite words, only float64 overflow makes a value non-finite
         given = stacks if callable(state) else stacks[:2]
         finite = np.logical_and.reduce([np.isfinite(words).all(axis=0) for words in given])
-        over = np.logical_or.reduce(overflows) & _by_trajectory(finite)
+        over = (overflow & finite).reshape(trajectories, samples)
         for m in np.flatnonzero(over.any(axis=1)).tolist():
             first[m] = -1, InternalConsistencyError(
                 f"float64 overflow in the witness arithmetic at sample {int(np.argmax(over[m]))}")
@@ -337,7 +312,7 @@ def witness_table(state) -> np.ndarray:
     for m in np.flatnonzero(bad.reshape(len(tables), -1).any(axis=1)).tolist():
         if m not in first:
             where = tuple(np.argwhere(bad[m])[0])
-            first[m] = len(_CHECK_RANK), InternalConsistencyError(
+            first[m] = len(_CHECKS), InternalConsistencyError(
                 f"non-finite witness value {WITNESS_NAMES[where[-1]]}={tables[m][where]}"
             )
     if first:  # the earliest check, then the first trajectory

@@ -575,6 +575,12 @@ def test_cli_rejects_non_finite_inputs(argv, tmp_path, capsys):
     ("samples = 1000000000000", ["--chi-grid", "0", "--witness", "mandel_A"], "line 2: samples must be <= 1000000"),
     ("", ["--nmax", "1000000000"], "--nmax must be <= 7: basis dimension 1000000003000000003000000001 exceeds cap 512"),
     ("", ["--tmax", "inf", "--chi-grid", "0"], "--tmax must be finite and > 0"),
+    # a negative infinity or NaN is a value, in any case, not a flag
+    ("", ["--chi", "-inf"], "--chi must be finite"),
+    ("", ["--chi", "-NaN"], "--chi must be finite"),
+    ("", ["--tmax", "-Infinity"], "--tmax must be finite and > 0"),
+    ("", ["--chi-grid", "-inf,0"], "--chi-grid entry -inf must be finite"),
+    ("", ["--chi-grid", "-nan,0", "--witness", "mandel_A"], "--chi-grid entry -nan must be finite"),
 ])
 def test_cli_names_a_bound_by_its_key_and_line_or_its_flag(config, flags, message, tmp_path, capsys):
     cfg = tmp_path / "bound.cfg"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import cavens.witnesses as witnesses_mod
-from cavens.closure import SLOT_WORDS, decoupled
+from cavens.closure import SLOT_WORDS, decoupled, word_for_name
 from cavens.dynamics import integrate_batch
 from cavens.model import Configuration, Moment, MomentState, Scenario, initial_state, preset_params
 from cavens.oracle import FockBasisSpec, exact_correlators
@@ -327,6 +327,100 @@ def test_first_failure_follows_the_check_order_not_the_sample():
         with pytest.raises(InternalConsistencyError) as info:
             witness_table(alone)
         assert info.value.args == (message,)
+
+
+# every residue check, in the order in which a state reports its first failure:
+# key by key through the modes, the pairs, the reversed pairs and the partitions,
+# then in family order within a key
+_CHECK_ORDER = (
+    "<n_A> antibunch_A var_x_A var_y_A <n_B> antibunch_B var_x_B var_y_B <n_C> antibunch_C var_x_C var_y_C "
+    "antibunch_AB var_x_AB var_y_AB hz_e_AB hz_etilde_AB antibunch_BC var_x_BC var_y_BC hz_e_BC hz_etilde_BC "
+    "antibunch_AC var_x_AC var_y_AC hz_e_AC hz_etilde_AC hz_e_BA hz_etilde_BA hz_e_CB hz_etilde_CB "
+    "hz_e_CA hz_etilde_CA bisep_e_AB|C bisep_eprime_AB|C bisep_e_BC|A bisep_eprime_BC|A "
+    "bisep_e_AC|B bisep_eprime_AC|B"
+).split()
+
+
+def _rank(error: InternalConsistencyError) -> int:
+    """The place of the check ``error`` names: overflow first, a non-finite value last."""
+    message = error.args[0]
+    if message.startswith("float64 overflow"):
+        return -1
+    if message.startswith("non-finite witness value"):
+        return len(_CHECK_ORDER)
+    return _CHECK_ORDER.index(message.split(" has imaginary residue")[0])
+
+
+def test_the_check_order_is_derived_key_by_key_then_by_family():
+    assert len(_CHECK_ORDER) == 39
+    assert [witnesses_mod._check_name(v, j) for v, j in witnesses_mod._CHECKS] == _CHECK_ORDER
+
+
+@pytest.mark.parametrize("k, breaks_k, breaks_next", [
+    (0, "AdA", "AdAdAA"),            # the first: <n_A>, then antibunch_A
+    (12, "AdBdBA", "AB"),            # a pair: antibunch_AB, then var_x_AB
+    (27, "BdBAdA", "BdAd"),          # a reversed pair: hz_e_BA, then hz_etilde_BA
+    (28, "BA", "CdCBdB"),            # hz_etilde_BA, then hz_e_CB: key before family
+    (32, "CdAd", "AdABdBCdC"),       # hz_etilde_CA, then a partition: bisep_e_AB|C
+])
+def test_a_state_breaking_checks_k_and_k_plus_1_reports_check_k(k, breaks_k, breaks_next, rng):
+    """A correlator source with an imaginary kick on one word breaks the checks that read it.
+
+    ``breaks_k`` breaks check k (and perhaps later ones), at sample 3;
+    ``breaks_next`` breaks check k + 1 and no earlier one, at the earlier sample 1.
+    """
+    states = np.stack([make_random_state(rng).values for _ in range(5)])
+
+    def kicked(samples: dict):
+        def source(words):
+            values = decoupled(states, words)
+            for name, sample in samples.items():
+                values[words.index(word_for_name(name)), sample] += 1e-6j
+            return values
+        return source
+
+    with pytest.raises(InternalConsistencyError) as both:
+        witness_table(kicked({breaks_k: 3, breaks_next: 1}))
+    assert both.value.args[0].startswith(f"{_CHECK_ORDER[k]} has imaginary residue")
+    assert both.value.args[0].endswith("at sample 3 (state inconsistent)")
+    with pytest.raises(InternalConsistencyError) as alone:
+        witness_table(kicked({breaks_next: 1}))
+    assert alone.value.args[0].startswith(f"{_CHECK_ORDER[k + 1]} has imaginary residue")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trajectories=st.integers(1, 4), samples=st.integers(1, 6),
+       kicks=st.integers(1, 6))
+def test_members_are_each_trajectory_alone_and_the_raised_error_is_the_earliest(
+        seed, trajectories, samples, kicks):
+    """Random slots broken at random samples of a stack: an imaginary kick of any size,
+    a value that overflows the witness arithmetic, or a NaN."""
+    rng = np.random.default_rng(seed)
+    states = np.stack([[make_random_state(rng).values for _ in range(samples)]
+                       for _ in range(trajectories)])
+    for _ in range(kicks):
+        kick = rng.choice([1j * 10.0 ** rng.uniform(-12, 0), 1e200, math.nan])
+        states[rng.integers(trajectories), rng.integers(samples), rng.integers(27)] += kick
+    try:
+        table = witness_table(states)
+    except InternalConsistencyError as error:
+        members, raised = error.members, error
+    else:
+        members, raised = list(table), None
+    assert len(members) == trajectories
+    failed = []
+    for m, member in enumerate(members):
+        try:
+            alone = witness_table(states[m])
+        except InternalConsistencyError as error:
+            assert isinstance(member, InternalConsistencyError) and member.args == error.args
+            failed.append((_rank(error), m))
+        else:
+            assert np.array_equal(member.view(np.uint64), alone.view(np.uint64))
+    if failed:
+        assert raised.args == members[min(failed)[1]].args
+    else:
+        assert raised is None
 
 
 # Textbook nonclassical states on the modes A, B, C: amplitudes of |na, nb, nc>,
