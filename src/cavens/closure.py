@@ -14,9 +14,6 @@ state Gaussian.  The one approximation is the sixth-order number correlator
 factors, with each composite pair expanded by the four-factor rule, which is
 not the Gaussian expansion of that word.
 
-An operator word is a tuple of operator indices: 0, 1, 2 for A, B, C and
-3, 4, 5 for Ad, Bd, Cd, the slots of the stored means;
-``word_for_name("AdBd")`` is ``(3, 4)``.
 A ``Closure`` compiles a list of words once into slot-index arrays; a call
 reads a ``MomentState`` or a ``(..., 27)`` stack of states, gathers every
 ordered pair word at once and runs each rule once on the stack of all the
@@ -33,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import MODES, MOMENT_NAMES, MomentState
+from .model import SLOT_OF, SLOT_WORDS, MomentState, _normal_order, word_for_name
 
 __all__ = [
     "Closure",
@@ -44,29 +41,11 @@ __all__ = [
 ]
 
 
-def word_for_name(name: str) -> tuple[int, ...]:
-    """Operator word of a name such as ``"AdBd"``: each ``d`` toggles the dagger before it."""
-    word: list[int] = []
-    for ch in name:
-        if ch in MODES:
-            word.append(MODES.index(ch))
-        elif ch == "d" and word:
-            word[-1] = (word[-1] + 3) % 6
-        else:
-            raise ValueError(f"cannot parse moment name {name!r}")
-    return tuple(word)
-
-
-# operator word of every stored moment, indexed by ``Moment``, and the slot of each by
-# its sorted indices, which name a normal-ordered word: cross-mode factors commute
-SLOT_WORDS = tuple(word_for_name(name) for name in MOMENT_NAMES)
-SLOT_OF = {tuple(sorted(word)): slot for slot, word in enumerate(SLOT_WORDS)}
-
 # the ordered pair of operators x, y sits at 6 x + y: its slot, and the anti-normal pairs,
-# which pick up the commutator: <a ad> = <ad a> + 1
+# whose normal order holds the commutator's <1>: <a ad> = <ad a> + 1
 _PAIRS = [(x, y) for x in range(6) for y in range(6)]
 _PAIR_SLOTS = np.array([SLOT_OF[tuple(sorted(pair))] for pair in _PAIRS])
-_ANTI_NORMAL = np.array([y == x + 3 for x, y in _PAIRS])
+_ANTI_NORMAL = np.array([() in _normal_order(pair, 1.0, {}) for pair in _PAIRS])
 # <AdA BdB CdC>, its composite pairs AB, BC, AC, and the pairs of the number operators
 _NUMBER_TRIPLE = (3, 0, 4, 1, 5, 2)
 _NUMBER_PAIRS = ((3, 0, 4, 1), (4, 1, 5, 2), (3, 0, 5, 2))

@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closure import SLOT_OF, SLOT_WORDS
-from .model import CONJUGATE_PAIRS, Moment, Scenario, SystemParams, assemble, model_terms
+from .model import CONJUGATE_SLOT, SLOT_OF, SLOT_WORDS, Moment, Scenario, SystemParams, _normal_order
+from .model import assemble, dagger, model_terms
 
 __all__ = [
     "Trajectory",
@@ -78,21 +78,6 @@ class Trajectory:
         return self.taus.size
 
 
-def _normal_order(word: tuple, coefficient: complex, out: dict) -> None:
-    """Add ``coefficient`` times ``word``, normal-ordered by [x, xd] = 1, to ``out``.
-
-    ``out`` maps sorted words to coefficients.  Cross-mode factors commute.
-    """
-    word = tuple(sorted(word, key=lambda f: f % 3))  # grouped by mode, each in its order
-    for i in range(len(word) - 1):
-        if word[i + 1] == word[i] + 3:
-            _normal_order(word[:i] + (word[i + 1], word[i]) + word[i + 2:], coefficient, out)
-            _normal_order(word[:i] + word[i + 2:], coefficient, out)
-            return
-    key = tuple(sorted(word))
-    out[key] = out.get(key, 0) + coefficient
-
-
 @lru_cache(maxsize=1)
 def _generators() -> tuple:
     """The nonzero [M | b] entries of each term of ``model_terms`` at unit coefficient.
@@ -104,7 +89,7 @@ def _generators() -> tuple:
     hamiltonian, jumps = model_terms(SystemParams())
     terms = [[(1j, h, ()), (-1j, (), h)] for _, h in hamiltonian]
     for _, J in jumps:
-        Jd = tuple((f + 3) % 6 for f in reversed(J))
+        Jd = dagger(J)
         terms.append([(1.0, Jd, J), (-0.5, Jd + J, ()), (-0.5, (), Jd + J)])
     G = np.zeros((len(terms), 27, 28), dtype=complex)
     for k, term in enumerate(terms):
@@ -404,14 +389,12 @@ def steady_state_first_moments(p: SystemParams) -> tuple[complex, complex, compl
 def conjugate_closure_defect(p: SystemParams) -> float:
     """Structural check that the equation list is closed under conjugation.
 
-    For the permutation P that swaps every slot with its conjugate partner,
+    For the permutation P that takes every slot to its conjugate, ``CONJUGATE_SLOT``,
     a Hermitian-closed system satisfies P M P = conj(M) and P b = conj(b);
     returns the largest deviation from that identity.
     """
     M, b = _cached_system(p)
-    perm = np.arange(27)
-    for i, j in CONJUGATE_PAIRS:
-        perm[i], perm[j] = j, i
+    perm = list(CONJUGATE_SLOT)
     Mp = M[np.ix_(perm, perm)]
     bp = b[perm]
     return max(np.abs(Mp - M.conj()).max(), np.abs(bp - b.conj()).max())

@@ -305,14 +305,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_scenario(args) -> Scenario:
-    """The command's base scenario: config, preset or defaults, then the flags."""
+def _resolve_scenario(args) -> tuple[Scenario, str]:
+    """The command's base scenario (config, preset or defaults, then the flags), and what set its samples."""
+    samples = "--samples"
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
         scenario = parse_config(text)
         for lineno, key, _ in _parse_lines(text):
             if key not in _READS[args.command]:
                 raise ConfigError(f"{args.command} does not read {key!r}", lineno)
+            if key == "samples" and args.samples is None:
+                samples = f"line {lineno}: samples"
     elif getattr(args, "preset", None) is not None:
         scenario = Scenario(params=preset_params(args.preset))
     else:
@@ -321,7 +324,7 @@ def _resolve_scenario(args) -> Scenario:
     try:
         if "chi" in given:
             scenario = scenario.with_params(chi=given.pop("chi"))
-        return replace(scenario, **given)
+        return replace(scenario, **given), samples
     except ValueError as exc:  # a bound, named by its flag
         raise _UsageError(_renamed(exc, lambda field: _FLAGS.get(field, field))) from None
 
@@ -361,7 +364,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        scenario = _resolve_scenario(args)
+        scenario, samples = _resolve_scenario(args)
         dest = sys.stdout if args.out is None else args.out
         if args.command == "simulate":
             if args.moments:
@@ -370,10 +373,13 @@ def main(argv=None) -> int:
                 columns = None if args.witnesses is None else _selected(_entries(args.witnesses, "witness list"))
                 _, series = run_scenario(scenario)
                 write_witness_series(series, dest, columns)
-        elif args.command == "table":
-            write_sign_matrix(table_matrix(scenario, _parse_grid(args.chi_grid, scenario)), dest)
-        elif args.command == "sweep":
-            write_sweep(chi_sweep(scenario, _parse_grid(args.chi_grid, scenario), args.witness), dest)
+        elif args.command in ("table", "sweep"):
+            grid = _parse_grid(args.chi_grid, scenario)
+            try:  # the bound on the batch's samples together, named by what set them
+                run = table_matrix(scenario, grid) if args.command == "table" else chi_sweep(scenario, grid, args.witness)
+            except ValueError as exc:
+                raise _UsageError(_renamed(exc, lambda field: samples if field == "sample_count" else field)) from None
+            (write_sign_matrix if args.command == "table" else write_sweep)(run, dest)
         elif args.command == "oracle-check":
             from .oracle import FockBasisSpec
 

@@ -9,7 +9,8 @@ The dynamical state is the vector of 27 operator expectation values listed
 in ``MOMENT_NAMES`` (three means, their conjugates, squared amplitudes,
 occupations and all cross-mode pair moments).  Physical states satisfy
 conjugate-pair consistency, e.g. ``<Ad> == conj(<A>)`` and
-``<AdBd> == conj(<AB>)``; the pairing is tabulated in ``CONJUGATE_PAIRS``.
+``<AdBd> == conj(<AB>)``; ``CONJUGATE_PAIRS`` derives the pairing from ``dagger``
+on operator words, tuples of indices 0, 1, 2 for A, B, C and 3, 4, 5 for Ad, Bd, Cd.
 ``conjugate_mismatch`` and ``occupation_defect`` give the largest violation
 of these invariants over a ``(..., 27)`` stack of states.
 """
@@ -25,7 +26,10 @@ __all__ = [
     "Moment",
     "MOMENT_NAMES",
     "CONJUGATE_PAIRS",
+    "CONJUGATE_SLOT",
     "MODES",
+    "dagger",
+    "word_for_name",
     "Configuration",
     "SystemParams",
     "MomentState",
@@ -81,24 +85,49 @@ class Moment(IntEnum):
 
 MOMENT_NAMES = tuple(m.name for m in Moment)
 
-# (slot, conjugate slot); the three occupations are self-conjugate and are
-# covered by the realness check instead.
-CONJUGATE_PAIRS = (
-    (Moment.A, Moment.Ad),
-    (Moment.B, Moment.Bd),
-    (Moment.C, Moment.Cd),
-    (Moment.AA, Moment.AdAd),
-    (Moment.BB, Moment.BdBd),
-    (Moment.CC, Moment.CdCd),
-    (Moment.AB, Moment.AdBd),
-    (Moment.ABd, Moment.AdB),
-    (Moment.BC, Moment.BdCd),
-    (Moment.BCd, Moment.BdC),
-    (Moment.AC, Moment.AdCd),
-    (Moment.ACd, Moment.AdC),
-)
 
-OCCUPATIONS = (Moment.AdA, Moment.BdB, Moment.CdC)
+def dagger(word: tuple) -> tuple:
+    """The adjoint of an operator word: its factors reversed, each x <-> xd."""
+    return tuple((f + 3) % 6 for f in reversed(word))
+
+
+def word_for_name(name: str) -> tuple[int, ...]:
+    """Operator word of a name: each ``d`` daggers the factor before it, so ``"AdBd"`` is ``(3, 4)``."""
+    word: list[int] = []
+    for ch in name:
+        if ch in MODES:
+            word.append(MODES.index(ch))
+        elif ch == "d" and word:
+            word[-1:] = dagger(word[-1:])
+        else:
+            raise ValueError(f"cannot parse moment name {name!r}")
+    return tuple(word)
+
+
+def _normal_order(word: tuple, coefficient: complex, out: dict) -> dict:
+    """Add ``coefficient`` times ``word``, normal-ordered by [x, xd] = 1, to ``out`` and return it.
+
+    ``out`` maps sorted words to coefficients.  Cross-mode factors commute.
+    """
+    word = tuple(sorted(word, key=lambda f: f % 3))  # grouped by mode, each in its order
+    for i in range(len(word) - 1):
+        if word[i + 1] == word[i] + 3:
+            _normal_order(word[:i] + (word[i + 1], word[i]) + word[i + 2:], coefficient, out)
+            return _normal_order(word[:i] + word[i + 2:], coefficient, out)
+    key = tuple(sorted(word))
+    out[key] = out.get(key, 0) + coefficient
+    return out
+
+
+# operator word of every stored moment, indexed by ``Moment``, and the slot of each by
+# its sorted indices, which name a normal-ordered word: cross-mode factors commute
+SLOT_WORDS = tuple(word_for_name(name) for name in MOMENT_NAMES)
+SLOT_OF = {tuple(sorted(word)): slot for slot, word in enumerate(SLOT_WORDS)}
+# the slot of each stored moment's conjugate, indexed by ``Moment``
+CONJUGATE_SLOT = tuple(Moment(SLOT_OF[tuple(sorted(dagger(word)))]) for word in SLOT_WORDS)
+# (slot, conjugate slot) in slot order; the self-conjugate occupations get a realness check
+CONJUGATE_PAIRS = tuple((Moment(i), j) for i, j in enumerate(CONJUGATE_SLOT) if i < j)
+OCCUPATIONS = tuple(j for i, j in enumerate(CONJUGATE_SLOT) if i == j)
 
 
 class Configuration(IntEnum):
@@ -170,12 +199,12 @@ def model_terms(p: SystemParams) -> tuple[list, list]:
 
     and mode x is damped at rate gamma_x into a bath of occupation n_x: the
     jumps x at rate gamma_x (n_x + 1) and xd at gamma_x n_x.  Words are index
-    tuples as in ``closure``, the same for every ``p``.
+    tuples, the same for every ``p``.
     """
     hamiltonian = [(p.delta_a, (3, 0)), (p.delta_b, (4, 1)), (p.delta_c, (5, 2)), (p.g_a, (3, 2)),
                    (p.g_a, (5, 0)), (p.g_b, (4, 2)), (p.g_b, (5, 1)), (p.chi, (3,)), (p.chi, (0,))]
     baths = enumerate([(p.gamma_a, p.n_a), (p.gamma_b, p.n_b), (p.gamma_c, p.n_c)])
-    jumps = [jump for x, (g, n) in baths for jump in ((g * (n + 1.0), (x,)), (g * n, (x + 3,)))]
+    jumps = [jump for x, (g, n) in baths for jump in ((g * (n + 1.0), (x,)), (g * n, dagger((x,))))]
     return hamiltonian, jumps
 
 
@@ -282,13 +311,10 @@ def occupations(initial: MomentState) -> tuple[float, float, float]:
     return tuple(float(initial.values[slot].real) for slot in OCCUPATIONS)
 
 
-_CONJUGATE_SLOTS = np.array(CONJUGATE_PAIRS).T
-
-
 def conjugate_mismatch(states: np.ndarray) -> float:
     """Largest violation of conjugate-pair consistency over a ``(..., 27)`` stack."""
     v = np.asarray(states)
-    i, j = _CONJUGATE_SLOTS
+    i, j = np.array(CONJUGATE_PAIRS).T
     return float(np.abs(v[..., i] - np.conj(v[..., j])).max(initial=0.0))
 
 

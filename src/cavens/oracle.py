@@ -47,9 +47,10 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .closure import SLOT_WORDS, decoupled, word_for_name as _word_for_name
+from .closure import decoupled
 from .dynamics import IntegrationError, integrate
-from .model import Scenario, SystemParams, assemble, model_terms, occupations
+from .model import SLOT_WORDS, Scenario, SystemParams, assemble, model_terms, occupations
+from .model import word_for_name as _word_for_name
 from .witnesses import WITNESS_NAMES, catalog_words, witness_table
 
 __all__ = [

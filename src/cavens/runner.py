@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import Trajectory, integrate, integrate_batch
-from .model import Configuration, Scenario, SystemParams, preset_params
+from .model import SAMPLE_CAP, Configuration, Scenario, SystemParams, preset_params
 from .witnesses import (
     MODE_KEYS,
     ORDERED_PAIR_KEYS,
@@ -78,8 +78,11 @@ def _witness_tables(scenarios) -> list:
     Entry ``i`` is scenario ``i``'s ``(n, 42)`` witness table, or the
     ``IntegrationError`` or ``InternalConsistencyError`` it failed on.  The
     integrated scenarios are evaluated as one stack, which gives every
-    scenario its own table or error even when some fail.
+    scenario its own table or error even when some fail.  More than
+    ``SAMPLE_CAP`` samples in all raise ``ValueError`` before any integration.
     """
+    if sum(sc.sample_count for sc in scenarios) > SAMPLE_CAP:
+        raise ValueError(f"sample_count must be <= {SAMPLE_CAP // len(scenarios)} for {len(scenarios)} scenarios")
     results = integrate_batch(scenarios)
     integrated = [i for i, result in enumerate(results) if isinstance(result, Trajectory)]
     if not integrated:

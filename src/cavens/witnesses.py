@@ -36,7 +36,8 @@ from functools import cache
 
 import numpy as np
 
-from .closure import Closure, word_for_name
+from .closure import Closure
+from .model import word_for_name
 
 __all__ = [
     "IMAG_TOL",
@@ -292,7 +293,7 @@ def witness_table(state) -> np.ndarray:
             failed[ranks] = bad.reshape(len(ranks), trajectories, samples).any(axis=2)
         if not finite.all():
             overflow |= ~finite.all(axis=0)
-    tables = table.reshape((-1,) + table.shape[max(table.ndim - 2, 0):])  # one per trajectory
+    tables = table.reshape((trajectories,) + shape[-1:] + table.shape[-1:])  # one per trajectory
     first = {}  # trajectory -> (rank, error) of its first failed check
     for m in np.flatnonzero(failed.any(axis=0)).tolist():
         rank = int(np.argmax(failed[:, m]))
@@ -309,7 +310,7 @@ def witness_table(state) -> np.ndarray:
             first[m] = -1, InternalConsistencyError(
                 f"float64 overflow in the witness arithmetic at sample {int(np.argmax(over[m]))}")
     bad = ~(np.isfinite(tables) | _MAY_BE_NAN)
-    for m in np.flatnonzero(bad.reshape(len(tables), -1).any(axis=1)).tolist():
+    for m in np.flatnonzero(bad.any(axis=tuple(range(1, bad.ndim)))).tolist():
         if m not in first:
             where = tuple(np.argwhere(bad[m])[0])
             first[m] = len(_CHECKS), InternalConsistencyError(

@@ -581,6 +581,11 @@ def test_cli_rejects_non_finite_inputs(argv, tmp_path, capsys):
     ("", ["--tmax", "-Infinity"], "--tmax must be finite and > 0"),
     ("", ["--chi-grid", "-inf,0"], "--chi-grid entry -inf must be finite"),
     ("", ["--chi-grid", "-nan,0", "--witness", "mandel_A"], "--chi-grid entry -nan must be finite"),
+    # a batch's scenarios together hold at most SAMPLE_CAP samples, named by what set them
+    ("", ["--samples", "250001", "--chi-grid", "0"], "--samples must be <= 250000 for 4 scenarios"),
+    ("samples = 250001", ["--chi-grid", "0"], "line 2: samples must be <= 250000 for 4 scenarios"),
+    ("", ["--chi-grid", "0,0.1", "--samples", "500001", "--witness", "mandel_A"],
+     "--samples must be <= 500000 for 2 scenarios"),
 ])
 def test_cli_names_a_bound_by_its_key_and_line_or_its_flag(config, flags, message, tmp_path, capsys):
     cfg = tmp_path / "bound.cfg"

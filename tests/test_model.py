@@ -10,6 +10,8 @@ import pytest
 import cavens
 from cavens.dynamics import integrate_batch
 from cavens.model import (
+    CONJUGATE_PAIRS,
+    OCCUPATIONS,
     Configuration,
     Moment,
     MomentState,
@@ -19,11 +21,13 @@ from cavens.model import (
     initial_state,
     occupation_defect,
     occupations,
+    dagger,
     preset_params,
     validate_params,
+    word_for_name,
 )
 from cavens.runner import table_matrix
-from cavens.witnesses import witness_table
+from cavens.witnesses import catalog_words, witness_table
 
 
 def test_preset_an():
@@ -166,6 +170,17 @@ def test_invariant_checks_take_a_stack():
     assert conjugate_mismatch(states) == 0.5
     assert occupation_defect(states) == 0.25
     assert conjugate_mismatch(states[0]) == occupation_defect(states[0]) == 0.0
+
+
+def test_conjugate_slots_are_the_dagger_of_the_slot_words():
+    # by name, so a wrong derivation cannot pass through states built from the same tables
+    assert [(i.name, j.name) for i, j in CONJUGATE_PAIRS] == [
+        ("A", "Ad"), ("B", "Bd"), ("C", "Cd"), ("AA", "AdAd"), ("BB", "BdBd"), ("CC", "CdCd"),
+        ("AB", "AdBd"), ("ABd", "AdB"), ("BC", "BdCd"), ("BCd", "BdC"), ("AC", "AdCd"), ("ACd", "AdC"),
+    ]
+    assert [m.name for m in OCCUPATIONS] == ["AdA", "BdB", "CdC"]
+    assert all(dagger(dagger(w)) == w for w in catalog_words())
+    assert dagger(word_for_name("ABdC")) == word_for_name("CdBAd")  # reversed, each factor daggered
 
 
 def test_occupations_reads_only_occupation_states():

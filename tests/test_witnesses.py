@@ -257,19 +257,23 @@ def test_a_correlator_function_gives_the_tables_of_its_states_bit_for_bit(rng):
     random = np.stack([make_random_state(rng).values for _ in range(7)])
     trajectories = np.stack([t.states for t in integrate_batch(
         [Scenario(params=preset_params(config, chi)) for config in Configuration for chi in (0.0, 0.2)])])
-    for states in (random, trajectories):
+    empty = [np.zeros(shape, dtype=complex) for shape in ((0, 27), (3, 0, 27), (0, 5, 27))]
+    for states in (random, trajectories, *empty):
         table = witness_table(lambda words: decoupled(states, words))
+        assert table.shape == states.shape[:-1] + (len(WITNESS_NAMES),)
         assert np.array_equal(table.view(np.uint64), witness_table(states).view(np.uint64))
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (3,), (2, 2)]),
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (3,), (2, 2), (0,), (3, 0), (0, 5)]),
        empty=st.sets(st.sampled_from((Moment.AdA, Moment.BdB, Moment.CdC))))
 def test_table_columns_are_the_public_helpers_bit_for_bit(seed, shape, empty):
     """Each column of a table is its single-state column, and each closure
-    word the table reads is ``decoupled`` of that word alone, bit for bit."""
+    word the table reads is ``decoupled`` of that word alone, bit for bit.
+    An empty stack gives an empty table."""
     rng = np.random.default_rng(seed)
-    states = np.stack([make_random_state(rng).values for _ in range(int(np.prod(shape)))])
+    states = np.array([make_random_state(rng).values for _ in range(int(np.prod(shape)))],
+                      dtype=complex).reshape(-1, 27)
     states[:, list(empty)] = 0.0  # an empty mode: its Mandel parameter is NaN
     states = states.reshape(shape + (27,))
     table = witness_table(states)
